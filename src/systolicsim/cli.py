@@ -22,13 +22,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .bundled import bundled_workloads, default_config_path
 from .config import (ArchConfig, Dataflow, LayerSpec, load_config,
                      load_topology)
 from .errors import ConfigError, SimulationError, TopologyError
 from .mapping import fold_schedule, mapping_efficiency, workload_counts
+from .memory import in_run_peak
 from .metrics import (EnergyCostTable, LayerReport, energy, load_energy_table,
                       network_csv, summarize_network, summary_csv)
 from .simulate import simulate_layer
@@ -166,15 +165,6 @@ def _report_layer(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable,
     dram_rd_bytes = len(dram_rd) * word
     dram_wr_bytes = len(dram_wr) * word
 
-    def peak(trace):
-        if not len(trace):
-            return 0
-        mask = (trace.cycles >= 0) & (trace.cycles < cycles)
-        if not mask.any():
-            return 0
-        _, n = np.unique(trace.cycles[mask], return_counts=True)
-        return int(n.max()) * word
-
     return LayerReport(
         name=layer.name,
         dataflow=arch.dataflow.value,
@@ -191,9 +181,9 @@ def _report_layer(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable,
         dram_read_bytes=dram_rd_bytes,
         dram_write_bytes=dram_wr_bytes,
         avg_read_bw=dram_rd_bytes / cycles,
-        peak_read_bw=peak(dram_rd),
+        peak_read_bw=in_run_peak(dram_rd, cycles, word),
         avg_write_bw=dram_wr_bytes / cycles,
-        peak_write_bw=peak(dram_wr),
+        peak_write_bw=in_run_peak(dram_wr, cycles, word),
         energy=energy(counts.macs_total, sram_reads, len(writes),
                       dram_rd_bytes + dram_wr_bytes, table),
         active_pe_folds=sum(f.rows_used * f.cols_used for f in plan.folds),

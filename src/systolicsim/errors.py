@@ -1,6 +1,8 @@
 """Exception hierarchy shared across the simulator.
 
-Each class maps to a distinct CLI exit code (see cli.EXIT_CODES).
+``cli.main`` maps ConfigError, TopologyError and SimulationError (including
+its subclass WorkingSetUnderflow) to the exit codes ``cli.EXIT_CONFIG``,
+``cli.EXIT_TOPOLOGY`` and ``cli.EXIT_SIM``.
 """
 
 

@@ -5,7 +5,10 @@ the working set while DRAM fills the idle one.  An *epoch* is the residency
 interval of one working set; walking an SRAM read trace in cycle order, a
 new epoch opens whenever admitting a never-seen-in-this-epoch address would
 overflow the buffer.  Re-reads within an epoch are free; addresses reused
-across an epoch boundary are fetched again.
+across an epoch boundary are fetched again.  ``epochize`` finds these
+boundaries with whole-array passes instead of a walk over cycles: each event
+knows where its word was last read, which tells whether it is new to the
+epoch that contains it.
 
 Epoch k+1's data is prefetched uniformly across epoch k's use span, which is
 the minimum bandwidth that keeps the array stall-free.  The first epoch is
@@ -24,7 +27,7 @@ import numpy as np
 
 from .config import ArchConfig
 from .errors import WorkingSetUnderflow
-from .trace import Trace
+from .trace import Trace, cycle_runs, sort_pairs
 
 
 @dataclass
@@ -45,60 +48,69 @@ class Epoch:
 
 
 def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epoch]:
-    """Split a sorted SRAM read trace into working-set epochs."""
+    """Split a sorted SRAM read trace into working-set epochs.
+
+    An epoch runs over whole cycles and holds every word it touches.  It
+    ends before the first cycle whose never-seen-in-this-epoch words would
+    overflow the buffer; that cycle opens the next epoch.  A cycle that
+    alone touches more distinct words than the buffer holds raises
+    WorkingSetUnderflow.  Epoch addresses are listed in first-use order.
+
+    The scan is vectorised.  One sort by word gives every event the position
+    of the previous event on the same word.  In an epoch that starts at
+    position ``s``, an event is new exactly when that previous position is
+    before ``s``.  New events are summed per cycle over a window of cycles
+    that doubles until the running total passes the capacity.
+    """
     if capacity_bytes < word_bytes:
         raise ValueError("capacity must hold at least one word")
-    if not len(trace):
+    n = len(trace)
+    if not n:
         return []
     cap_words = capacity_bytes // word_bytes
+    cycles, addresses = trace.cycles, trace.addresses
 
-    lo = int(trace.addresses.min())
-    word_idx = (trace.addresses - lo) // word_bytes
-    distinct_total = len(np.unique(word_idx))
-    if distinct_total <= cap_words:
+    lo = int(addresses.min())
+    offsets = addresses - lo
+    word_idx = offsets // word_bytes if word_bytes > 1 else offsets
+    if np.count_nonzero(np.bincount(word_idx)) <= cap_words:
         # whole footprint fits: one epoch, addresses in first-use order
-        uniq, first_pos = np.unique(trace.addresses, return_index=True)
-        ordered = uniq[np.argsort(first_pos)]
-        return [Epoch(0, ordered, int(trace.cycles[0]), int(trace.cycles[-1]), word_bytes)]
+        first = np.full(int(offsets.max()) + 1, n, dtype=np.int64)
+        np.minimum.at(first, offsets, np.arange(n))
+        first = np.sort(first[first < n])
+        return [Epoch(0, addresses[first], int(cycles[0]), int(cycles[-1]), word_bytes)]
 
-    present = np.zeros(int(word_idx.max()) + 1, dtype=bool)
-    cyc_vals, starts = np.unique(trace.cycles, return_index=True)
-    bounds = np.append(starts, len(trace))
+    words, order = sort_pairs(word_idx, np.arange(n))
+    repeat = np.flatnonzero(words[1:] == words[:-1])
+    prev = np.full(n, -1, dtype=np.int64)    # previous event on the same word
+    prev[order[repeat + 1]] = order[repeat]
+    del words, order, repeat
+
+    bounds = cycle_runs(cycles)
+    n_cycles = len(bounds) - 1
     epochs: list[Epoch] = []
-    cur_parts: list[np.ndarray] = []
-    cur_count = 0
-    first_cyc = prev_cyc = None
-
-    def close(last_cycle: int) -> None:
-        nonlocal cur_parts, cur_count
-        idx = np.concatenate(cur_parts)
-        epochs.append(Epoch(len(epochs), lo + idx * word_bytes,
-                            int(first_cyc), int(last_cycle), word_bytes))
-        present[idx] = False
-        cur_parts, cur_count = [], 0
-
-    for ci, cyc in enumerate(cyc_vals):
-        demand = np.unique(word_idx[bounds[ci]:bounds[ci + 1]])  # ascending = trace order
-        if first_cyc is None:
-            new = demand
-        else:
-            new = demand[~present[demand]]
-            if cur_count + len(new) > cap_words:
-                close(prev_cyc)
-                first_cyc = None
-                new = demand
-        if first_cyc is None:
-            if len(new) > cap_words:
-                raise WorkingSetUnderflow(
-                    f"working set underflow: cycle {int(cyc)} touches {len(new)} distinct "
-                    f"words but the buffer holds {cap_words}")
-            first_cyc = cyc
-        if len(new):
-            present[new] = True
-            cur_count += len(new)
-            cur_parts.append(new)
-        prev_cyc = cyc
-    close(prev_cyc)
+    g = 0
+    window = 1
+    while g < n_cycles:
+        start = bounds[g]
+        while True:
+            stop_g = min(g + window, n_cycles)
+            is_new = prev[start:bounds[stop_g]] < start
+            per_cycle = np.add.reduceat(is_new, bounds[g:stop_g] - start, dtype=np.int64)
+            fits = int(np.searchsorted(np.cumsum(per_cycle), cap_words, side="right"))
+            if fits < stop_g - g or stop_g == n_cycles:
+                break
+            window *= 2
+        if not fits:
+            raise WorkingSetUnderflow(
+                f"working set underflow: cycle {int(cycles[start])} touches "
+                f"{int(per_cycle[0])} distinct words but the buffer holds {cap_words}")
+        stop = bounds[g + fits]
+        new = start + np.flatnonzero(is_new[:stop - start])
+        epochs.append(Epoch(len(epochs), lo + word_idx[new] * word_bytes,
+                            int(cycles[start]), int(cycles[stop - 1]), word_bytes))
+        g += fits
+        window = fits
     return epochs
 
 
@@ -149,6 +161,17 @@ class WriteFragment:
     epilogue_cycles: int
 
 
+def _final_writes(ofmap_writes: Trace) -> tuple[np.ndarray, np.ndarray]:
+    """The last write of every address, in (cycle, address) order.  Partial
+    sums are overwritten in place, so only these values leave the chip."""
+    lo = int(ofmap_writes.addresses.min())
+    last = np.full(int(ofmap_writes.addresses.max()) - lo + 1, -1, dtype=np.int64)
+    np.maximum.at(last, ofmap_writes.addresses - lo, np.arange(len(ofmap_writes)))
+    # the trace is sorted, so ascending positions are (cycle, address) order
+    kept = np.sort(last[last >= 0])
+    return ofmap_writes.cycles[kept], ofmap_writes.addresses[kept]
+
+
 def gen_dram_write_trace(ofmap_writes: Trace, capacity_bytes: int,
                          total_cycles: int, word_bytes: int = 1) -> WriteFragment:
     if capacity_bytes < word_bytes:
@@ -156,15 +179,7 @@ def gen_dram_write_trace(ofmap_writes: Trace, capacity_bytes: int,
     if not len(ofmap_writes):
         return WriteFragment(Trace.empty(), 0, 0, 0, 0)
     cap_words = capacity_bytes // word_bytes
-
-    # keep the last write per address (partial sums are overwritten in place)
-    order = np.lexsort((ofmap_writes.cycles, ofmap_writes.addresses))
-    addr_sorted = ofmap_writes.addresses[order]
-    last_of_addr = order[np.append(addr_sorted[1:] != addr_sorted[:-1], True)]
-    fin_cycles = ofmap_writes.cycles[last_of_addr]
-    fin_addrs = ofmap_writes.addresses[last_of_addr]
-    by_cycle = np.lexsort((fin_addrs, fin_cycles))
-    fin_cycles, fin_addrs = fin_cycles[by_cycle], fin_addrs[by_cycle]
+    fin_cycles, fin_addrs = _final_writes(ofmap_writes)
 
     n = len(fin_addrs)
     n_chunks = -(-n // cap_words)
@@ -203,14 +218,12 @@ class DramDemand:
     peak_write_bw: int
 
 
-def _in_run_peak(trace: Trace, total_cycles: int, word_bytes: int) -> int:
-    if not len(trace):
+def in_run_peak(trace: Trace, total_cycles: int, word_bytes: int) -> int:
+    """Most bytes moved in one cycle of [0, total_cycles) of a sorted trace."""
+    lo, hi = np.searchsorted(trace.cycles, (0, total_cycles))
+    if lo == hi:
         return 0
-    mask = (trace.cycles >= 0) & (trace.cycles < total_cycles)
-    if not mask.any():
-        return 0
-    _, counts = np.unique(trace.cycles[mask], return_counts=True)
-    return int(counts.max()) * word_bytes
+    return int(np.diff(cycle_runs(trace.cycles[lo:hi])).max()) * word_bytes
 
 
 def bandwidth_report(ifmap_frag: ReadFragment, filter_frag: ReadFragment,
@@ -230,9 +243,9 @@ def bandwidth_report(ifmap_frag: ReadFragment, filter_frag: ReadFragment,
         total_dram_reads=total_reads,
         total_dram_writes=total_writes,
         avg_read_bw=total_reads / total_cycles,
-        peak_read_bw=_in_run_peak(read_trace, total_cycles, word_bytes),
+        peak_read_bw=in_run_peak(read_trace, total_cycles, word_bytes),
         avg_write_bw=total_writes / total_cycles,
-        peak_write_bw=_in_run_peak(write_frag.trace, total_cycles, word_bytes),
+        peak_write_bw=in_run_peak(write_frag.trace, total_cycles, word_bytes),
     )
 
 

@@ -2,8 +2,9 @@
 aspect ratio, and scale-up vs scale-out.
 
 Every study emits fully-keyed rows sharing one column schema so each cell is
-reproducible in isolation from the CLI.  Per-cell failures are recorded in
-the status column and do not abort the sweep.
+reproducible in isolation from the CLI.  Per-cell failures of the simulator's
+own error types are recorded in the status column and do not abort the
+sweep; any other exception propagates.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import ArchConfig, LayerSpec, load_topology
-from .errors import TopologyError
+from .errors import ConfigError, SimulationError, TopologyError
 from .metrics import EnergyCostTable
 from .simulate import simulate_layer, simulate_network
 
@@ -29,6 +30,10 @@ SWEEP_COLUMNS = ("study", "workload", "layer", "dataflow", "rows", "cols",
                  "avg_filter_rd_bw", "status")
 
 STUDIES = ("dataflow", "memory", "aspect", "scale")
+
+# what a cell may fail with and still be recorded as a flagged row; anything
+# else is a program bug and propagates
+CELL_ERRORS = (ConfigError, TopologyError, SimulationError)
 
 
 @dataclass
@@ -68,7 +73,7 @@ def _load_layers(workload, study, rows):
         if not layers:
             raise TopologyError("topology has no layers")
         return layers
-    except Exception as exc:
+    except (*CELL_ERRORS, OSError) as exc:
         rows.append(_row(study, _wl_name(workload), status=f"error: {exc}"))
         return None
 
@@ -104,7 +109,7 @@ def run_dataflow_study(workloads, base_arch: ArchConfig,
                     net = simulate_network(layers, arch, table)
                     row.update(total_cycles=net.total.total_cycles,
                                energy=net.total.energy)
-                except Exception as exc:
+                except CELL_ERRORS as exc:
                     row["status"] = f"error: {exc}"
                 rows.append(row)
     return rows
@@ -131,7 +136,7 @@ def run_memory_sweep(workloads, base_arch: ArchConfig,
                     row.update(total_cycles=net.total.total_cycles,
                                dram_rd_bytes=net.total.dram_read_bytes,
                                avg_rd_bw=net.total.avg_read_bw)
-                except Exception as exc:
+                except CELL_ERRORS as exc:
                     row["status"] = f"error: {exc}"
                 rows.append(row)
     return rows
@@ -157,7 +162,7 @@ def run_aspect_ratio_study(workloads, base_arch: ArchConfig,
                     net = simulate_network(layers, arch, table)
                     row.update(total_cycles=net.total.total_cycles,
                                energy=net.total.energy)
-                except Exception as exc:
+                except CELL_ERRORS as exc:
                     row["status"] = f"error: {exc}"
                 rows.append(row)
     return rows
@@ -252,7 +257,7 @@ def run_scale_study(workloads, base_arch: ArchConfig, pe_ladder=DEFAULT_PE_LADDE
                     try:
                         up_res = simulate_layer(layer, up_arch, table)
                         out_cell = _scale_out_layer(layer, nodes, out_arch, table)
-                    except Exception as exc:
+                    except CELL_ERRORS as exc:
                         rows.append(_row("scale", _wl_name(wl), layer=layer.name,
                                          mode="up", rows=side, cols=side,
                                          status=f"error: {exc}", **key))

@@ -1,0 +1,110 @@
+"""The vectorised memory model against its loop-based references.
+
+Every epoch list, final-write selection and underflow message must be
+identical to what ``memory_reference`` computes on the same trace.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import make_arch
+from memory_reference import epochize_reference, final_writes_reference
+from systolicsim import memory
+from systolicsim.bundled import default_config_path, workload_path
+from systolicsim.config import LayerSpec, load_config, load_topology
+from systolicsim.engine import generate_traces
+from systolicsim.errors import WorkingSetUnderflow
+from systolicsim.memory import epochize, gen_dram_write_trace
+from systolicsim.trace import Trace
+
+LADDER_KB = (32, 64, 128, 256, 512, 1024, 2048)
+
+
+@st.composite
+def small_layers(draw):
+    ih = draw(st.integers(1, 8))
+    iw = draw(st.integers(1, 8))
+    return LayerSpec("h", ih, iw, draw(st.integers(1, min(3, ih))),
+                     draw(st.integers(1, min(3, iw))), draw(st.integers(1, 4)),
+                     draw(st.integers(1, 5)), draw(st.integers(1, 2)))
+
+
+@st.composite
+def traced_layers(draw):
+    arch = make_arch(draw(st.integers(1, 6)), draw(st.integers(1, 6)),
+                     draw(st.sampled_from(["os", "ws", "is"])),
+                     word_bytes=draw(st.sampled_from([1, 2, 4])))
+    return generate_traces(draw(small_layers()), arch), arch.word_bytes
+
+
+def _outcome(fn, trace, capacity, word):
+    try:
+        return [(e.index, e.addresses.tolist(), e.first_use_cycle, e.last_use_cycle,
+                 e.word_bytes) for e in fn(trace, capacity, word)]
+    except WorkingSetUnderflow as exc:
+        return ("underflow", str(exc))
+
+
+def assert_same_epochs(trace, capacity, word):
+    got = _outcome(epochize, trace, capacity, word)
+    assert got == _outcome(epochize_reference, trace, capacity, word)
+    return got
+
+
+def assert_same_write_fragment(writes, capacity, total_cycles, word):
+    got = gen_dram_write_trace(writes, capacity, total_cycles, word)
+    with mock.patch.object(memory, "_final_writes", final_writes_reference):
+        want = gen_dram_write_trace(writes, capacity, total_cycles, word)
+    assert got.trace == want.trace
+    assert ((got.total_bytes, got.n_drains, got.epilogue_bytes, got.epilogue_cycles)
+            == (want.total_bytes, want.n_drains, want.epilogue_bytes,
+                want.epilogue_cycles))
+
+
+@settings(max_examples=150, deadline=None)
+@given(traced_layers(), st.data())
+def test_epochize_matches_reference(traced, data):
+    ts, word = traced
+    for trace in (ts.ifmap_reads, ts.filter_reads):
+        footprint = len(trace.distinct_addresses())
+        # one word up to past the footprint, including sizes that are not
+        # a whole number of words
+        capacity = data.draw(st.integers(word, (footprint + 2) * word))
+        assert_same_epochs(trace, capacity, word)
+
+
+@settings(max_examples=100, deadline=None)
+@given(traced_layers(), st.data())
+def test_final_writes_match_reference(traced, data):
+    ts, word = traced
+    writes = ts.ofmap_writes
+    got = memory._final_writes(writes)
+    want = final_writes_reference(writes)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    capacity = data.draw(st.integers(word, (len(writes) + 2) * word))
+    assert_same_write_fragment(writes, capacity, ts.total_cycles, word)
+
+
+def test_underflow_message_matches_reference():
+    trace = Trace(np.array([0, 0, 0, 1, 1, 2, 2, 2, 2]),
+                         np.array([0, 2, 4, 6, 8, 0, 2, 4, 6]))
+    outcome = assert_same_epochs(trace, 6, 2)
+    assert outcome == ("underflow", "working set underflow: cycle 2 touches 4 "
+                                    "distinct words but the buffer holds 3")
+
+
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_bundled_layers_ladder_matches_reference(dataflow):
+    # conv1 fits every buffer in one epoch; conv2 overflows the 32 KB rung
+    base = load_config(default_config_path())
+    for layer in load_topology(workload_path("w2_deepspeech2"))[:2]:
+        ts = generate_traces(layer, base.with_overrides(dataflow=dataflow))
+        for kb in LADDER_KB:
+            for trace in (ts.ifmap_reads, ts.filter_reads):
+                assert_same_epochs(trace, kb * 1024, base.word_bytes)
+            assert_same_write_fragment(ts.ofmap_writes, kb * 1024, ts.total_cycles,
+                                       base.word_bytes)

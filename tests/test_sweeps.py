@@ -67,6 +67,16 @@ def test_memory_sweep_flags_underflow_cells(tmp_path):
     assert "underflow" in rows[0]["status"]
 
 
+def test_memory_sweep_program_bug_propagates(tiny_workload, monkeypatch):
+    # only the simulator's own errors become flagged cells; a bug must crash
+    def broken(traces, arch):
+        raise TypeError("bug in the memory model")
+
+    monkeypatch.setattr("systolicsim.simulate.dram_demand", broken)
+    with pytest.raises(TypeError, match="bug in the memory model"):
+        run_memory_sweep([tiny_workload], BASE, sram_sizes_kb=(64,), dataflows=("os",))
+
+
 def test_aspect_shapes_count_and_area():
     shapes = aspect_shapes(16384)
     assert len(shapes) == 9

@@ -1,6 +1,12 @@
 import numpy as np
+import pytest
 
 from systolicsim.trace import Trace
+
+
+def _lexsorted(cycles, addresses):
+    order = np.lexsort((addresses, cycles))
+    return cycles[order].tolist(), addresses[order].tolist()
 
 
 def test_trace_sorts_by_cycle_then_address():
@@ -37,3 +43,45 @@ def test_trace_concat_resorts():
     merged = Trace.concat([a, b])
     assert merged.cycles.tolist() == [0, 5, 5, 6]
     assert merged.addresses.tolist() == [2, 0, 1, 1]
+
+
+@pytest.mark.parametrize("cycles, addresses", [
+    pytest.param([4, -7, 0, -7, -1], [3, 9, 1, 2, 9], id="negative-prologue-cycles"),
+    pytest.param([2, 2, 1, 2, 1, 2], [5, 5, 8, 3, 8, 5], id="duplicate-pairs"),
+    pytest.param([], [], id="empty"),
+    pytest.param([-3], [2**40], id="one-event"),
+    pytest.param([2**40, -2**40, 0, 2**40], [0, 2**30, 5, -2**30],
+                 id="overflowing-span"),
+    pytest.param([-2**62, 2**62, 0], [-2**62, 2**62, 1], id="overflowing-range"),
+    # the packed key fits, but cycle * span + address wraps on the way
+    pytest.param([2**61, 0, 5, 2**61], [2**62 + 2, 2**62, 2**62 + 1, 2**62],
+                 id="wrapping-intermediate"),
+])
+def test_trace_sort_matches_lexsort(cycles, addresses):
+    c = np.array(cycles, dtype=np.int64)
+    a = np.array(addresses, dtype=np.int64)
+    t = Trace(c, a)
+    assert (t.cycles.tolist(), t.addresses.tolist()) == _lexsorted(c, a)
+
+
+def test_trace_sort_random_matches_lexsort():
+    rng = np.random.default_rng(5)
+    c = rng.integers(-50, 50, 5000)
+    a = rng.integers(0, 1 << 20, 5000) * 4
+    t = Trace(c, a)
+    assert (t.cycles.tolist(), t.addresses.tolist()) == _lexsorted(c, a)
+
+
+def test_trace_sort_leaves_inputs_untouched():
+    c, a = np.array([3, 1, 2]), np.array([1, 2, 3])
+    Trace(c, a)
+    assert c.tolist() == [3, 1, 2] and a.tolist() == [1, 2, 3]
+
+
+def test_trace_distinct_addresses_and_per_cycle_counts():
+    t = Trace(np.array([0, 0, 0, 3, 3, 9]), np.array([4, 4, 1, 4, 2, 1]))
+    assert t.distinct_addresses().tolist() == [1, 2, 4]
+    cycles, counts = t.per_cycle_counts()
+    assert cycles.tolist() == [0, 3, 9] and counts.tolist() == [3, 2, 1]
+    assert len(Trace.empty().distinct_addresses()) == 0
+    assert [x.tolist() for x in Trace.empty().per_cycle_counts()] == [[], []]
