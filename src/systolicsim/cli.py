@@ -23,15 +23,15 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .bundled import bundled_workloads, default_config_path
-from .config import (ArchConfig, Dataflow, LayerSpec, load_config,
-                     load_topology)
+from .config import (ALL_DATAFLOWS, ArchConfig, Dataflow, LayerSpec,
+                     load_config, load_topology)
 from .errors import ConfigError, SimulationError, TopologyError
 from .mapping import fold_schedule, mapping_efficiency, workload_counts
 from .memory import in_run_peak
 from .metrics import (EnergyCostTable, LayerReport, energy, load_energy_table,
                       network_csv, summarize_network, summary_csv)
 from .simulate import simulate_layer
-from .sweeps import (ALL_DATAFLOWS, SweepSpec, run_sweep, write_sweep_csv)
+from .sweeps import STUDIES, SweepSpec, run_sweep, write_sweep_csv
 from .trace import Trace
 
 EXIT_OK = 0
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="run a design-space study")
-    sweep.add_argument("study", choices=("dataflow", "memory", "aspect", "scale"))
+    sweep.add_argument("study", choices=STUDIES)
     add_arch_flags(sweep)
     sweep.add_argument("--workloads", nargs="*", default=None,
                        help="topology CSVs (default: all bundled workloads)")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigError, TopologyError
 
-LEGAL_DATAFLOWS = ("os", "ws", "is")
+ALL_DATAFLOWS = ("os", "ws", "is")
 
 
 class Dataflow(Enum):
@@ -29,7 +29,7 @@ class Dataflow(Enum):
     @classmethod
     def parse(cls, value: str) -> "Dataflow":
         v = value.strip().lower()
-        if v not in LEGAL_DATAFLOWS:
+        if v not in ALL_DATAFLOWS:
             raise ConfigError(
                 f"unsupported dataflow {value!r}; legal values are 'os', 'ws', and 'is'"
             )

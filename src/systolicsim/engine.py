@@ -214,19 +214,7 @@ def _gen_traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
                     acc.build())
 
 
-def gen_traces_ws(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
-    assert arch.dataflow is Dataflow.WS
-    return _gen_traces_stationary(layer, arch)
-
-
-def gen_traces_is(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
-    assert arch.dataflow is Dataflow.IS
-    return _gen_traces_stationary(layer, arch)
-
-
 def generate_traces(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
     if arch.dataflow is Dataflow.OS:
         return gen_traces_os(layer, arch)
-    if arch.dataflow is Dataflow.WS:
-        return gen_traces_ws(layer, arch)
-    return gen_traces_is(layer, arch)
+    return _gen_traces_stationary(layer, arch)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import ArchConfig, LayerSpec, load_topology
+from .config import ALL_DATAFLOWS, ArchConfig, LayerSpec, load_topology
 from .errors import ConfigError, SimulationError, TopologyError
 from .metrics import EnergyCostTable
 from .simulate import simulate_layer, simulate_network
@@ -22,7 +22,6 @@ DEFAULT_ARRAY_SIZES = (8, 16, 32, 64, 128)
 DEFAULT_SRAM_SIZES_KB = (32, 64, 128, 256, 512, 1024, 2048)
 DEFAULT_TOTAL_PES = 16384
 DEFAULT_PE_LADDER = (64, 256, 1024, 4096, 16384)
-ALL_DATAFLOWS = ("os", "ws", "is")
 
 SWEEP_COLUMNS = ("study", "workload", "layer", "dataflow", "rows", "cols",
                  "sram_kb", "pe_count", "mode", "total_cycles", "energy",

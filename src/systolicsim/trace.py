@@ -1,18 +1,31 @@
 """Cycle-stamped address streams.
 
 A trace is a pair of parallel int64 arrays sorted by (cycle, address).
-The CSV form is one row per (cycle, address) pair with a ``cycle,address``
-header; DRAM traces may carry negative cycles for the cold-fill prologue.
+DRAM traces may carry negative cycles for the cold-fill prologue.
+
+The CSV form is exact text: the line ``cycle,address``, then one line
+``<cycle>,<address>`` per pair in trace order.  Both numbers are plain
+decimal with no padding and no ``+``; a negative one starts with ``-``.
+Every line, the last included, ends in ``\n``, and nothing follows the
+last row.  An empty trace is the header line alone.  ``Trace.read_csv`` rejects a file
+that breaks this form with a ``SimulationError``.
 """
 
 from __future__ import annotations
 
+import os
+import warnings
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .errors import SimulationError
+
 CSV_HEADER = "cycle,address"
+
+# rows formatted per pass of Trace.write_csv; its temporaries are a few MB
+CSV_CHUNK_ROWS = 1 << 16
 
 
 def sort_pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,16 +123,73 @@ class Trace:
         return self.cycles[bounds[:-1]], np.diff(bounds)
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", buffering=1 << 20) as fh:
-            fh.write(CSV_HEADER + "\n")
-            for c, a in zip(self.cycles.tolist(), self.addresses.tolist()):
-                fh.write(f"{c},{a}\n")
+        with open(path, "wb") as fh:
+            fh.write(CSV_HEADER.encode() + b"\n")
+            for start in range(0, len(self), CSV_CHUNK_ROWS):
+                stop = start + CSV_CHUNK_ROWS
+                fh.write(_csv_rows(self.cycles[start:stop], self.addresses[start:stop]))
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "Trace":
-        with open(path) as fh:
-            fh.readline()
-            if not fh.readline().strip():
+        with open(path, "rb") as fh:
+            if fh.readline() != CSV_HEADER.encode() + b"\n":
+                raise SimulationError(f"trace {path}: first line is not {CSV_HEADER!r}")
+            if fh.tell() == fh.seek(0, os.SEEK_END):
                 return cls.empty()
-        data = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2)
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                raise SimulationError(f"trace {path}: last row is cut off")
+        # by path: np.loadtxt parses a path in blocks, a file object line by line
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UserWarning)  # blank lines: "no data"
+                data = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1,
+                                  ndmin=2)
+        except (ValueError, UserWarning) as exc:
+            raise SimulationError(f"trace {path}: {exc}") from None
+        if data.shape[1] != 2:
+            raise SimulationError(f"trace {path}: rows have {data.shape[1]} fields, not 2")
         return cls(data[:, 0], data[:, 1], sort=False)
+
+
+def _csv_rows(cycles: np.ndarray, addresses: np.ndarray) -> np.ndarray:
+    """The CSV bytes of ``len(cycles)`` rows, built without a Python loop
+    over rows.
+
+    Each field gets a fixed slot: a sign byte, then as many digits as the
+    chunk's largest magnitude has, least significant last.  The slots are
+    filled a whole column at a time (row ``i`` of ``text`` is byte ``i`` of
+    every line), and one boolean mask then drops each field's unused sign
+    and leading zeros.
+    """
+    fields = [_magnitude(x) for x in (cycles, addresses)]
+    width = sum(digits + 2 for _, _, digits in fields)
+    text = np.empty((width, len(cycles)), np.uint8)
+    keep = np.empty((width, len(cycles)), bool)
+    pos = 0
+    for (negative, mag, digits), end in zip(fields, b",\n"):
+        text[pos] = ord("-")
+        keep[pos] = negative
+        for row in range(pos + digits, pos, -1):
+            high = mag // 10
+            np.subtract(mag, high * 10, out=text[row], casting="unsafe")
+            np.greater(mag, 0, out=keep[row])
+            mag = high
+        text[pos + 1:pos + digits + 1] += ord("0")
+        keep[pos + digits] = True  # the units digit, even of 0
+        text[pos + digits + 1] = end
+        keep[pos + digits + 1] = True
+        pos += digits + 2
+    return text.T[keep.T]
+
+
+def _magnitude(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(x < 0, |x| as uint32 when every value fits, else uint64, digit count
+    of max |x|).  Negation in uint64 is modulo 2**64, so -2**63 is exact."""
+    negative = x < 0
+    mag = x.view(np.uint64).copy()
+    np.negative(mag, out=mag, where=negative)
+    top = int(mag.max())
+    if top <= np.iinfo(np.uint32).max:
+        mag = mag.astype(np.uint32)
+    return negative, mag, len(str(top))

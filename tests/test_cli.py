@@ -84,6 +84,21 @@ def test_report_refuses_traceless_run(workdir):
     assert run_cli("report", workdir / "out" / "r1") == EXIT_SIM
 
 
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda text: text[:text.rindex(b",") + 2], id="truncated-mid-row"),
+    pytest.param(lambda text: text + b"foo,3\n", id="non-integer-row"),
+    pytest.param(lambda text: text[text.index(b"\n") + 1:], id="missing-header"),
+])
+def test_report_rejects_damaged_trace(workdir, damage, capsys):
+    run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
+            "--run-id", "r1", "--jobs", "1")
+    trace = workdir / "out" / "r1" / "layer0_ifmap_sram_read.csv"
+    trace.write_bytes(damage(trace.read_bytes()))
+    capsys.readouterr()
+    assert run_cli("report", workdir / "out" / "r1") == EXIT_SIM
+    assert str(trace) in capsys.readouterr().err
+
+
 def test_exit_code_config_error(workdir):
     bad = workdir / "bad.cfg"
     bad.write_text((workdir / "arch.cfg").read_text().replace("DataFlow = os",
