@@ -11,8 +11,8 @@ from .engine import TraceSet, generate_traces
 from .mapping import (Fold, FoldPlan, WorkloadCounts, fold_schedule,
                       mapping_efficiency, workload_counts)
 from .memory import DramDemand, Epoch, dram_demand, epochize
-from .metrics import (EnergyCostTable, LayerReport, NetworkReport,
-                      compute_runtime, energy, summarize_network)
+from .metrics import (EnergyCostTable, LayerReport, NetworkReport, energy,
+                      summarize_network)
 from .simulate import LayerResult, simulate_layer, simulate_network
 
 __version__ = "0.1.0"
@@ -20,9 +20,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ArchConfig", "Dataflow", "DramDemand", "EnergyCostTable", "Epoch",
     "Fold", "FoldPlan", "LayerReport", "LayerResult", "LayerSpec",
-    "NetworkReport", "TraceSet", "WorkloadCounts", "compute_runtime",
-    "dram_demand", "energy", "epochize", "fold_schedule", "generate_traces",
-    "load_config", "load_topology", "lower_gemm", "mapping_efficiency",
-    "parse_config", "parse_topology", "simulate_layer", "simulate_network",
+    "NetworkReport", "TraceSet", "WorkloadCounts", "dram_demand", "energy",
+    "epochize", "fold_schedule", "generate_traces", "load_config",
+    "load_topology", "lower_gemm", "mapping_efficiency", "parse_config",
+    "parse_topology", "simulate_layer", "simulate_network",
     "summarize_network", "workload_counts",
 ]

@@ -26,12 +26,11 @@ from .bundled import bundled_workloads, default_config_path
 from .config import (ALL_DATAFLOWS, ArchConfig, Dataflow, LayerSpec,
                      load_config, load_topology)
 from .errors import ConfigError, SimulationError, TopologyError
-from .mapping import fold_schedule, mapping_efficiency, workload_counts
-from .memory import in_run_peak
-from .metrics import (EnergyCostTable, LayerReport, energy, load_energy_table,
-                      network_csv, summarize_network, summary_csv)
+from .metrics import (EnergyCostTable, LayerReport, layer_report,
+                      load_energy_table, network_csv, summarize_network,
+                      summary_csv)
 from .simulate import simulate_layer
-from .sweeps import STUDIES, SweepSpec, run_sweep, write_sweep_csv
+from .sweeps import STUDIES, SweepSpec, run_sweep, trend_lines, write_sweep_csv
 from .trace import Trace
 
 EXIT_OK = 0
@@ -135,9 +134,7 @@ def cmd_run(args) -> int:
     else:
         reports = [_run_one_layer(*w) for w in work]
 
-    net = summarize_network(reports)
-    (run_dir / "summary.csv").write_text(summary_csv(net.layers))
-    (run_dir / "network.csv").write_text(network_csv(net))
+    _write_summaries(run_dir, reports)
     print(run_dir)
     return EXIT_OK
 
@@ -146,49 +143,19 @@ def _run_one_layer_star(work):
     return _run_one_layer(*work)
 
 
+def _write_summaries(run_dir: Path, reports: list[LayerReport]) -> None:
+    net = summarize_network(reports)
+    (run_dir / "summary.csv").write_text(summary_csv(net.layers))
+    (run_dir / "network.csv").write_text(network_csv(net))
+
+
 def _report_layer(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable,
                   run_dir: Path, stem: str) -> LayerReport:
     """Rebuild one layer's report purely from its trace files."""
-    ifmap = Trace.read_csv(run_dir / f"{stem}_ifmap_sram_read.csv")
-    filt = Trace.read_csv(run_dir / f"{stem}_filter_sram_read.csv")
-    writes = Trace.read_csv(run_dir / f"{stem}_ofmap_sram_write.csv")
-    dram_rd = Trace.read_csv(run_dir / f"{stem}_dram_read.csv")
-    dram_wr = Trace.read_csv(run_dir / f"{stem}_dram_write.csv")
-    if not len(writes):
-        raise SimulationError(f"layer {layer.name!r}: empty ofmap write trace")
-    word = arch.word_bytes
-    cycles = writes.max_cycle + 1
-    counts = workload_counts(layer)
-    plan = fold_schedule(counts, arch)
-    partial_reads = len(writes) - len(writes.distinct_addresses())
-    sram_reads = len(ifmap) + len(filt) + partial_reads
-    dram_rd_bytes = len(dram_rd) * word
-    dram_wr_bytes = len(dram_wr) * word
-
-    return LayerReport(
-        name=layer.name,
-        dataflow=arch.dataflow.value,
-        rows=arch.array_rows,
-        cols=arch.array_cols,
-        total_cycles=cycles,
-        macs_total=counts.macs_total,
-        mapping_efficiency=mapping_efficiency(plan, arch),
-        compute_utilization=counts.macs_total / (cycles * arch.array_rows * arch.array_cols),
-        sram_reads_ifmap=len(ifmap),
-        sram_reads_filter=len(filt),
-        sram_writes_ofmap=len(writes),
-        sram_reads_ofmap_partials=partial_reads,
-        dram_read_bytes=dram_rd_bytes,
-        dram_write_bytes=dram_wr_bytes,
-        avg_read_bw=dram_rd_bytes / cycles,
-        peak_read_bw=in_run_peak(dram_rd, cycles, word),
-        avg_write_bw=dram_wr_bytes / cycles,
-        peak_write_bw=in_run_peak(dram_wr, cycles, word),
-        energy=energy(counts.macs_total, sram_reads, len(writes),
-                      dram_rd_bytes + dram_wr_bytes, table),
-        active_pe_folds=sum(f.rows_used * f.cols_used for f in plan.folds),
-        fold_pe_area=plan.num_folds * arch.array_rows * arch.array_cols,
-    )
+    ifmap, filt, writes, dram_rd, dram_wr = (
+        Trace.read_csv(run_dir / f"{stem}_{kind}.csv") for kind in TRACE_KINDS)
+    return layer_report(layer, arch, table, len(ifmap), len(filt), writes,
+                        dram_rd, dram_wr)
 
 
 def cmd_report(args) -> int:
@@ -196,19 +163,33 @@ def cmd_report(args) -> int:
     manifest_path = run_dir / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"no manifest.json in {run_dir}")
-    manifest = json.loads(manifest_path.read_text())
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        arch = _arch_from_dict(manifest["arch"])
+        layers = [LayerSpec(**d) for d in manifest["layers"]]
+        stems = manifest["layer_stems"]
+        table = EnergyCostTable(**manifest.get("energy_table", {}))
+    except json.JSONDecodeError as exc:
+        raise SimulationError(f"manifest {manifest_path} is not JSON: {exc}") from None
+    except KeyError as exc:
+        raise SimulationError(f"manifest {manifest_path} has no {exc} entry") from None
+    except TypeError as exc:
+        raise SimulationError(f"manifest {manifest_path} is malformed: {exc}") from None
+    if not layers:
+        raise SimulationError(f"manifest {manifest_path} lists no layers")
     if not manifest.get("traces_written", True):
         raise SimulationError("run was executed with --no-traces; nothing to reparse")
-    arch = _arch_from_dict(manifest["arch"])
-    table = EnergyCostTable(**manifest.get("energy_table", {}))
-    layers = [LayerSpec(**d) for d in manifest["layers"]]
-    reports = [_report_layer(layer, arch, table, run_dir, stem)
-               for layer, stem in zip(layers, manifest["layer_stems"])]
-    net = summarize_network(reports)
-    (run_dir / "summary.csv").write_text(summary_csv(net.layers))
-    (run_dir / "network.csv").write_text(network_csv(net))
+    _write_summaries(run_dir, [_report_layer(layer, arch, table, run_dir, stem)
+                               for layer, stem in zip(layers, stems)])
     print(run_dir / "summary.csv")
     return EXIT_OK
+
+
+def _int_list(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise ConfigError(f"{flag} takes a comma list of integers, not {text!r}") from None
 
 
 def cmd_sweep(args) -> int:
@@ -218,16 +199,18 @@ def cmd_sweep(args) -> int:
         ifmap_sram_kb=args.sram_ifmap, filter_sram_kb=args.sram_filter,
         ofmap_sram_kb=args.sram_ofmap)
     workloads = args.workloads or [str(p) for p in bundled_workloads().values()]
-    dataflows = tuple(args.dataflows.split(",")) if args.dataflows else ALL_DATAFLOWS
-    spec = SweepSpec(study=args.study, workloads=workloads, dataflows=dataflows)
+    axes = {}
+    if args.dataflows:
+        axes["dataflows"] = tuple(args.dataflows.split(","))
     if args.sizes:
-        spec.array_sizes = tuple(int(s) for s in args.sizes.split(","))
+        axes["array_sizes"] = _int_list(args.sizes, "--sizes")
     if args.sram_sizes:
-        spec.sram_sizes_kb = tuple(int(s) for s in args.sram_sizes.split(","))
-    if args.total_pes:
-        spec.total_pes = args.total_pes
+        axes["sram_sizes_kb"] = _int_list(args.sram_sizes, "--sram-sizes")
+    if args.total_pes is not None:
+        axes["total_pes"] = args.total_pes
     if args.pe_ladder:
-        spec.pe_ladder = tuple(int(s) for s in args.pe_ladder.split(","))
+        axes["pe_ladder"] = _int_list(args.pe_ladder, "--pe-ladder")
+    spec = SweepSpec(study=args.study, workloads=workloads, **axes)
     table = load_energy_table(args.energy_table) if args.energy_table else EnergyCostTable()
 
     rows = run_sweep(spec, base, table)
@@ -236,6 +219,8 @@ def cmd_sweep(args) -> int:
     out_path = out_dir / f"sweep_{spec.study}.csv"
     write_sweep_csv(rows, out_path)
     print(out_path)
+    for line in trend_lines(spec.study, rows):
+        print(line, file=sys.stderr)
     ok = [r for r in rows if r["status"] == "ok"]
     bad = [r for r in rows if r["status"] != "ok"]
     if bad:

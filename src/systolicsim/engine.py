@@ -52,7 +52,8 @@ def addr_ofmap(p: int, f: int, layer: LayerSpec, arch: ArchConfig, counts=None) 
 @dataclass
 class TraceSet:
     """Per-layer SRAM traffic.  ofmap_writes includes WS/IS partial-sum
-    writes; ofmap_partial_reads are the re-reads that accumulate them."""
+    writes; each write to an address after its first also re-reads the
+    partial sum it accumulates onto, at the same cycle."""
 
     layer: LayerSpec
     counts: WorkloadCounts
@@ -60,7 +61,6 @@ class TraceSet:
     ifmap_reads: Trace
     filter_reads: Trace
     ofmap_writes: Trace
-    ofmap_partial_reads: Trace
 
     @property
     def total_cycles(self) -> int:
@@ -156,8 +156,7 @@ def gen_traces_os(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
         fil.add(base + c[:, None] + k[None, :], am.filter_addrs(f_ids, k))
         out.add(base + r[:, None] + c[None, :] + ksz - 1, am.ofmap_addrs(w_ids, f_ids))
         base += fold.rows_used + fold.cols_used + ksz - 2
-    return TraceSet(layer, counts, plan, ifm.build(), fil.build(), out.build(),
-                    Trace.empty())
+    return TraceSet(layer, counts, plan, ifm.build(), fil.build(), out.build())
 
 
 def _gen_traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
@@ -169,7 +168,7 @@ def _gen_traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
     WS pins filter elements and streams windows; IS pins window elements and
     streams filters.  Splitting the reduction dimension over multiple folds
     writes intermediate sums to the output partition; each later reduction
-    fold re-reads them at the drain cycle.
+    fold re-reads them at its drain cycle and writes the address again.
     """
     counts = workload_counts(layer)
     _check_regions(layer, arch, counts)
@@ -178,7 +177,7 @@ def _gen_traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
     pin_windows = arch.dataflow is Dataflow.IS
     stream_total = counts.n_filters if pin_windows else counts.n_windows
     s = np.arange(stream_total, dtype=np.int64)
-    ifm, fil, out, acc = _Builder(), _Builder(), _Builder(), _Builder()
+    ifm, fil, out = _Builder(), _Builder(), _Builder()
     fill_b, stream_b = (ifm, fil) if pin_windows else (fil, ifm)
     base = 0
     for fold in plan.folds:
@@ -207,11 +206,8 @@ def _gen_traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
         else:
             wr_addrs = am.ofmap_addrs(s, col_ids)
         out.add(wr_cycles, wr_addrs)
-        if fold.row_start > 0:
-            acc.add(wr_cycles, wr_addrs)
         base += 2 * rows + stream_total + cols - 2
-    return TraceSet(layer, counts, plan, ifm.build(), fil.build(), out.build(),
-                    acc.build())
+    return TraceSet(layer, counts, plan, ifm.build(), fil.build(), out.build())
 
 
 def generate_traces(layer: LayerSpec, arch: ArchConfig) -> TraceSet:

@@ -205,17 +205,11 @@ def gen_dram_write_trace(ofmap_writes: Trace, capacity_bytes: int,
 class DramDemand:
     """Merged DRAM view of one layer."""
 
-    read_trace: Trace
-    write_trace: Trace
+    read_trace: Trace            # prologue at negative cycles
+    write_trace: Trace           # epilogue at cycles >= total_cycles
     ifmap: ReadFragment
     filter: ReadFragment
     write: WriteFragment
-    total_dram_reads: int        # bytes, prologue included
-    total_dram_writes: int       # bytes, epilogue included
-    avg_read_bw: float           # bytes/cycle over the compute runtime
-    peak_read_bw: int            # max bytes in one in-run cycle
-    avg_write_bw: float
-    peak_write_bw: int
 
 
 def in_run_peak(trace: Trace, total_cycles: int, word_bytes: int) -> int:
@@ -227,26 +221,11 @@ def in_run_peak(trace: Trace, total_cycles: int, word_bytes: int) -> int:
 
 
 def bandwidth_report(ifmap_frag: ReadFragment, filter_frag: ReadFragment,
-                     write_frag: WriteFragment, total_cycles: int,
-                     word_bytes: int = 1) -> DramDemand:
-    if total_cycles <= 0:
-        raise ValueError("total_cycles must be positive")
-    read_trace = Trace.concat([ifmap_frag.trace, filter_frag.trace])
-    total_reads = ifmap_frag.total_bytes + filter_frag.total_bytes
-    total_writes = write_frag.total_bytes
-    return DramDemand(
-        read_trace=read_trace,
-        write_trace=write_frag.trace,
-        ifmap=ifmap_frag,
-        filter=filter_frag,
-        write=write_frag,
-        total_dram_reads=total_reads,
-        total_dram_writes=total_writes,
-        avg_read_bw=total_reads / total_cycles,
-        peak_read_bw=in_run_peak(read_trace, total_cycles, word_bytes),
-        avg_write_bw=total_writes / total_cycles,
-        peak_write_bw=in_run_peak(write_frag.trace, total_cycles, word_bytes),
-    )
+                     write_frag: WriteFragment) -> DramDemand:
+    """Merge the partitions' DRAM traffic; ``metrics.layer_report`` reduces
+    the merged traces to bytes and bandwidths."""
+    return DramDemand(Trace.concat([ifmap_frag.trace, filter_frag.trace]),
+                      write_frag.trace, ifmap_frag, filter_frag, write_frag)
 
 
 def dram_demand(traces, arch: ArchConfig) -> DramDemand:
@@ -258,5 +237,4 @@ def dram_demand(traces, arch: ArchConfig) -> DramDemand:
         epochize(traces.filter_reads, arch.filter_capacity_bytes, word))
     write_frag = gen_dram_write_trace(
         traces.ofmap_writes, arch.ofmap_capacity_bytes, traces.total_cycles, word)
-    return bandwidth_report(ifmap_frag, filter_frag, write_frag,
-                            traces.total_cycles, word)
+    return bandwidth_report(ifmap_frag, filter_frag, write_frag)

@@ -1,4 +1,8 @@
-"""Per-layer and per-network reports reduced from traces and fold plans.
+"""Per-layer and per-network reports reduced from traces.
+
+``layer_report`` is the only function that builds a layer's report, from
+its traces alone, so ``run`` and ``report`` cannot disagree;
+``summarize_network`` adds the layer reports into the network total.
 
 The summary CSV column order is a stable external contract; network.csv
 repeats the per-layer rows and appends an aggregate "total" row.
@@ -10,11 +14,13 @@ import io
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import ArchConfig
-from .engine import TraceSet
-from .errors import ConfigError
-from .mapping import mapping_efficiency
-from .memory import DramDemand
+import numpy as np
+
+from .config import ArchConfig, LayerSpec
+from .errors import ConfigError, SimulationError
+from .mapping import fold_schedule, mapping_efficiency, workload_counts
+from .memory import in_run_peak
+from .trace import Trace
 
 SUMMARY_COLUMNS = (
     "layer", "dataflow", "rows", "cols", "total_cycles", "mapping_eff",
@@ -63,13 +69,6 @@ def energy(macs: int, sram_reads: int, sram_writes: int, dram_bytes: int,
             + sram_writes * table.e_sram_write + dram_bytes * table.e_dram_access)
 
 
-def compute_runtime(traces: TraceSet) -> int:
-    """Runtime is defined by the output trace: 1 + the last write cycle."""
-    if not len(traces.ofmap_writes):
-        raise ValueError("empty ofmap write trace has no runtime")
-    return traces.ofmap_writes.max_cycle + 1
-
-
 @dataclass
 class LayerReport:
     name: str
@@ -96,17 +95,35 @@ class LayerReport:
     fold_pe_area: int = 0
 
 
-def layer_report(traces: TraceSet, dram: DramDemand, arch: ArchConfig,
-                 table: EnergyCostTable | None = None) -> LayerReport:
+def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | None,
+                 ifmap_reads: int, filter_reads: int, ofmap_writes: Trace,
+                 dram_reads: Trace, dram_writes: Trace) -> LayerReport:
+    """Reduce one layer's traces to its report.  ``run`` and ``report`` both
+    call this, so they agree by construction.  The SRAM reads enter as
+    counts.  Runtime is one past the last output write; every write to an
+    address after its first is a partial sum that the next reduction fold
+    re-reads; DRAM bytes and bandwidths come from the DRAM traces."""
     table = table or EnergyCostTable()
-    counts, plan = traces.counts, traces.plan
-    cycles = compute_runtime(traces)
-    sram_reads = (len(traces.ifmap_reads) + len(traces.filter_reads)
-                  + len(traces.ofmap_partial_reads))
-    active = sum(f.rows_used * f.cols_used for f in plan.folds)
-    area = plan.num_folds * arch.array_rows * arch.array_cols
+    if not len(ofmap_writes) or ofmap_writes.max_cycle < 0:
+        raise SimulationError(f"layer {layer.name!r}: ofmap write trace has no "
+                              "cycle >= 0, so no runtime")
+    word = arch.word_bytes
+    cycles = ofmap_writes.max_cycle + 1
+    counts = workload_counts(layer)
+    plan = fold_schedule(counts, arch)
+    # distinct write addresses, counted on a bitmap of the output region
+    offsets = ofmap_writes.addresses - arch.ofmap_offset
+    region = counts.n_windows * counts.n_filters * word
+    if offsets.min() < 0 or offsets.max() >= region:
+        raise SimulationError(f"layer {layer.name!r}: ofmap write outside the "
+                              "layer's output region")
+    written = np.zeros(region, dtype=bool)
+    written[offsets] = True
+    partial_reads = len(ofmap_writes) - int(np.count_nonzero(written))
+    dram_rd_bytes = len(dram_reads) * word
+    dram_wr_bytes = len(dram_writes) * word
     return LayerReport(
-        name=traces.layer.name,
+        name=layer.name,
         dataflow=arch.dataflow.value,
         rows=arch.array_rows,
         cols=arch.array_cols,
@@ -114,20 +131,20 @@ def layer_report(traces: TraceSet, dram: DramDemand, arch: ArchConfig,
         macs_total=counts.macs_total,
         mapping_efficiency=mapping_efficiency(plan, arch),
         compute_utilization=counts.macs_total / (cycles * arch.array_rows * arch.array_cols),
-        sram_reads_ifmap=len(traces.ifmap_reads),
-        sram_reads_filter=len(traces.filter_reads),
-        sram_writes_ofmap=len(traces.ofmap_writes),
-        sram_reads_ofmap_partials=len(traces.ofmap_partial_reads),
-        dram_read_bytes=dram.total_dram_reads,
-        dram_write_bytes=dram.total_dram_writes,
-        avg_read_bw=dram.avg_read_bw,
-        peak_read_bw=dram.peak_read_bw,
-        avg_write_bw=dram.avg_write_bw,
-        peak_write_bw=dram.peak_write_bw,
-        energy=energy(counts.macs_total, sram_reads, len(traces.ofmap_writes),
-                      dram.total_dram_reads + dram.total_dram_writes, table),
-        active_pe_folds=active,
-        fold_pe_area=area,
+        sram_reads_ifmap=ifmap_reads,
+        sram_reads_filter=filter_reads,
+        sram_writes_ofmap=len(ofmap_writes),
+        sram_reads_ofmap_partials=partial_reads,
+        dram_read_bytes=dram_rd_bytes,
+        dram_write_bytes=dram_wr_bytes,
+        avg_read_bw=dram_rd_bytes / cycles,
+        peak_read_bw=in_run_peak(dram_reads, cycles, word),
+        avg_write_bw=dram_wr_bytes / cycles,
+        peak_write_bw=in_run_peak(dram_writes, cycles, word),
+        energy=energy(counts.macs_total, ifmap_reads + filter_reads + partial_reads,
+                      len(ofmap_writes), dram_rd_bytes + dram_wr_bytes, table),
+        active_pe_folds=sum(f.rows_used * f.cols_used for f in plan.folds),
+        fold_pe_area=plan.num_folds * arch.array_rows * arch.array_cols,
     )
 
 

@@ -1,4 +1,8 @@
-"""One-call pipeline: layer -> traces -> DRAM demand -> report."""
+"""One-call pipeline: layer -> traces -> DRAM demand -> report.
+
+The report comes from ``metrics.layer_report``, the only per-layer reducer,
+which ``report`` also calls on trace files read back from disk.
+"""
 
 from __future__ import annotations
 
@@ -22,7 +26,10 @@ def simulate_layer(layer: LayerSpec, arch: ArchConfig,
                    table: EnergyCostTable | None = None) -> LayerResult:
     traces = generate_traces(layer, arch)
     dram = dram_demand(traces, arch)
-    return LayerResult(layer_report(traces, dram, arch, table), traces, dram)
+    report = layer_report(layer, arch, table, len(traces.ifmap_reads),
+                          len(traces.filter_reads), traces.ofmap_writes,
+                          dram.read_trace, dram.write_trace)
+    return LayerResult(report, traces, dram)
 
 
 def simulate_network(layers: list[LayerSpec], arch: ArchConfig,

@@ -28,6 +28,15 @@ def pairs_to_trace(pairs):
     return Trace(arr[:, 0], arr[:, 1])
 
 
+def partial_reads(ofmap_writes):
+    """The oracle's rule for partial-sum re-reads: every write to an address
+    after its first re-reads the sum it accumulates onto, at the same cycle."""
+    first = np.unique(ofmap_writes.addresses, return_index=True)[1]
+    later = np.ones(len(ofmap_writes), dtype=bool)
+    later[first] = False
+    return Trace(ofmap_writes.cycles[later], ofmap_writes.addresses[later], sort=False)
+
+
 def random_small_layer(rng: random.Random, max_side=6, max_filter=3,
                        max_channels=4, max_filters=4) -> LayerSpec:
     ih = rng.randint(1, max_side)
@@ -67,7 +76,7 @@ def write_topology(path, rows):
 
 
 def write_config(path, rows=8, cols=8, dataflow="os", ifmap_kb=64, filter_kb=64,
-                 ofmap_kb=64, topology="topo.csv"):
+                 ofmap_kb=64, topology="topo.csv", word_bytes=1):
     path.write_text(f"""[architecture]
 ArrayHeight = {rows}
 ArrayWidth = {cols}
@@ -79,5 +88,6 @@ FilterOffset = {FILTER_OFF}
 OfmapOffset = {OFMAP_OFF}
 DataFlow = {dataflow}
 Topology = {topology}
+WordBytes = {word_bytes}
 """)
     return path

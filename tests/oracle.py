@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .config import ArchConfig, Dataflow, LayerSpec
-from .errors import SimulationError
-from .mapping import workload_counts
+from systolicsim.config import ArchConfig, Dataflow, LayerSpec
+from systolicsim.errors import SimulationError
+from systolicsim.mapping import workload_counts
 
 MAX_GRID_PES = 4096
 MAX_MACS = 10**6

@@ -11,15 +11,16 @@ import time
 
 import numpy as np
 
-from helpers import make_arch, pairs_to_trace, random_small_layer, write_config
+from helpers import (make_arch, pairs_to_trace, partial_reads, random_small_layer,
+                     write_config)
+from oracle import direct_convolution, simulate_grid
 from systolicsim.bundled import bundled_workloads, default_config_path
 from systolicsim.cli import EXIT_OK, main
 from systolicsim.config import Dataflow, load_config, load_topology, lower_gemm
 from systolicsim.engine import generate_traces
 from systolicsim.mapping import workload_counts
-from systolicsim.oracle import direct_convolution, simulate_grid
 from systolicsim.simulate import simulate_layer
-from systolicsim.sweeps import partition_output_channels, run_scale_study
+from systolicsim.sweeps import SweepSpec, partition_output_channels, run_sweep
 
 
 def _passed(n, text):
@@ -42,7 +43,7 @@ def test_criterion_1_oracle_equivalence():
             assert ts.ifmap_reads == pairs_to_trace(orc.ifmap_reads)
             assert ts.filter_reads == pairs_to_trace(orc.filter_reads)
             assert ts.ofmap_writes == pairs_to_trace(orc.ofmap_writes)
-            assert ts.ofmap_partial_reads == pairs_to_trace(orc.ofmap_partial_reads)
+            assert partial_reads(ts.ofmap_writes) == pairs_to_trace(orc.ofmap_partial_reads)
             assert orc.outputs == direct_convolution(layer)
             assert orc.mac_count == ts.counts.macs_total
     elapsed = time.time() - t0
@@ -98,7 +99,7 @@ def test_criterion_4_memory_monotonicity():
                 arch = base.with_overrides(ifmap_sram_kb=kb, filter_sram_kb=kb,
                                            dataflow=df)
                 reports = [simulate_layer(l, arch) for l in layers]
-                bytes_total = sum(r.dram.total_dram_reads for r in reports)
+                bytes_total = sum(r.report.dram_read_bytes for r in reports)
                 cycles = sum(r.report.total_cycles for r in reports)
                 foot = sum(len(r.traces.ifmap_reads.distinct_addresses())
                            + len(r.traces.filter_reads.distinct_addresses())
@@ -158,7 +159,8 @@ def test_criterion_6_scale_bookkeeping(tmp_path):
     layers = load_topology(wl)
 
     # 64-PE rung: up and out are the same single 8x8 array
-    rows64 = run_scale_study([wl], base, pe_ladder=(64,), dataflows=("os", "ws", "is"))
+    rows64 = run_sweep(SweepSpec("scale", [wl], pe_ladder=(64,),
+                                 dataflows=("os", "ws", "is")), base)
     for df in ("os", "ws", "is"):
         net = {r["mode"]: r for r in rows64
                if r["layer"] == "network" and r["dataflow"] == df}
@@ -167,7 +169,8 @@ def test_criterion_6_scale_bookkeeping(tmp_path):
     # every rung conserves MACs between modes and out = max over shards
     for pe in (64, 256, 1024):
         nodes = pe // 64
-        study = run_scale_study([wl], base, pe_ladder=(pe,), dataflows=("os",))
+        study = run_sweep(SweepSpec("scale", [wl], pe_ladder=(pe,), dataflows=("os",)),
+                          base)
         for layer in layers:
             cell = next(r for r in study
                         if r["layer"] == layer.name and r["mode"] == "out")

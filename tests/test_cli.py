@@ -60,7 +60,12 @@ def test_no_traces_writes_summaries_only(workdir):
     assert (run_dir / "summary.csv").exists()
 
 
-def test_report_reproduces_summaries(workdir):
+@pytest.mark.parametrize("word_bytes", [1, 2])
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_report_reproduces_summaries(workdir, dataflow, word_bytes):
+    # 4 rows under a window of 18 elements: WS/IS re-read partial sums
+    write_config(workdir / "arch.cfg", rows=4, cols=4, dataflow=dataflow,
+                 word_bytes=word_bytes)
     run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
             "--run-id", "r1", "--jobs", "1")
     run_dir = workdir / "out" / "r1"
@@ -97,6 +102,35 @@ def test_report_rejects_damaged_trace(workdir, damage, capsys):
     capsys.readouterr()
     assert run_cli("report", workdir / "out" / "r1") == EXIT_SIM
     assert str(trace) in capsys.readouterr().err
+
+
+def _manifest_entry(key, value=None):
+    """Damage that drops one manifest entry, or sets it to value."""
+    def damage(text):
+        manifest = json.loads(text)
+        if value is None:
+            del manifest[key]
+        else:
+            manifest[key] = value
+        return json.dumps(manifest).encode()
+    return damage
+
+
+@pytest.mark.parametrize("damage", [
+    pytest.param(lambda text: b"{not json", id="not-json"),
+    pytest.param(lambda text: b"[]", id="not-an-object"),
+    pytest.param(_manifest_entry("layer_stems"), id="no-layer-stems"),
+    pytest.param(_manifest_entry("arch"), id="no-arch"),
+    pytest.param(_manifest_entry("layers", []), id="empty-layers"),
+])
+def test_report_rejects_damaged_manifest(workdir, damage, capsys):
+    run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
+            "--run-id", "r1", "--jobs", "1")
+    manifest = workdir / "out" / "r1" / "manifest.json"
+    manifest.write_bytes(damage(manifest.read_bytes()))
+    capsys.readouterr()
+    assert run_cli("report", workdir / "out" / "r1") == EXIT_SIM
+    assert str(manifest) in capsys.readouterr().err
 
 
 def test_exit_code_config_error(workdir):
@@ -187,6 +221,35 @@ def test_sweep_cell_reproducible_from_cli(workdir):
     total = dict(zip(net[0].split(","), net[-1].split(",")))
     assert cell["total_cycles"] == total["total_cycles"]
     assert float(cell["energy"]) == float(total["energy"])
+
+
+@pytest.mark.parametrize("study,flag,value", [
+    ("aspect", "--total-pes", "100"),
+    ("scale", "--pe-ladder", "100"),
+    ("scale", "--pe-ladder", "32"),
+    ("dataflow", "--sizes", "a"),
+    ("dataflow", "--dataflows", "xx"),
+])
+def test_sweep_rejects_bad_axis(workdir, study, flag, value):
+    assert run_cli("sweep", study, "--config", workdir / "arch.cfg",
+                   "--workloads", workdir / "topo.csv", flag, value,
+                   "--out", workdir / "out") == EXIT_CONFIG
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("study,axis,trend", [
+    ("dataflow", ["--sizes", "4"], "4x4    fastest: "),
+    ("memory", ["--sram-sizes", "64"], "   64KB -> "),
+    ("aspect", ["--total-pes", "64"], "best shape 8x8 "),
+    ("scale", ["--pe-ladder", "64"], "64 PEs: up/out runtime ratio 1.000"),
+])
+def test_sweep_prints_trend_on_stderr(workdir, study, axis, trend, capsys):
+    assert run_cli("sweep", study, "--config", workdir / "arch.cfg",
+                   "--workloads", workdir / "topo.csv", "--dataflows", "os", *axis,
+                   "--out", workdir / "out") == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out == f"{workdir / 'out' / f'sweep_{study}.csv'}\n"
+    assert trend in err
 
 
 def test_sweep_without_valid_cells_fails(workdir):

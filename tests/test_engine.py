@@ -3,13 +3,14 @@ import random
 import numpy as np
 import pytest
 
-from helpers import make_arch, pairs_to_trace, random_small_layer
+from helpers import make_arch, pairs_to_trace, partial_reads, random_small_layer
+from oracle import simulate_grid
 from systolicsim.config import Dataflow, LayerSpec, lower_gemm
 from systolicsim.engine import (addr_filter, addr_ifmap, addr_ofmap,
                                 generate_traces)
 from systolicsim.errors import ConfigError
 from systolicsim.mapping import workload_counts
-from systolicsim.oracle import simulate_grid
+from systolicsim.simulate import simulate_layer
 
 
 def test_addr_ifmap_examples():
@@ -55,7 +56,7 @@ def assert_matches_oracle(layer, arch):
     assert ts.ifmap_reads == pairs_to_trace(orc.ifmap_reads)
     assert ts.filter_reads == pairs_to_trace(orc.filter_reads)
     assert ts.ofmap_writes == pairs_to_trace(orc.ofmap_writes)
-    assert ts.ofmap_partial_reads == pairs_to_trace(orc.ofmap_partial_reads)
+    assert partial_reads(ts.ofmap_writes) == pairs_to_trace(orc.ofmap_partial_reads)
     return ts, orc
 
 
@@ -133,7 +134,9 @@ def test_cross_reduction_fold_partials():
         n_red = 3
         footprint = counts.n_windows * counts.n_filters
         assert len(ts.ofmap_writes) == n_red * footprint
-        assert len(ts.ofmap_partial_reads) == (n_red - 1) * footprint
+        assert len(partial_reads(ts.ofmap_writes)) == (n_red - 1) * footprint
+        report = simulate_layer(layer, make_arch(4, 4, df)).report
+        assert report.sram_reads_ofmap_partials == (n_red - 1) * footprint
 
 
 EDGE_BOUNDS = {
@@ -175,7 +178,7 @@ def _check_invariants(layer, arch):
         assert write_peak <= max_cols
     # determinism: regeneration is identical
     again = generate_traces(layer, arch)
-    for attr in ("ifmap_reads", "filter_reads", "ofmap_writes", "ofmap_partial_reads"):
+    for attr in ("ifmap_reads", "filter_reads", "ofmap_writes"):
         assert getattr(ts, attr) == getattr(again, attr)
 
 

@@ -7,8 +7,8 @@ from helpers import make_arch, random_small_layer
 from systolicsim.config import LayerSpec
 from systolicsim.engine import generate_traces
 from systolicsim.errors import WorkingSetUnderflow
-from systolicsim.memory import (ReadFragment, WriteFragment, bandwidth_report,
-                                dram_demand, epochize, gen_dram_read_trace,
+from systolicsim.memory import (WriteFragment, bandwidth_report, dram_demand,
+                                epochize, gen_dram_read_trace,
                                 gen_dram_write_trace)
 from systolicsim.trace import Trace
 
@@ -121,17 +121,10 @@ def test_bandwidth_report_averages():
     f2 = gen_dram_read_trace(epochize(
         Trace(np.arange(400), 10**6 + np.arange(400)), 10**4))
     empty_w = WriteFragment(Trace.empty(), 0, 0, 0, 0)
-    rep = bandwidth_report(f1, f2, empty_w, total_cycles=500)
-    assert rep.avg_read_bw == pytest.approx(2.0)  # 1000 bytes / 500 cycles
-    assert rep.total_dram_reads == f1.total_bytes + f2.total_bytes == 1000
-    assert rep.avg_write_bw == 0.0 and rep.peak_write_bw == 0
-
-
-def test_bandwidth_report_rejects_zero_cycles():
-    empty_r = ReadFragment([], Trace.empty(), 0, 0.0, 0, 0)
-    empty_w = WriteFragment(Trace.empty(), 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        bandwidth_report(empty_r, empty_r, empty_w, total_cycles=0)
+    rep = bandwidth_report(f1, f2, empty_w)
+    assert rep.read_trace == Trace.concat([f1.trace, f2.trace])
+    assert len(rep.read_trace) == f1.total_bytes + f2.total_bytes == 1000
+    assert not len(rep.write_trace)
 
 
 def _capacities(footprint_bytes):
@@ -200,5 +193,5 @@ def test_dram_demand_pipeline_word_bytes():
     arch = make_arch(4, 4, "os", word_bytes=2)
     ts = generate_traces(layer, arch)
     dem = dram_demand(ts, arch)
-    assert dem.total_dram_writes == 2 * ts.counts.n_windows * ts.counts.n_filters
-    assert dem.total_dram_reads % 2 == 0
+    assert dem.write.total_bytes == 2 * ts.counts.n_windows * ts.counts.n_filters
+    assert dem.ifmap.total_bytes % 2 == 0 and dem.filter.total_bytes % 2 == 0

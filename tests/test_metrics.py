@@ -1,37 +1,58 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from helpers import make_arch, random_small_layer
+from helpers import OFMAP_OFF, make_arch, random_small_layer
 from systolicsim.bundled import workload_path
 from systolicsim.config import LayerSpec, load_topology, lower_gemm
 from systolicsim.engine import generate_traces
-from systolicsim.metrics import (EnergyCostTable, compute_runtime, energy,
+from systolicsim.errors import SimulationError
+from systolicsim.metrics import (EnergyCostTable, energy, layer_report,
                                  summarize_network, summary_csv)
 from systolicsim.simulate import simulate_layer
+from systolicsim.trace import Trace
 
 
 def test_compute_runtime_single_write():
     layer = lower_gemm(1, 1, 1)
     ts = generate_traces(layer, make_arch(1, 1, "os"))
     assert ts.ofmap_writes.cycles.tolist() == [0]
-    assert compute_runtime(ts) == 1
+    assert ts.total_cycles == 1
 
 
 def test_compute_runtime_gemm4():
     ts = generate_traces(lower_gemm(4, 4, 4), make_arch(4, 4, "os"))
-    assert compute_runtime(ts) == 10
+    assert ts.total_cycles == 10
 
 
-def test_compute_runtime_matches_total_cycles():
-    rng = random.Random(5)
-    for _ in range(10):
-        layer = random_small_layer(rng)
-        arch = make_arch(rng.randint(1, 6), rng.randint(1, 6),
-                         rng.choice(["os", "ws", "is"]))
-        ts = generate_traces(layer, arch)
-        assert compute_runtime(ts) == ts.total_cycles
+@pytest.mark.parametrize("cycles,addresses,error", [
+    ([], [], "no runtime"),
+    ([-3, -1], [OFMAP_OFF, OFMAP_OFF + 1], "no runtime"),
+    ([0, 1], [OFMAP_OFF, OFMAP_OFF + 2], "outside"),
+    ([0, 1], [OFMAP_OFF - 1, OFMAP_OFF], "outside"),
+], ids=["empty", "negative", "past-region", "before-region"])
+def test_layer_report_rejects_bad_ofmap_writes(cycles, addresses, error):
+    writes = Trace(np.array(cycles), np.array(addresses))
+    with pytest.raises(SimulationError, match=error):
+        layer_report(lower_gemm(2, 1, 1), make_arch(1, 1, "os"), None, 2, 2,
+                     writes, Trace.empty(), Trace.empty())
+
+
+def test_layer_report_dram_bytes_and_bandwidths():
+    # 5 writes, runtime 10; reads: 4 in-run words (2 in cycle 3) and 2 prologue
+    # words; writes: 1 in-run word and 2 epilogue words
+    writes = Trace(np.array([0, 2, 4, 6, 9]), OFMAP_OFF + 2 * np.arange(5))
+    dram_rd = Trace(np.array([-2, -1, 0, 3, 3, 7]), 2 * np.arange(6))
+    dram_wr = Trace(np.array([5, 10, 11]), 100 + 2 * np.arange(3))
+    rep = layer_report(lower_gemm(5, 1, 1), make_arch(1, 1, "os", word_bytes=2),
+                       None, 5, 5, writes, dram_rd, dram_wr)
+    assert rep.total_cycles == 10
+    assert (rep.dram_read_bytes, rep.dram_write_bytes) == (12, 6)
+    assert (rep.avg_read_bw, rep.avg_write_bw) == (1.2, 0.6)
+    assert (rep.peak_read_bw, rep.peak_write_bw) == (4, 2)
+    assert rep.sram_reads_ofmap_partials == 0
 
 
 def test_energy_linear_combination():

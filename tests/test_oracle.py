@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from helpers import make_arch, random_small_layer
+from oracle import direct_convolution, filter_value, ifmap_value, simulate_grid
 from systolicsim.config import LayerSpec, lower_gemm
 from systolicsim.errors import SimulationError
 from systolicsim.mapping import workload_counts
-from systolicsim.oracle import (direct_convolution, filter_value, ifmap_value,
-                                simulate_grid)
 
 
 def test_gemm2_os_cycles_and_outputs():

@@ -6,9 +6,7 @@ from systolicsim.errors import TopologyError
 from systolicsim.mapping import workload_counts
 from systolicsim.simulate import simulate_layer
 from systolicsim.sweeps import (SWEEP_COLUMNS, SweepSpec, aspect_shapes,
-                                partition_output_channels,
-                                run_aspect_ratio_study, run_dataflow_study,
-                                run_memory_sweep, run_scale_study, run_sweep,
+                                partition_output_channels, run_sweep,
                                 write_sweep_csv)
 
 BASE = make_arch(8, 8, "os", ifmap_kb=64, filter_kb=64, ofmap_kb=64)
@@ -23,7 +21,7 @@ def tiny_workload(tmp_path):
 
 
 def test_dataflow_study_default_axes(tiny_workload):
-    rows = run_dataflow_study([tiny_workload], BASE)
+    rows = run_sweep(SweepSpec("dataflow", [tiny_workload]), BASE)
     assert len(rows) == 5 * 3
     assert all(r["status"] == "ok" for r in rows)
     assert {r["dataflow"] for r in rows} == {"os", "ws", "is"}
@@ -31,20 +29,20 @@ def test_dataflow_study_default_axes(tiny_workload):
 
 
 def test_dataflow_study_single_cell_axes(tiny_workload):
-    rows = run_dataflow_study([tiny_workload], BASE, sizes=(8,))
+    rows = run_sweep(SweepSpec("dataflow", [tiny_workload], array_sizes=(8,)), BASE)
     assert len(rows) == 3
 
 
 def test_dataflow_study_ws_wins_with_many_windows(tmp_path):
     wl = str(write_topology(tmp_path / "wide.csv", [("g", 200, 1, 1, 1, 4, 1, 1)]))
-    rows = run_dataflow_study([wl], BASE, sizes=(4, 8, 16))
+    rows = run_sweep(SweepSpec("dataflow", [wl], array_sizes=(4, 8, 16)), BASE)
     for size in (4, 8, 16):
         by_df = {r["dataflow"]: r["total_cycles"] for r in rows if r["rows"] == size}
         assert by_df["ws"] <= by_df["is"]
 
 
 def test_memory_sweep_ladder(tiny_workload):
-    rows = run_memory_sweep([tiny_workload], BASE, dataflows=("os",))
+    rows = run_sweep(SweepSpec("memory", [tiny_workload], dataflows=("os",)), BASE)
     assert len(rows) == 7
     assert [r["sram_kb"] for r in rows] == [32, 64, 128, 256, 512, 1024, 2048]
     bws = [r["avg_rd_bw"] for r in rows]
@@ -52,7 +50,7 @@ def test_memory_sweep_ladder(tiny_workload):
 
 
 def test_memory_sweep_single_size(tiny_workload):
-    rows = run_memory_sweep([tiny_workload], BASE, sram_sizes_kb=(64,))
+    rows = run_sweep(SweepSpec("memory", [tiny_workload], sram_sizes_kb=(64,)), BASE)
     assert len(rows) == 3  # one per dataflow
     assert all(r["sram_kb"] == 64 for r in rows)
 
@@ -61,7 +59,8 @@ def test_memory_sweep_flags_underflow_cells(tmp_path):
     # >1024 rows stream distinct ifmap words in one cycle; 1KB buffer underflows
     wl = str(write_topology(tmp_path / "wide.csv", [("w", 1100, 1, 1, 1, 1100, 1, 1)]))
     arch = make_arch(2048, 1, "ws", ifmap_kb=1, filter_kb=1, ofmap_kb=64)
-    rows = run_memory_sweep([wl], arch, sram_sizes_kb=(1,), dataflows=("ws",))
+    rows = run_sweep(SweepSpec("memory", [wl], sram_sizes_kb=(1,), dataflows=("ws",)),
+                     arch)
     assert len(rows) == 1
     assert rows[0]["status"].startswith("error")
     assert "underflow" in rows[0]["status"]
@@ -74,7 +73,8 @@ def test_memory_sweep_program_bug_propagates(tiny_workload, monkeypatch):
 
     monkeypatch.setattr("systolicsim.simulate.dram_demand", broken)
     with pytest.raises(TypeError, match="bug in the memory model"):
-        run_memory_sweep([tiny_workload], BASE, sram_sizes_kb=(64,), dataflows=("os",))
+        run_sweep(SweepSpec("memory", [tiny_workload], sram_sizes_kb=(64,),
+                            dataflows=("os",)), BASE)
 
 
 def test_aspect_shapes_count_and_area():
@@ -86,7 +86,7 @@ def test_aspect_shapes_count_and_area():
 
 def test_aspect_study_square_gemm_prefers_square(tmp_path):
     wl = str(write_topology(tmp_path / "g128.csv", [("g", 128, 1, 1, 1, 128, 128, 1)]))
-    rows = run_aspect_ratio_study([wl], BASE, dataflows=("os",))
+    rows = run_sweep(SweepSpec("aspect", [wl], dataflows=("os",)), BASE)
     assert len(rows) == 9
     best = min(rows, key=lambda r: r["total_cycles"])
     assert (best["rows"], best["cols"]) == (128, 128)
@@ -117,7 +117,8 @@ def test_partition_rejects_empty_shards():
 
 
 def test_scale_study_degenerate_rung_is_identity(tiny_workload):
-    rows = run_scale_study([tiny_workload], BASE, pe_ladder=(64,), dataflows=("os",))
+    rows = run_sweep(SweepSpec("scale", [tiny_workload], pe_ladder=(64,),
+                               dataflows=("os",)), BASE)
     net = {r["mode"]: r for r in rows if r["layer"] == "network"}
     assert net["up"]["total_cycles"] == net["out"]["total_cycles"]
 
@@ -126,7 +127,7 @@ def test_scale_study_shard_runtime(tmp_path):
     # M=8 at the 256-PE rung: 4 nodes, shards of M=2
     layer = ("m8", 10, 10, 3, 3, 4, 8, 1)
     wl = str(write_topology(tmp_path / "m8.csv", [layer]))
-    rows = run_scale_study([wl], BASE, pe_ladder=(256,), dataflows=("os",))
+    rows = run_sweep(SweepSpec("scale", [wl], pe_ladder=(256,), dataflows=("os",)), BASE)
     out_row = next(r for r in rows if r["mode"] == "out" and r["layer"] == "m8")
     shard = LayerSpec("m8_s", 10, 10, 3, 3, 4, 2, 1)
     expect = simulate_layer(shard, BASE.with_overrides(array_rows=8, array_cols=8))
@@ -143,7 +144,7 @@ def test_scale_study_macs_conserved_between_modes(tmp_path):
 
 def test_scale_study_skips_undersplittable_layers(tmp_path):
     wl = str(write_topology(tmp_path / "m2.csv", [("m2", 6, 6, 3, 3, 2, 2, 1)]))
-    rows = run_scale_study([wl], BASE, pe_ladder=(256,), dataflows=("os",))
+    rows = run_sweep(SweepSpec("scale", [wl], pe_ladder=(256,), dataflows=("os",)), BASE)
     assert any(r["status"].startswith("skipped") for r in rows)
     assert not any(r["layer"] == "network" for r in rows)
 
