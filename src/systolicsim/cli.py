@@ -29,7 +29,7 @@ from .errors import ConfigError, SimulationError, TopologyError
 from .metrics import (EnergyCostTable, LayerReport, layer_report,
                       load_energy_table, network_csv, summarize_network,
                       summary_csv)
-from .simulate import simulate_layer
+from .simulate import layer_peak_bytes, simulate_layer
 from .sweeps import STUDIES, SweepSpec, run_sweep, trend_lines, write_sweep_csv
 from .trace import Trace
 
@@ -43,6 +43,10 @@ OUT_ENV_VAR = "SYSTOLICSIM_OUT"
 
 TRACE_KINDS = ("ifmap_sram_read", "filter_sram_read", "ofmap_sram_write",
                "dram_read", "dram_write")
+
+MAX_DEFAULT_JOBS = 8
+# what a worker holds besides its layer's data: interpreter, numpy, package
+WORKER_BASE_BYTES = 64 << 20
 
 
 def _default_out_root() -> Path:
@@ -72,6 +76,29 @@ def _arch_from_dict(d: dict) -> ArchConfig:
     d = dict(d)
     d["dataflow"] = Dataflow.parse(d["dataflow"])
     return ArchConfig(**d)
+
+
+def default_jobs(cpus: int | None, mem_available: int | None, per_worker: int) -> int:
+    """Workers for ``run`` without ``--jobs``: no more than the CPUs or
+    ``MAX_DEFAULT_JOBS``, nor, when the available memory is known, than fit
+    in it at ``per_worker`` bytes each; always at least one."""
+    jobs = min(cpus or 1, MAX_DEFAULT_JOBS)
+    if mem_available is not None:
+        jobs = min(jobs, max(1, mem_available // per_worker))
+    return jobs
+
+
+def mem_available(meminfo: str = "/proc/meminfo") -> int | None:
+    """The kernel's MemAvailable estimate in bytes, or None where the
+    meminfo file cannot be read or lacks it."""
+    try:
+        with open(meminfo) as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    return None
 
 
 def _run_one_layer(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable,
@@ -125,7 +152,10 @@ def cmd_run(args) -> int:
     }
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
-    jobs = args.jobs if args.jobs else min(os.cpu_count() or 1, 8)
+    jobs = args.jobs
+    if not jobs:
+        per_worker = WORKER_BASE_BYTES + max(layer_peak_bytes(l, arch) for l in layers)
+        jobs = default_jobs(os.cpu_count(), mem_available(), per_worker)
     work = [(layer, arch, table, str(run_dir), stem, write_traces)
             for layer, stem in zip(layers, stems)]
     if jobs > 1 and len(layers) > 1:
@@ -256,7 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--run-id", default=None, help="fixed run directory name")
     run.add_argument("--no-traces", action="store_true", help="summaries only")
     run.add_argument("--jobs", type=int, default=None,
-                     help="parallel layer simulations (default: cpu count, max 8)")
+                     help="parallel layer simulations (default: cpu count, max 8, "
+                          "fewer if the largest layer's workers would not fit in "
+                          "available memory)")
     run.set_defaults(func=cmd_run)
 
     sweep = sub.add_parser("sweep", help="run a design-space study")

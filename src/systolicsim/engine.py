@@ -13,40 +13,33 @@ element:
     ofmap  (p, f)        -> ofmap_offset  + (p*num_filters + f) * word
 
 where k = (r*filter_w + s)*channels + c is the in-window element index and
-p the raster index of the output pixel.
+p the raster index of the output pixel.  Each address splits into a part
+per window, filter or pixel and a part per element, and each event cycle
+into a part per array row and a part per column or stream step, so a
+fold's events in one trace are a block of two outer sums.
+
+Folds are disjoint in time: each fold's base cycle comes after every event
+of the fold before it, in every trace.  So a trace needs no global sort.
+Its final arrays are allocated once, at the length ``sram_event_counts``
+gives in closed form.  Each fold's block is computed straight into the
+next slice of them, and each run of whole folds that reaches
+``SEGMENT_EVENTS`` events is sorted in place in its own slice.  The
+builder asserts both facts it relies on, so a schedule that breaks them
+crashes instead of producing an unsorted or short trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import ArchConfig, Dataflow, LayerSpec
 from .errors import ConfigError
-from .mapping import FoldPlan, WorkloadCounts, fold_schedule, workload_counts
-from .trace import Trace
-
-
-def addr_ifmap(h: int, w: int, c: int, layer: LayerSpec, arch: ArchConfig) -> int:
-    if not (0 <= h < layer.ifmap_h and 0 <= w < layer.ifmap_w and 0 <= c < layer.channels):
-        raise IndexError(f"ifmap coordinate ({h},{w},{c}) out of range")
-    return arch.ifmap_offset + ((h * layer.ifmap_w + w) * layer.channels + c) * arch.word_bytes
-
-
-def addr_filter(f: int, r: int, s: int, c: int, layer: LayerSpec, arch: ArchConfig) -> int:
-    if not (0 <= f < layer.num_filters and 0 <= r < layer.filter_h
-            and 0 <= s < layer.filter_w and 0 <= c < layer.channels):
-        raise IndexError(f"filter coordinate ({f},{r},{s},{c}) out of range")
-    return arch.filter_offset + (((f * layer.filter_h + r) * layer.filter_w + s)
-                                 * layer.channels + c) * arch.word_bytes
-
-
-def addr_ofmap(p: int, f: int, layer: LayerSpec, arch: ArchConfig, counts=None) -> int:
-    counts = counts or workload_counts(layer)
-    if not (0 <= p < counts.n_windows and 0 <= f < layer.num_filters):
-        raise IndexError(f"ofmap coordinate ({p},{f}) out of range")
-    return arch.ofmap_offset + (p * layer.num_filters + f) * arch.word_bytes
+from .mapping import (FoldPlan, WorkloadCounts, fold_schedule,
+                      sram_event_counts, workload_counts)
+from .trace import SEGMENT_EVENTS, Trace, sort_pairs
 
 
 @dataclass
@@ -67,35 +60,36 @@ class TraceSet:
         return self.ofmap_writes.max_cycle + 1
 
 
-class _AddressMaps:
-    """Vectorized address computation over window/filter/output index sets."""
+class _AddressParts(NamedTuple):
+    """Every operand address is a part per window, filter or output pixel
+    plus a part per element within it, so each fold's block of addresses is
+    one outer sum of two of these vectors."""
 
-    def __init__(self, layer: LayerSpec, arch: ArchConfig, counts: WorkloadCounts):
-        self.layer, self.arch, self.counts = layer, arch, counts
-        k = np.arange(counts.window_size, dtype=np.int64)
-        per_row = layer.filter_w * layer.channels
-        self._r_of_k = k // per_row
-        self._s_of_k = (k % per_row) // layer.channels
-        self._c_of_k = k % layer.channels
+    window: np.ndarray          # per window p: ifmap address of its (0, 0, 0)
+    window_elem: np.ndarray     # per k: offset of element k within a window
+    filter: np.ndarray          # per filter f: address of its element 0
+    filter_elem: np.ndarray     # per k: offset of element k within a filter
+    ofmap_pixel: np.ndarray     # per window p: address of output (p, 0)
+    ofmap_filter: np.ndarray    # per filter f: offset of output (., f)
 
-    def window_addrs(self, w_ids: np.ndarray, k_ids: np.ndarray) -> np.ndarray:
-        """(len(w_ids), len(k_ids)) ifmap addresses of window elements."""
-        l = self.layer
-        oh, ow = np.divmod(np.asarray(w_ids, np.int64), self.counts.ofmap_w)
-        h = oh[:, None] * l.stride + self._r_of_k[k_ids][None, :]
-        w = ow[:, None] * l.stride + self._s_of_k[k_ids][None, :]
-        lin = (h * l.ifmap_w + w) * l.channels + self._c_of_k[k_ids][None, :]
-        return self.arch.ifmap_offset + lin * self.arch.word_bytes
 
-    def filter_addrs(self, f_ids: np.ndarray, k_ids: np.ndarray) -> np.ndarray:
-        lin = (np.asarray(f_ids, np.int64)[:, None] * self.counts.window_size
-               + np.asarray(k_ids, np.int64)[None, :])
-        return self.arch.filter_offset + lin * self.arch.word_bytes
-
-    def ofmap_addrs(self, w_ids: np.ndarray, f_ids: np.ndarray) -> np.ndarray:
-        lin = (np.asarray(w_ids, np.int64)[:, None] * self.counts.n_filters
-               + np.asarray(f_ids, np.int64)[None, :])
-        return self.arch.ofmap_offset + lin * self.arch.word_bytes
+def _address_parts(layer: LayerSpec, arch: ArchConfig,
+                   counts: WorkloadCounts) -> _AddressParts:
+    word, chans = arch.word_bytes, layer.channels
+    k = np.arange(counts.window_size, dtype=np.int64)
+    r, s, c = k // (layer.filter_w * chans), k // chans % layer.filter_w, k % chans
+    p = np.arange(counts.n_windows, dtype=np.int64)
+    oh, ow = np.divmod(p, counts.ofmap_w)
+    f = np.arange(counts.n_filters, dtype=np.int64)
+    # window p reads ifmap (oh*stride + r, ow*stride + s, c)
+    return _AddressParts(
+        window=arch.ifmap_offset + (oh * layer.ifmap_w + ow) * layer.stride * chans * word,
+        window_elem=((r * layer.ifmap_w + s) * chans + c) * word,
+        filter=arch.filter_offset + f * counts.window_size * word,
+        filter_elem=k * word,
+        ofmap_pixel=arch.ofmap_offset + p * counts.n_filters * word,
+        ofmap_filter=f * word,
+    )
 
 
 def _check_regions(layer: LayerSpec, arch: ArchConfig, counts: WorkloadCounts) -> None:
@@ -121,19 +115,49 @@ def _check_regions(layer: LayerSpec, arch: ArchConfig, counts: WorkloadCounts) -
 
 
 class _Builder:
-    __slots__ = ("cycles", "addrs")
+    """One trace, filled fold by fold into arrays of its final length."""
 
-    def __init__(self):
-        self.cycles, self.addrs = [], []
+    __slots__ = ("cycles", "addrs", "fill", "done")
 
-    def add(self, cycles: np.ndarray, addrs: np.ndarray) -> None:
-        self.cycles.append(np.ravel(cycles))
-        self.addrs.append(np.ravel(addrs))
+    def __init__(self, length: int):
+        self.cycles = np.empty(length, np.int64)
+        self.addrs = np.empty(length, np.int64)
+        self.fill = 0   # events written
+        self.done = 0   # events sorted
+
+    def add(self, cycle_rows: np.ndarray, cycle_cols, addr_rows: np.ndarray,
+            addr_cols: np.ndarray) -> None:
+        """Append one fold's block of events: event (i, j) reads or writes
+        ``addr_rows[i] + addr_cols[j]`` at ``cycle_rows[i] + cycle_cols[j]``."""
+        shape = len(addr_rows), len(addr_cols)
+        start, stop = self.fill, self.fill + shape[0] * shape[1]
+        assert stop <= len(self.cycles), "folds emit more events than the closed form"
+        np.add(cycle_rows[:, None], cycle_cols, out=self.cycles[start:stop].reshape(shape))
+        np.add(addr_rows[:, None], addr_cols, out=self.addrs[start:stop].reshape(shape))
+        self.fill = stop
+        if stop - self.done >= SEGMENT_EVENTS:
+            self._sort_segment()
+
+    def _sort_segment(self) -> None:
+        seg = slice(self.done, self.fill)
+        cycles, addrs = self.cycles[seg], self.addrs[seg]
+        sort_pairs(cycles, addrs, out=(cycles, addrs))
+        assert not self.done or cycles[0] > self.cycles[self.done - 1], (
+            f"folds overlap in time: a segment starts at cycle {cycles[0]}, "
+            f"not after cycle {self.cycles[self.done - 1]}")
+        self.done = self.fill
 
     def build(self) -> Trace:
-        if not self.cycles:
-            return Trace.empty()
-        return Trace(np.concatenate(self.cycles), np.concatenate(self.addrs))
+        assert self.fill == len(self.cycles), (
+            f"folds emit {self.fill} events, the closed form {len(self.cycles)}")
+        if self.fill > self.done:
+            self._sort_segment()
+        return Trace(self.cycles, self.addrs, sort=False)
+
+
+def _builders(counts: WorkloadCounts, arch: ArchConfig) -> tuple[_Builder, ...]:
+    """Builders of the ifmap, filter and ofmap traces."""
+    return tuple(_Builder(n) for n in sram_event_counts(counts, arch))
 
 
 def gen_traces_os(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
@@ -142,20 +166,21 @@ def gen_traces_os(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
     counts = workload_counts(layer)
     _check_regions(layer, arch, counts)
     plan = fold_schedule(counts, arch)
-    am = _AddressMaps(layer, arch, counts)
+    parts = _address_parts(layer, arch, counts)
     ksz = counts.window_size
     k = np.arange(ksz, dtype=np.int64)
-    ifm, fil, out = _Builder(), _Builder(), _Builder()
+    ifm, fil, out = _builders(counts, arch)
     base = 0
     for fold in plan.folds:
-        r = np.arange(fold.rows_used, dtype=np.int64)
-        c = np.arange(fold.cols_used, dtype=np.int64)
-        w_ids = fold.row_start + r
-        f_ids = fold.col_start + c
-        ifm.add(base + r[:, None] + k[None, :], am.window_addrs(w_ids, k))
-        fil.add(base + c[:, None] + k[None, :], am.filter_addrs(f_ids, k))
-        out.add(base + r[:, None] + c[None, :] + ksz - 1, am.ofmap_addrs(w_ids, f_ids))
-        base += fold.rows_used + fold.cols_used + ksz - 2
+        rows, cols = fold.rows_used, fold.cols_used
+        windows = slice(fold.row_start, fold.row_start + rows)
+        filters = slice(fold.col_start, fold.col_start + cols)
+        r = base + np.arange(rows, dtype=np.int64)
+        c = np.arange(cols, dtype=np.int64)
+        ifm.add(r, k, parts.window[windows], parts.window_elem)
+        fil.add(base + c, k, parts.filter[filters], parts.filter_elem)
+        out.add(r + ksz - 1, c, parts.ofmap_pixel[windows], parts.ofmap_filter[filters])
+        base += rows + cols + ksz - 2
     return TraceSet(layer, counts, plan, ifm.build(), fil.build(), out.build())
 
 
@@ -173,40 +198,32 @@ def _gen_traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
     counts = workload_counts(layer)
     _check_regions(layer, arch, counts)
     plan = fold_schedule(counts, arch)
-    am = _AddressMaps(layer, arch, counts)
-    pin_windows = arch.dataflow is Dataflow.IS
-    stream_total = counts.n_filters if pin_windows else counts.n_windows
-    s = np.arange(stream_total, dtype=np.int64)
-    ifm, fil, out = _Builder(), _Builder(), _Builder()
-    fill_b, stream_b = (ifm, fil) if pin_windows else (fil, ifm)
+    parts = _address_parts(layer, arch, counts)
+    ifm, fil, out = _builders(counts, arch)
+    if arch.dataflow is Dataflow.IS:
+        fill_b, pinned, pinned_elem = ifm, parts.window, parts.window_elem
+        stream_b, streamed, streamed_elem = fil, parts.filter, parts.filter_elem
+        drained_by_step, drained_by_col = parts.ofmap_filter, parts.ofmap_pixel
+    else:
+        fill_b, pinned, pinned_elem = fil, parts.filter, parts.filter_elem
+        stream_b, streamed, streamed_elem = ifm, parts.window, parts.window_elem
+        drained_by_step, drained_by_col = parts.ofmap_pixel, parts.ofmap_filter
+    s = np.arange(len(streamed), dtype=np.int64)
     base = 0
     for fold in plan.folds:
         rows, cols = fold.rows_used, fold.cols_used
-        k_ids = fold.row_start + np.arange(rows, dtype=np.int64)
-        col_ids = fold.col_start + np.arange(cols, dtype=np.int64)
+        elems = slice(fold.row_start, fold.row_start + rows)
+        columns = slice(fold.col_start, fold.col_start + cols)
         tau = np.arange(rows, dtype=np.int64)
-        j = np.arange(cols, dtype=np.int64)
         # fill: at cycle base+tau every active column loads the operand
         # destined for row rows-1-tau
-        if pin_windows:
-            fill_addrs = am.window_addrs(col_ids, k_ids[::-1]).T
-        else:
-            fill_addrs = am.filter_addrs(col_ids, k_ids[::-1]).T
-        fill_b.add(np.broadcast_to((base + tau)[:, None], (rows, cols)), fill_addrs)
+        fill_b.add(base + tau, 0, pinned_elem[elems][::-1], pinned[columns])
         # stream: row r's element for stream index s enters at base+rows+s+r
-        if pin_windows:
-            stream_addrs = am.filter_addrs(s, k_ids).T
-        else:
-            stream_addrs = am.window_addrs(s, k_ids).T
-        stream_b.add(base + rows + tau[:, None] + s[None, :], stream_addrs)
+        stream_b.add(base + rows + tau, s, streamed_elem[elems], streamed)
         # drain: column j emits stream index s at base + 2*rows - 1 + s + j
-        wr_cycles = base + 2 * rows - 1 + s[:, None] + j[None, :]
-        if pin_windows:
-            wr_addrs = am.ofmap_addrs(col_ids, s).T
-        else:
-            wr_addrs = am.ofmap_addrs(s, col_ids)
-        out.add(wr_cycles, wr_addrs)
-        base += 2 * rows + stream_total + cols - 2
+        out.add(base + 2 * rows - 1 + s, np.arange(cols, dtype=np.int64), drained_by_step,
+                drained_by_col[columns])
+        base += 2 * rows + len(s) + cols - 2
     return TraceSet(layer, counts, plan, ifm.build(), fil.build(), out.build())
 
 

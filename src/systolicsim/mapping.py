@@ -11,7 +11,6 @@ window elements are ordered (r, s, c) with the channel innermost.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .config import ArchConfig, Dataflow, LayerSpec
@@ -61,34 +60,66 @@ class FoldPlan:
         return len(self.folds)
 
 
-def _grid(row_total: int, col_total: int, rows: int, cols: int, stream_len: int):
-    folds = []
-    for i in range(math.ceil(row_total / rows)):
-        r = min(rows, row_total - i * rows)
-        for j in range(math.ceil(col_total / cols)):
-            c = min(cols, col_total - j * cols)
-            folds.append(Fold(r, c, stream_len, row_start=i * rows, col_start=j * cols))
-    return tuple(folds)
-
-
-def fold_schedule(counts: WorkloadCounts, arch: ArchConfig) -> FoldPlan:
-    """Row/column work per dataflow:
+def _grid_dims(counts: WorkloadCounts, dataflow: Dataflow) -> tuple[int, int, int]:
+    """(row work, column work, stream length per fold) of a dataflow:
 
     OS: rows take windows, cols take filters, W_sz streamed per fold.
     WS: rows take window elements (reduction), cols take filters, N_w streamed.
     IS: rows take window elements, cols take windows, M streamed.
     """
+    if dataflow is Dataflow.OS:
+        return counts.n_windows, counts.n_filters, counts.window_size
+    if dataflow is Dataflow.WS:
+        return counts.window_size, counts.n_filters, counts.n_windows
+    return counts.window_size, counts.n_windows, counts.n_filters
+
+
+def fold_schedule(counts: WorkloadCounts, arch: ArchConfig) -> FoldPlan:
+    """Folds in row-major order over the fold grid of ``_grid_dims``."""
+    row_total, col_total, stream_len = _grid_dims(counts, arch.dataflow)
     rows, cols = arch.array_rows, arch.array_cols
-    if arch.dataflow is Dataflow.OS:
-        folds = _grid(counts.n_windows, counts.n_filters, rows, cols, counts.window_size)
-    elif arch.dataflow is Dataflow.WS:
-        folds = _grid(counts.window_size, counts.n_filters, rows, cols, counts.n_windows)
-    else:
-        folds = _grid(counts.window_size, counts.n_windows, rows, cols, counts.n_filters)
-    return FoldPlan(arch.dataflow, folds)
+    folds = []
+    for i in range(-(-row_total // rows)):
+        r = min(rows, row_total - i * rows)
+        for j in range(-(-col_total // cols)):
+            c = min(cols, col_total - j * cols)
+            folds.append(Fold(r, c, stream_len, row_start=i * rows, col_start=j * cols))
+    return FoldPlan(arch.dataflow, tuple(folds))
 
 
 def mapping_efficiency(plan: FoldPlan, arch: ArchConfig) -> float:
     """Mean fraction of the array kept mapped across folds."""
     active = sum(f.rows_used * f.cols_used for f in plan.folds)
     return active / (plan.num_folds * arch.array_rows * arch.array_cols)
+
+
+# Closed forms of sums over fold_schedule, in exact integers, so that callers
+# need not build the fold list.  Each fold maps rows_used x cols_used work
+# items: the grid covers the row work ceil(col_total/cols) times and the
+# column work ceil(row_total/rows) times.
+
+def fold_pe_totals(counts: WorkloadCounts, arch: ArchConfig) -> tuple[int, int]:
+    """(sum of rows_used * cols_used, num_folds * rows * cols) over the folds;
+    their ratio is ``mapping_efficiency``."""
+    row_total, col_total, _ = _grid_dims(counts, arch.dataflow)
+    rows, cols = arch.array_rows, arch.array_cols
+    return row_total * col_total, -(-row_total // rows) * -(-col_total // cols) * rows * cols
+
+
+def sram_event_counts(counts: WorkloadCounts, arch: ArchConfig) -> tuple[int, int, int]:
+    """(ifmap reads, filter reads, ofmap writes) in the layer's SRAM traces.
+
+    Every fold streams the stream length through each of its rows_used rows
+    and out of each of its cols_used columns.  OS streams both operands that
+    way and drains one value per mapped PE; WS and IS fill one pinned operand
+    per mapped PE, stream the other through the rows and drain the columns.
+    """
+    row_total, col_total, stream_len = _grid_dims(counts, arch.dataflow)
+    through_rows = row_total * -(-col_total // arch.array_cols) * stream_len
+    through_cols = col_total * -(-row_total // arch.array_rows) * stream_len
+    mapped = row_total * col_total
+    if arch.dataflow is Dataflow.OS:
+        return through_rows, through_cols, mapped
+    if arch.dataflow is Dataflow.WS:
+        return through_rows, mapped, through_cols
+    return mapped, through_rows, through_cols

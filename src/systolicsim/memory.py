@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import ArchConfig
 from .errors import WorkingSetUnderflow
-from .trace import Trace, cycle_runs, sort_pairs
+from .trace import Trace, cycle_runs, segments, sort_pairs
 
 
 @dataclass
@@ -45,6 +45,14 @@ class Epoch:
     @property
     def use_span(self) -> int:
         return self.last_use_cycle - self.first_use_cycle + 1
+
+
+def _word_offsets(addresses: np.ndarray, lo: int, word_bytes: int) -> np.ndarray:
+    """Word index of each address counted from the word at ``lo``."""
+    offsets = addresses - lo
+    if word_bytes > 1:
+        offsets //= word_bytes
+    return offsets
 
 
 def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epoch]:
@@ -71,16 +79,23 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
     cycles, addresses = trace.cycles, trace.addresses
 
     lo = int(addresses.min())
-    offsets = addresses - lo
-    word_idx = offsets // word_bytes if word_bytes > 1 else offsets
-    if np.count_nonzero(np.bincount(word_idx)) <= cap_words:
+    extent = int(addresses.max()) - lo + 1
+    # the single-epoch test and branch run per segment, so that their
+    # temporaries stay O(SEGMENT_EVENTS) on the largest traces
+    seen = np.zeros(-(-extent // word_bytes), dtype=bool)
+    for seg in segments(n):
+        seen[_word_offsets(addresses[seg], lo, word_bytes)] = True
+    if np.count_nonzero(seen) <= cap_words:
         # whole footprint fits: one epoch, addresses in first-use order
-        first = np.full(int(offsets.max()) + 1, n, dtype=np.int64)
-        np.minimum.at(first, offsets, np.arange(n))
+        first = np.full(extent, n, dtype=np.int64)
+        for seg in segments(n):
+            np.minimum.at(first, addresses[seg] - lo, np.arange(seg.start, seg.stop))
         first = np.sort(first[first < n])
         return [Epoch(0, addresses[first], int(cycles[0]), int(cycles[-1]), word_bytes)]
 
-    words, order = sort_pairs(word_idx, np.arange(n))
+    # (word, position) pairs, sorted in place into word order
+    words, order = _word_offsets(addresses, lo, word_bytes), np.arange(n)
+    sort_pairs(words, order, out=(words, order))
     repeat = np.flatnonzero(words[1:] == words[:-1])
     prev = np.full(n, -1, dtype=np.int64)    # previous event on the same word
     prev[order[repeat + 1]] = order[repeat]
@@ -106,9 +121,11 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
                 f"working set underflow: cycle {int(cycles[start])} touches "
                 f"{int(per_cycle[0])} distinct words but the buffer holds {cap_words}")
         stop = bounds[g + fits]
-        new = start + np.flatnonzero(is_new[:stop - start])
-        epochs.append(Epoch(len(epochs), lo + word_idx[new] * word_bytes,
-                            int(cycles[start]), int(cycles[stop - 1]), word_bytes))
+        new = addresses[start + np.flatnonzero(is_new[:stop - start])]
+        if word_bytes > 1:
+            new -= (new - lo) % word_bytes    # the first byte of each word
+        epochs.append(Epoch(len(epochs), new, int(cycles[start]), int(cycles[stop - 1]),
+                            word_bytes))
         g += fits
         window = fits
     return epochs
@@ -164,12 +181,14 @@ class WriteFragment:
 def _final_writes(ofmap_writes: Trace) -> tuple[np.ndarray, np.ndarray]:
     """The last write of every address, in (cycle, address) order.  Partial
     sums are overwritten in place, so only these values leave the chip."""
-    lo = int(ofmap_writes.addresses.min())
-    last = np.full(int(ofmap_writes.addresses.max()) - lo + 1, -1, dtype=np.int64)
-    np.maximum.at(last, ofmap_writes.addresses - lo, np.arange(len(ofmap_writes)))
+    addresses = ofmap_writes.addresses
+    lo = int(addresses.min())
+    last = np.full(int(addresses.max()) - lo + 1, -1, dtype=np.int64)
+    for seg in segments(len(addresses)):
+        np.maximum.at(last, addresses[seg] - lo, np.arange(seg.start, seg.stop))
     # the trace is sorted, so ascending positions are (cycle, address) order
     kept = np.sort(last[last >= 0])
-    return ofmap_writes.cycles[kept], ofmap_writes.addresses[kept]
+    return ofmap_writes.cycles[kept], addresses[kept]
 
 
 def gen_dram_write_trace(ofmap_writes: Trace, capacity_bytes: int,

@@ -18,9 +18,9 @@ import numpy as np
 
 from .config import ArchConfig, LayerSpec
 from .errors import ConfigError, SimulationError
-from .mapping import fold_schedule, mapping_efficiency, workload_counts
+from .mapping import fold_pe_totals, workload_counts
 from .memory import in_run_peak
-from .trace import Trace
+from .trace import Trace, segments
 
 SUMMARY_COLUMNS = (
     "layer", "dataflow", "rows", "cols", "total_cycles", "mapping_eff",
@@ -110,15 +110,17 @@ def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | No
     word = arch.word_bytes
     cycles = ofmap_writes.max_cycle + 1
     counts = workload_counts(layer)
-    plan = fold_schedule(counts, arch)
+    active, area = fold_pe_totals(counts, arch)
     # distinct write addresses, counted on a bitmap of the output region
-    offsets = ofmap_writes.addresses - arch.ofmap_offset
+    addresses = ofmap_writes.addresses
     region = counts.n_windows * counts.n_filters * word
-    if offsets.min() < 0 or offsets.max() >= region:
+    if (addresses.min() < arch.ofmap_offset
+            or addresses.max() >= arch.ofmap_offset + region):
         raise SimulationError(f"layer {layer.name!r}: ofmap write outside the "
                               "layer's output region")
     written = np.zeros(region, dtype=bool)
-    written[offsets] = True
+    for seg in segments(len(addresses)):
+        written[addresses[seg] - arch.ofmap_offset] = True
     partial_reads = len(ofmap_writes) - int(np.count_nonzero(written))
     dram_rd_bytes = len(dram_reads) * word
     dram_wr_bytes = len(dram_writes) * word
@@ -129,7 +131,7 @@ def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | No
         cols=arch.array_cols,
         total_cycles=cycles,
         macs_total=counts.macs_total,
-        mapping_efficiency=mapping_efficiency(plan, arch),
+        mapping_efficiency=active / area,
         compute_utilization=counts.macs_total / (cycles * arch.array_rows * arch.array_cols),
         sram_reads_ifmap=ifmap_reads,
         sram_reads_filter=filter_reads,
@@ -143,8 +145,8 @@ def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | No
         peak_write_bw=in_run_peak(dram_writes, cycles, word),
         energy=energy(counts.macs_total, ifmap_reads + filter_reads + partial_reads,
                       len(ofmap_writes), dram_rd_bytes + dram_wr_bytes, table),
-        active_pe_folds=sum(f.rows_used * f.cols_used for f in plan.folds),
-        fold_pe_area=plan.num_folds * arch.array_rows * arch.array_cols,
+        active_pe_folds=active,
+        fold_pe_area=area,
     )
 
 

@@ -10,9 +10,17 @@ from dataclasses import dataclass
 
 from .config import ArchConfig, LayerSpec
 from .engine import TraceSet, generate_traces
+from .mapping import sram_event_counts, workload_counts
 from .memory import DramDemand, dram_demand
 from .metrics import (EnergyCostTable, LayerReport, NetworkReport,
                       layer_report, summarize_network)
+from .trace import SEGMENT_EVENTS
+
+# an SRAM trace event is an int64 cycle and an int64 address
+EVENT_BYTES = 16
+# simulate_layer holds at most this many times its SRAM traces' bytes, plus
+# SEGMENT_EVENTS events of temporaries; tests/test_memory_bound.py checks it
+PEAK_TRACE_FACTOR = 1.3
 
 
 @dataclass
@@ -30,6 +38,13 @@ def simulate_layer(layer: LayerSpec, arch: ArchConfig,
                           len(traces.filter_reads), traces.ofmap_writes,
                           dram.read_trace, dram.write_trace)
     return LayerResult(report, traces, dram)
+
+
+def layer_peak_bytes(layer: LayerSpec, arch: ArchConfig) -> int:
+    """The most memory ``simulate_layer`` needs for this layer, from the
+    closed-form SRAM event count."""
+    events = sum(sram_event_counts(workload_counts(layer), arch))
+    return int(PEAK_TRACE_FACTOR * EVENT_BYTES * events) + EVENT_BYTES * SEGMENT_EVENTS
 
 
 def simulate_network(layers: list[LayerSpec], arch: ArchConfig,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 import warnings
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -27,31 +27,49 @@ CSV_HEADER = "cycle,address"
 # rows formatted per pass of Trace.write_csv; its temporaries are a few MB
 CSV_CHUNK_ROWS = 1 << 16
 
+# events per in-place sort of a trace under construction, and per pass of
+# the whole-trace scans in the memory model and the report; their
+# temporaries are O(SEGMENT_EVENTS), not O(trace)
+SEGMENT_EVENTS = 1 << 20
 
-def sort_pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+
+def segments(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most ``SEGMENT_EVENTS`` covering ``range(n)``."""
+    for start in range(0, n, SEGMENT_EVENTS):
+        yield slice(start, min(start + SEGMENT_EVENTS, n))
+
+
+def sort_pairs(major: np.ndarray, minor: np.ndarray,
+               out: tuple[np.ndarray, np.ndarray] | None = None,
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Sort int64 pairs by (major, minor); return both arrays in that order.
 
     The pair is packed into one key, ``(major - m0) * span + (minor - n0)``,
     sorted in place and decoded with ``divmod``.  Equal pairs are equal keys,
     so the result is exactly ``np.lexsort((minor, major))``'s order.  When the
     packed range would not fit in int64, this falls back to ``np.lexsort``.
+
+    ``out`` is the pair of arrays that receives the result; it may be
+    ``(major, minor)`` itself, which sorts them in place.  The key is packed
+    in ``out[0]``, so the fast path allocates nothing beyond ``out``.
     """
+    high, low = out if out is not None else (np.empty_like(major), np.empty_like(minor))
     m0, n0 = int(major.min()), int(minor.min())
     span = int(minor.max()) - n0 + 1
     if (int(major.max()) - m0 + 1) * span > np.iinfo(np.int64).max:
         order = np.lexsort((minor, major))
-        return major[order], minor[order]
+        high[...], low[...] = major[order], minor[order]
+        return high, low
     # intermediate sums may wrap, but the final key fits, so it is exact
-    key = major - m0
+    key = np.subtract(major, m0, out=high)
     key *= span
     key += minor
     key -= n0
     key.sort()
-    high = np.empty_like(key)
-    np.divmod(key, span, out=(high, key))
+    np.divmod(key, span, out=(high, low))
     high += m0
-    key += n0
-    return high, key
+    low += n0
+    return high, low
 
 
 def cycle_runs(cycles: np.ndarray) -> np.ndarray:
@@ -60,11 +78,6 @@ def cycle_runs(cycles: np.ndarray) -> np.ndarray:
     if not len(cycles):
         return np.zeros(1, np.int64)
     return np.concatenate(([0], np.flatnonzero(np.diff(cycles)) + 1, [len(cycles)]))
-
-
-class TraceEvent(NamedTuple):
-    cycle: int
-    addresses: np.ndarray  # all addresses issued this cycle, ascending
 
 
 class Trace:
@@ -104,23 +117,6 @@ class Trace:
         if not len(self):
             raise ValueError("empty trace has no max cycle")
         return int(self.cycles[-1])
-
-    def distinct_addresses(self) -> np.ndarray:
-        addresses = np.sort(self.addresses)
-        if not len(addresses):
-            return addresses
-        return addresses[np.append(True, addresses[1:] != addresses[:-1])]
-
-    def events(self) -> Iterator[TraceEvent]:
-        """Yield per-cycle groups, addresses ascending within each cycle."""
-        bounds = cycle_runs(self.cycles)
-        for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            yield TraceEvent(int(self.cycles[start]), self.addresses[start:stop])
-
-    def per_cycle_counts(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cycles, event counts) for cycles that have at least one event."""
-        bounds = cycle_runs(self.cycles)
-        return self.cycles[bounds[:-1]], np.diff(bounds)
 
     def write_csv(self, path: str | Path) -> None:
         with open(path, "wb") as fh:

@@ -1,11 +1,13 @@
 """Shared test helpers."""
 
 import random
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from systolicsim.config import ArchConfig, Dataflow, LayerSpec
-from systolicsim.trace import Trace
+from systolicsim.mapping import workload_counts
+from systolicsim.trace import Trace, cycle_runs
 
 # offsets far enough apart for any desk-scale layer
 IFMAP_OFF = 0
@@ -35,6 +37,56 @@ def partial_reads(ofmap_writes):
     later = np.ones(len(ofmap_writes), dtype=bool)
     later[first] = False
     return Trace(ofmap_writes.cycles[later], ofmap_writes.addresses[later], sort=False)
+
+
+def distinct_addresses(trace):
+    """The trace's addresses, each once, ascending."""
+    addresses = np.sort(trace.addresses)
+    if not len(addresses):
+        return addresses
+    return addresses[np.append(True, addresses[1:] != addresses[:-1])]
+
+
+class TraceEvent(NamedTuple):
+    cycle: int
+    addresses: np.ndarray  # all addresses issued this cycle, ascending
+
+
+def events(trace) -> Iterator[TraceEvent]:
+    """Per-cycle groups of a sorted trace, addresses ascending in each."""
+    bounds = cycle_runs(trace.cycles)
+    for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        yield TraceEvent(int(trace.cycles[start]), trace.addresses[start:stop])
+
+
+def per_cycle_counts(trace):
+    """(cycles, event counts) for cycles that have at least one event."""
+    bounds = cycle_runs(trace.cycles)
+    return trace.cycles[bounds[:-1]], np.diff(bounds)
+
+
+# one operand element's byte address, by coordinates: the layout that the
+# engine's vectorised address maps implement
+
+def addr_ifmap(h, w, c, layer, arch):
+    if not (0 <= h < layer.ifmap_h and 0 <= w < layer.ifmap_w and 0 <= c < layer.channels):
+        raise IndexError(f"ifmap coordinate ({h},{w},{c}) out of range")
+    return arch.ifmap_offset + ((h * layer.ifmap_w + w) * layer.channels + c) * arch.word_bytes
+
+
+def addr_filter(f, r, s, c, layer, arch):
+    if not (0 <= f < layer.num_filters and 0 <= r < layer.filter_h
+            and 0 <= s < layer.filter_w and 0 <= c < layer.channels):
+        raise IndexError(f"filter coordinate ({f},{r},{s},{c}) out of range")
+    return arch.filter_offset + (((f * layer.filter_h + r) * layer.filter_w + s)
+                                 * layer.channels + c) * arch.word_bytes
+
+
+def addr_ofmap(p, f, layer, arch, counts=None):
+    counts = counts or workload_counts(layer)
+    if not (0 <= p < counts.n_windows and 0 <= f < layer.num_filters):
+        raise IndexError(f"ofmap coordinate ({p},{f}) out of range")
+    return arch.ofmap_offset + (p * layer.num_filters + f) * arch.word_bytes
 
 
 def random_small_layer(rng: random.Random, max_side=6, max_filter=3,

@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from helpers import (make_arch, pairs_to_trace, partial_reads, random_small_layer,
-                     write_config)
+from helpers import (distinct_addresses, make_arch, pairs_to_trace, partial_reads,
+                     random_small_layer, write_config)
 from oracle import direct_convolution, simulate_grid
 from systolicsim.bundled import bundled_workloads, default_config_path
 from systolicsim.cli import EXIT_OK, main
@@ -101,12 +101,12 @@ def test_criterion_4_memory_monotonicity():
                 reports = [simulate_layer(l, arch) for l in layers]
                 bytes_total = sum(r.report.dram_read_bytes for r in reports)
                 cycles = sum(r.report.total_cycles for r in reports)
-                foot = sum(len(r.traces.ifmap_reads.distinct_addresses())
-                           + len(r.traces.filter_reads.distinct_addresses())
+                foot = sum(len(distinct_addresses(r.traces.ifmap_reads))
+                           + len(distinct_addresses(r.traces.filter_reads))
                            for r in reports)
                 max_part_foot = max(
-                    max(len(r.traces.ifmap_reads.distinct_addresses()),
-                        len(r.traces.filter_reads.distinct_addresses()))
+                    max(len(distinct_addresses(r.traces.ifmap_reads)),
+                        len(distinct_addresses(r.traces.filter_reads)))
                     for r in reports)
                 series.append((kb, bytes_total, bytes_total / cycles,
                                foot, foot / cycles, max_part_foot))

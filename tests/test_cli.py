@@ -4,8 +4,9 @@ import json
 import pytest
 
 from helpers import write_config, write_topology
+from systolicsim import cli
 from systolicsim.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SIM, EXIT_TOPOLOGY,
-                             TRACE_KINDS, main)
+                             TRACE_KINDS, default_jobs, main, mem_available)
 
 
 @pytest.fixture
@@ -169,6 +170,55 @@ def test_parallel_jobs_match_serial(workdir):
             "--run-id", "par", "--jobs", "3")
     for p in sorted((workdir / "out" / "serial").glob("*.csv")):
         assert p.read_bytes() == (workdir / "out" / "par" / p.name).read_bytes()
+
+
+GB = 1 << 30
+
+
+@pytest.mark.parametrize("cpus, mem_available, per_worker, jobs", [
+    (2, None, GB, 2),            # memory unknown: CPUs only
+    (None, None, GB, 1),         # CPU count unknown
+    (16, None, GB, 8),           # capped at 8
+    (16, 100 * GB, GB, 8),
+    (4, 3 * GB, GB, 3),          # memory holds three workers
+    (4, 3 * GB - 1, GB, 2),
+    (4, GB // 2, GB, 1),         # not even one fits: still one
+    (1, 100 * GB, GB, 1),
+])
+def test_default_jobs(cpus, mem_available, per_worker, jobs):
+    assert default_jobs(cpus, mem_available, per_worker) == jobs
+
+
+@pytest.mark.parametrize("text, available", [
+    ("MemTotal:  8000 kB\nMemFree:  100 kB\nMemAvailable:  2048 kB\n", 2048 * 1024),
+    ("MemTotal:  8000 kB\nMemFree:  100 kB\n", None),
+    ("MemAvailable:  lots\n", None),
+    ("MemAvailable:\n", None),
+])
+def test_mem_available_parses_meminfo(tmp_path, text, available):
+    (tmp_path / "meminfo").write_text(text)
+    assert mem_available(str(tmp_path / "meminfo")) == available
+
+
+def test_mem_available_unreadable(tmp_path):
+    assert mem_available(str(tmp_path / "missing")) is None
+
+
+def test_default_jobs_follow_available_memory(workdir, monkeypatch):
+    write_topology(workdir / "topo.csv", [
+        ("a", 6, 6, 3, 3, 2, 4, 1), ("b", 8, 8, 3, 3, 1, 2, 2)])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "mem_available", lambda: cli.WORKER_BASE_BYTES)
+
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("one worker fits, so no pool may start")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    assert run_cli("run", "--config", workdir / "arch.cfg", "--out",
+                   workdir / "out", "--run-id", "r1") == EXIT_OK
+    with pytest.raises(AssertionError, match="no pool"):
+        run_cli("run", "--config", workdir / "arch.cfg", "--out",
+                workdir / "out", "--run-id", "r2", "--jobs", "2")
 
 
 def test_duplicate_layer_names_get_distinct_files(workdir):

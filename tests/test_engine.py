@@ -3,11 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from helpers import make_arch, pairs_to_trace, partial_reads, random_small_layer
+from helpers import (addr_filter, addr_ifmap, addr_ofmap, make_arch, pairs_to_trace,
+                     partial_reads, per_cycle_counts, random_small_layer)
 from oracle import simulate_grid
 from systolicsim.config import Dataflow, LayerSpec, lower_gemm
-from systolicsim.engine import (addr_filter, addr_ifmap, addr_ofmap,
-                                generate_traces)
+from systolicsim.engine import generate_traces
 from systolicsim.errors import ConfigError
 from systolicsim.mapping import workload_counts
 from systolicsim.simulate import simulate_layer
@@ -168,10 +168,10 @@ def _check_invariants(layer, arch):
     ifmap_bound = max_rows if EDGE_BOUNDS[arch.dataflow.value][0] == "rows_used" else max_cols
     filter_bound = max_rows if EDGE_BOUNDS[arch.dataflow.value][1] == "rows_used" else max_cols
     if len(ts.ifmap_reads):
-        assert ts.ifmap_reads.per_cycle_counts()[1].max() <= ifmap_bound
+        assert per_cycle_counts(ts.ifmap_reads)[1].max() <= ifmap_bound
     if len(ts.filter_reads):
-        assert ts.filter_reads.per_cycle_counts()[1].max() <= filter_bound
-    write_peak = ts.ofmap_writes.per_cycle_counts()[1].max()
+        assert per_cycle_counts(ts.filter_reads)[1].max() <= filter_bound
+    write_peak = per_cycle_counts(ts.ofmap_writes)[1].max()
     if arch.dataflow is Dataflow.OS:
         assert write_peak <= min(max_rows, max_cols)
     else:

@@ -1,0 +1,144 @@
+"""The segment-sorting trace builder against the whole-trace reference.
+
+The engine writes folds into arrays of the closed-form length and sorts
+each run of folds in place; ``engine_reference`` keeps every fold's pieces
+and sorts the whole trace once.  Their traces must be identical, however
+the folds fall into segments.
+"""
+
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from engine_reference import generate_traces_reference
+from helpers import make_arch
+from systolicsim import engine, trace
+from systolicsim.bundled import default_config_path, workload_path
+from systolicsim.config import LayerSpec, load_config, load_topology
+from systolicsim.engine import generate_traces
+from systolicsim.mapping import sram_event_counts
+
+KINDS = ("ifmap_reads", "filter_reads", "ofmap_writes")
+
+
+@contextmanager
+def segment_events(n):
+    with mock.patch.object(engine, "SEGMENT_EVENTS", n), \
+            mock.patch.object(trace, "SEGMENT_EVENTS", n):
+        yield
+
+
+def assert_matches_reference(layer, arch):
+    got = generate_traces(layer, arch)
+    want = generate_traces_reference(layer, arch)
+    assert got.plan == want.plan
+    for kind in KINDS:
+        assert getattr(got, kind) == getattr(want, kind), kind
+    assert tuple(len(getattr(got, kind)) for kind in KINDS) == \
+        sram_event_counts(got.counts, arch)
+    return got
+
+
+@st.composite
+def small_layers(draw):
+    ih = draw(st.integers(1, 9))
+    iw = draw(st.integers(1, 9))
+    return LayerSpec("h", ih, iw, draw(st.integers(1, min(3, ih))),
+                     draw(st.integers(1, min(3, iw))), draw(st.integers(1, 4)),
+                     draw(st.integers(1, 6)), draw(st.integers(1, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_layers(), st.integers(1, 7), st.integers(1, 7),
+       st.sampled_from(["os", "ws", "is"]), st.sampled_from([1, 2, 4]),
+       st.sampled_from([1, 2, 5, 40, trace.SEGMENT_EVENTS]))
+def test_builder_matches_reference(layer, rows, cols, dataflow, word, segment):
+    with segment_events(segment):
+        assert_matches_reference(layer, make_arch(rows, cols, dataflow, word_bytes=word))
+
+
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_fold_larger_than_segment(dataflow):
+    layer = LayerSpec("t", 9, 8, 3, 3, 4, 6, 1)
+    arch = make_arch(5, 3, dataflow, word_bytes=2)
+    with segment_events(16):
+        ts = assert_matches_reference(layer, arch)
+    assert max(f.rows_used * f.stream_len for f in ts.plan.folds) > 16
+
+
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_many_folds_per_segment(dataflow):
+    layer = LayerSpec("t", 6, 6, 2, 2, 6, 9, 1)
+    arch = make_arch(2, 3, dataflow)
+    with segment_events(400):
+        ts = assert_matches_reference(layer, arch)
+    longest = max(len(getattr(ts, kind)) for kind in KINDS)
+    segments = -(-longest // 400)
+    assert segments > 1 and ts.plan.num_folds >= 4 * segments
+
+
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_bundled_layer_spans_segments(dataflow):
+    # ~1.1 M events in each trace: two segments at the default size
+    layer = load_topology(workload_path("w2_deepspeech2"))[0]
+    arch = load_config(default_config_path()).with_overrides(
+        array_rows=16, array_cols=16, dataflow=dataflow)
+    ts = assert_matches_reference(layer, arch)
+    assert max(len(getattr(ts, kind)) for kind in KINDS) > trace.SEGMENT_EVENTS
+
+
+@pytest.mark.parametrize("segment", [64, trace.SEGMENT_EVENTS])
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_lexsort_fallback(dataflow, segment):
+    # words of 2**55 bytes: a segment's cycle range times its address range
+    # overflows int64, so the packed-key sort falls back to np.lexsort
+    layer = LayerSpec("t", 5, 5, 2, 2, 2, 3, 1)
+    arch = make_arch(2, 2, dataflow, word_bytes=2**55).with_overrides(
+        ifmap_offset=0, filter_offset=2**61, ofmap_offset=3 * 2**60)
+    with segment_events(segment), mock.patch.object(
+            trace.np, "lexsort", wraps=np.lexsort) as lexsort:
+        generate_traces(layer, arch)
+        assert lexsort.called
+    with segment_events(segment):
+        assert_matches_reference(layer, arch)
+
+
+def test_overlapping_folds_crash(monkeypatch):
+    # a mutated engine whose every fold starts 1000 cycles before the last
+    add = engine._Builder.add
+    shift = iter(range(0, -10**6, -1000))
+
+    def overlapping_add(self, cycle_rows, *rest):
+        add(self, cycle_rows + next(shift), *rest)
+
+    monkeypatch.setattr(engine._Builder, "add", overlapping_add)
+    with segment_events(1), pytest.raises(AssertionError, match="overlap in time"):
+        generate_traces(LayerSpec("t", 6, 6, 2, 2, 2, 4, 1), make_arch(2, 2, "os"))
+
+
+def add_column(builder, cycles, addrs):
+    """Append a fold of one event per row."""
+    zero = np.zeros(1, np.int64)
+    builder.add(np.array(cycles), zero, np.array(addrs), zero)
+
+
+def test_overlap_in_last_segment_crashes_build():
+    builder = engine._Builder(3)
+    with segment_events(2):
+        add_column(builder, [5, 6], [1, 2])
+        add_column(builder, [6], [3])
+        with pytest.raises(AssertionError, match="overlap in time"):
+            builder.build()
+
+
+def test_event_count_off_the_closed_form_crashes():
+    short = engine._Builder(3)
+    add_column(short, [0, 1], [4, 5])
+    with pytest.raises(AssertionError, match="closed form"):
+        short.build()
+    with pytest.raises(AssertionError, match="closed form"):
+        add_column(engine._Builder(1), [0, 1], [4, 5])

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from helpers import make_arch, random_medium_layer
 from systolicsim.config import LayerSpec, lower_gemm
-from systolicsim.mapping import fold_schedule, mapping_efficiency, workload_counts
+from systolicsim.mapping import (WorkloadCounts, fold_pe_totals, fold_schedule,
+                                mapping_efficiency, sram_event_counts, workload_counts)
 
 
 def test_counts_small_conv():
@@ -118,3 +119,35 @@ def test_efficiency_one_iff_divisible(layer, arch):
     divisible = row_work % arch.array_rows == 0 and col_work % arch.array_cols == 0
     assert (eff == 1) == divisible
     assert 0 < eff <= 1
+
+
+@st.composite
+def grid_counts(draw):
+    """Workload counts that need not come from a real layer, so the fold
+    grid's row and column work range widely against the array."""
+    n_w, w_sz, m = (draw(st.integers(1, hi)) for hi in (300, 200, 80))
+    return WorkloadCounts(n_w, 1, n_w, w_sz, m, n_w * w_sz * m)
+
+
+def _fold_sums(plan):
+    """(ifmap reads, filter reads, ofmap writes) summed fold by fold."""
+    mapped = sum(f.rows_used * f.cols_used for f in plan.folds)
+    through_rows = sum(f.rows_used * f.stream_len for f in plan.folds)
+    through_cols = sum(f.cols_used * f.stream_len for f in plan.folds)
+    return {"os": (through_rows, through_cols, mapped),
+            "ws": (through_rows, mapped, through_cols),
+            "is": (mapped, through_rows, through_cols)}[plan.dataflow.value]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(layer_strategy.map(workload_counts), grid_counts()),
+       st.integers(1, 17), st.integers(1, 17), st.sampled_from(["os", "ws", "is"]))
+def test_closed_forms_match_fold_sums(counts, rows, cols, dataflow):
+    arch = make_arch(rows, cols, dataflow)
+    plan = fold_schedule(counts, arch)
+    assert fold_pe_totals(counts, arch) == (
+        sum(f.rows_used * f.cols_used for f in plan.folds),
+        plan.num_folds * rows * cols)
+    active, area = fold_pe_totals(counts, arch)
+    assert active / area == mapping_efficiency(plan, arch)
+    assert sram_event_counts(counts, arch) == _fold_sums(plan)

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import make_arch, random_small_layer
+from helpers import distinct_addresses, make_arch, random_small_layer
 from systolicsim.config import LayerSpec
 from systolicsim.engine import generate_traces
 from systolicsim.errors import WorkingSetUnderflow
@@ -140,7 +140,7 @@ def test_footprint_lower_bound_and_equality():
                          rng.choice(["os", "ws", "is"]))
         ts = generate_traces(layer, arch)
         for trace in (ts.ifmap_reads, ts.filter_reads):
-            foot = len(trace.distinct_addresses())
+            foot = len(distinct_addresses(trace))
             for cap in _capacities(foot):
                 try:
                     epochs = epochize(trace, cap)
@@ -161,7 +161,7 @@ def test_no_useless_prefetch():
                          rng.choice(["os", "ws", "is"]))
         ts = generate_traces(layer, arch)
         for trace in (ts.ifmap_reads, ts.filter_reads):
-            foot = len(trace.distinct_addresses())
+            foot = len(distinct_addresses(trace))
             try:
                 frag = gen_dram_read_trace(epochize(trace, max(1, foot // 3)))
             except WorkingSetUnderflow:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_arch
+from helpers import distinct_addresses, make_arch, partial_reads
 from memory_reference import epochize_reference, final_writes_reference
 from systolicsim import memory
 from systolicsim.bundled import default_config_path, workload_path
@@ -19,6 +19,7 @@ from systolicsim.config import LayerSpec, load_config, load_topology
 from systolicsim.engine import generate_traces
 from systolicsim.errors import WorkingSetUnderflow
 from systolicsim.memory import epochize, gen_dram_write_trace
+from systolicsim.simulate import simulate_layer
 from systolicsim.trace import Trace
 
 LADDER_KB = (32, 64, 128, 256, 512, 1024, 2048)
@@ -70,7 +71,7 @@ def assert_same_write_fragment(writes, capacity, total_cycles, word):
 def test_epochize_matches_reference(traced, data):
     ts, word = traced
     for trace in (ts.ifmap_reads, ts.filter_reads):
-        footprint = len(trace.distinct_addresses())
+        footprint = len(distinct_addresses(trace))
         # one word up to past the footprint, including sizes that are not
         # a whole number of words
         capacity = data.draw(st.integers(word, (footprint + 2) * word))
@@ -108,3 +109,38 @@ def test_bundled_layers_ladder_matches_reference(dataflow):
                 assert_same_epochs(trace, kb * 1024, base.word_bytes)
             assert_same_write_fragment(ts.ofmap_writes, kb * 1024, ts.total_cycles,
                                        base.word_bytes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_layers(), st.integers(1, 6), st.integers(1, 6),
+       st.sampled_from(["os", "ws", "is"]), st.sampled_from([1, 2, 4]),
+       st.sampled_from([1, 3, 16]), st.data())
+def test_segmented_scans_match_reference(layer, rows, cols, dataflow, word, segment,
+                                         data):
+    # the single-epoch branch, the final-write selection and the report's
+    # bitmap count walk the trace in segments; tiny segments must not matter
+    arch = make_arch(rows, cols, dataflow, word_bytes=word)
+    ts = generate_traces(layer, arch)
+    with mock.patch("systolicsim.trace.SEGMENT_EVENTS", segment):
+        for reads in (ts.ifmap_reads, ts.filter_reads):
+            footprint = len(distinct_addresses(reads))
+            assert_same_epochs(reads, data.draw(st.integers(word, (footprint + 2) * word)),
+                               word)
+        got = memory._final_writes(ts.ofmap_writes)
+        report = simulate_layer(layer, arch).report
+    want = final_writes_reference(ts.ofmap_writes)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert report == simulate_layer(layer, arch).report
+    assert report.sram_reads_ofmap_partials == len(partial_reads(ts.ofmap_writes))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 40)), min_size=1, max_size=60),
+       st.sampled_from([1, 2, 4]), st.data())
+def test_unaligned_addresses_match_reference(pairs, word, data):
+    # addresses need not be word-aligned: an epoch lists each word by the
+    # first byte of the word, counted from the lowest address
+    arr = np.array(pairs, dtype=np.int64)
+    trace = Trace(arr[:, 0], arr[:, 1] + 7)
+    footprint = len(np.unique((trace.addresses - 7) // word))
+    assert_same_epochs(trace, data.draw(st.integers(word, (footprint + 2) * word)), word)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from systolicsim.trace import Trace
+from helpers import distinct_addresses, events, per_cycle_counts
+from systolicsim.trace import Trace, sort_pairs
 
 
 def _lexsorted(cycles, addresses):
@@ -17,8 +18,8 @@ def test_trace_sorts_by_cycle_then_address():
 
 def test_trace_events_group_by_cycle():
     t = Trace(np.array([1, 1, 4]), np.array([8, 3, 6]))
-    events = list(t.events())
-    assert [(e.cycle, e.addresses.tolist()) for e in events] == [(1, [3, 8]), (4, [6])]
+    groups = list(events(t))
+    assert [(e.cycle, e.addresses.tolist()) for e in groups] == [(1, [3, 8]), (4, [6])]
 
 
 def test_trace_csv_round_trip(tmp_path):
@@ -80,8 +81,33 @@ def test_trace_sort_leaves_inputs_untouched():
 
 def test_trace_distinct_addresses_and_per_cycle_counts():
     t = Trace(np.array([0, 0, 0, 3, 3, 9]), np.array([4, 4, 1, 4, 2, 1]))
-    assert t.distinct_addresses().tolist() == [1, 2, 4]
-    cycles, counts = t.per_cycle_counts()
+    assert distinct_addresses(t).tolist() == [1, 2, 4]
+    cycles, counts = per_cycle_counts(t)
     assert cycles.tolist() == [0, 3, 9] and counts.tolist() == [3, 2, 1]
-    assert len(Trace.empty().distinct_addresses()) == 0
-    assert [x.tolist() for x in Trace.empty().per_cycle_counts()] == [[], []]
+    assert len(distinct_addresses(Trace.empty())) == 0
+    assert [x.tolist() for x in per_cycle_counts(Trace.empty())] == [[], []]
+
+
+@pytest.mark.parametrize("cycles, addresses", [
+    pytest.param([4, -7, 0, -7, -1], [3, 9, 1, 2, 9], id="packed-key"),
+    pytest.param([2**40, -2**40, 0, 2**40], [0, 2**30, 5, -2**30], id="lexsort-fallback"),
+])
+def test_sort_pairs_in_place_into_slices(cycles, addresses):
+    # the engine sorts each segment inside the trace's final arrays
+    c = np.array([99] + cycles + [99], dtype=np.int64)
+    a = np.array([-1] + addresses + [-1], dtype=np.int64)
+    seg = slice(1, len(c) - 1)
+    major, minor = c[seg], a[seg]
+    got = sort_pairs(major, minor, out=(major, minor))
+    assert got[0] is major and got[1] is minor
+    want = _lexsorted(np.array(cycles), np.array(addresses))
+    assert (c[seg].tolist(), a[seg].tolist()) == want
+    assert c[[0, -1]].tolist() == [99, 99] and a[[0, -1]].tolist() == [-1, -1]
+
+
+def test_sort_pairs_into_given_arrays():
+    c, a = np.array([3, 1, 1]), np.array([5, 9, 2])
+    out = (np.empty(3, np.int64), np.empty(3, np.int64))
+    sort_pairs(c, a, out=out)
+    assert (out[0].tolist(), out[1].tolist()) == ([1, 1, 3], [2, 9, 5])
+    assert c.tolist() == [3, 1, 1] and a.tolist() == [5, 9, 2]
