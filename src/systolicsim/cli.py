@@ -109,8 +109,8 @@ def _run_one_layer(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable,
         res.traces.ifmap_reads.write_csv(run_dir / f"{stem}_ifmap_sram_read.csv")
         res.traces.filter_reads.write_csv(run_dir / f"{stem}_filter_sram_read.csv")
         res.traces.ofmap_writes.write_csv(run_dir / f"{stem}_ofmap_sram_write.csv")
-        res.dram.read_trace.write_csv(run_dir / f"{stem}_dram_read.csv")
-        res.dram.write_trace.write_csv(run_dir / f"{stem}_dram_write.csv")
+        res.dram.read_trace.trace().write_csv(run_dir / f"{stem}_dram_read.csv")
+        res.dram.write_trace.trace().write_csv(run_dir / f"{stem}_dram_write.csv")
     return res.report
 
 
@@ -185,7 +185,7 @@ def _report_layer(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable,
     ifmap, filt, writes, dram_rd, dram_wr = (
         Trace.read_csv(run_dir / f"{stem}_{kind}.csv") for kind in TRACE_KINDS)
     return layer_report(layer, arch, table, len(ifmap), len(filt), writes,
-                        dram_rd, dram_wr)
+                        dram_rd.cycles, dram_wr.cycles)
 
 
 def cmd_report(args) -> int:

@@ -180,28 +180,6 @@ def parse_config(text: str) -> ArchConfig:
     )
 
 
-def format_config(cfg: ArchConfig) -> str:
-    """Serialize back to the canonical single-section form; round-trips
-    through parse_config."""
-    lines = ["[architecture]"]
-    values = {
-        "ArrayHeight": cfg.array_rows,
-        "ArrayWidth": cfg.array_cols,
-        "IfmapSRAMSz": cfg.ifmap_sram_kb,
-        "FilterSRAMSz": cfg.filter_sram_kb,
-        "OfmapSRAMSz": cfg.ofmap_sram_kb,
-        "IfmapOffset": cfg.ifmap_offset,
-        "FilterOffset": cfg.filter_offset,
-        "OfmapOffset": cfg.ofmap_offset,
-        "DataFlow": cfg.dataflow.value,
-        "Topology": cfg.topology_path,
-    }
-    lines.extend(f"{k} = {v}" for k, v in values.items())
-    if cfg.word_bytes != 1:
-        lines.append(f"WordBytes = {cfg.word_bytes}")
-    return "\n".join(lines) + "\n"
-
-
 def load_config(path: str | Path) -> ArchConfig:
     """Read a config file; a relative Topology path is resolved against the
     config file's directory."""
@@ -244,16 +222,6 @@ def parse_topology(text: str) -> list[LayerSpec]:
             raise TopologyError(f"topology line {lineno}: non-integer field in {row}") from None
         layers.append(LayerSpec(name, *vals))
     return layers
-
-
-def format_topology(layers: list[LayerSpec]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TOPOLOGY_HEADER)
-    for l in layers:
-        writer.writerow([l.name, l.ifmap_h, l.ifmap_w, l.filter_h, l.filter_w,
-                         l.channels, l.num_filters, l.stride])
-    return out.getvalue()
 
 
 def load_topology(path: str | Path) -> list[LayerSpec]:

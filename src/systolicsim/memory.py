@@ -17,6 +17,11 @@ negative cycles and excluded from runtime.  Output drains mirror this:
 a full output buffer drains across the next buffer's fill interval, and the
 final drain lands in an epilogue after the last compute cycle.  Only final
 output values drain; WS/IS partial sums stay on chip.
+
+Each partition's DRAM traffic is a list of bursts (addresses, start cycle,
+span), never a sorted trace: the report needs only the bursts' cycles, for
+bytes and per-cycle peaks.  The sorted (cycle, address) DRAM trace is built
+once, by ``Bursts.trace``, when ``run`` writes it.
 """
 
 from __future__ import annotations
@@ -131,51 +136,49 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
     return epochs
 
 
-def _spread(addresses: np.ndarray, start_cycle: int, span: int) -> Trace:
-    """Distribute one transfer burst uniformly over [start, start+span)."""
-    q = np.arange(len(addresses), dtype=np.int64)
-    cycles = start_cycle + (q * span) // len(addresses)
-    return Trace(cycles, addresses, sort=False)
+_NO_EVENTS = np.empty(0, np.int64)
 
 
 @dataclass
-class ReadFragment:
-    """DRAM read traffic for one input partition."""
+class Bursts:
+    """One partition's DRAM traffic as transfer bursts.  Burst
+    ``(addresses, start, span)`` moves its i-th of n addresses at cycle
+    ``start + i * span // n``, uniformly over ``[start, start + span)``.
+    This is the form an external DRAM simulator replays; ``trace()`` sorts
+    it into the (cycle, address) trace that ``run`` writes."""
 
-    epochs: list[Epoch]
-    trace: Trace                 # prefetch events; prologue at negative cycles
-    total_bytes: int
-    steady_peak_bw: float        # max successor demand bytes/cycle, 0 if one epoch
-    prologue_bytes: int
-    prologue_cycles: int
+    bursts: list[tuple[np.ndarray, int, int]]
+    word_bytes: int = 1
+
+    def __len__(self) -> int:
+        return sum(len(addresses) for addresses, _, _ in self.bursts)
+
+    @property
+    def total_bytes(self) -> int:
+        return len(self) * self.word_bytes
+
+    def cycles(self) -> np.ndarray:
+        """Every event's cycle, burst after burst; not sorted."""
+        return np.concatenate([_NO_EVENTS] + [
+            start + np.arange(len(addresses), dtype=np.int64) * span // len(addresses)
+            for addresses, start, span in self.bursts])
+
+    def trace(self) -> Trace:
+        """The events as one (cycle, address)-sorted trace: one sort."""
+        return Trace(self.cycles(),
+                     np.concatenate([_NO_EVENTS] + [a for a, _, _ in self.bursts]))
 
 
-def gen_dram_read_trace(epochs: list[Epoch]) -> ReadFragment:
+def gen_dram_read_trace(epochs: list[Epoch]) -> Bursts:
     """Prefetch schedule: epoch k+1 over epoch k's use span; epoch 0 in a
     negative-cycle prologue of its own use span."""
     if not epochs:
-        return ReadFragment([], Trace.empty(), 0, 0.0, 0, 0)
-    pieces = []
+        return Bursts([])
     first = epochs[0]
-    pieces.append(_spread(first.addresses, -first.use_span, first.use_span))
-    steady_peak = 0.0
-    for prev, nxt in zip(epochs, epochs[1:]):
-        pieces.append(_spread(nxt.addresses, prev.first_use_cycle, prev.use_span))
-        steady_peak = max(steady_peak, nxt.bytes / prev.use_span)
-    trace = Trace.concat(pieces)
-    total = sum(e.bytes for e in epochs)
-    return ReadFragment(epochs, trace, total, steady_peak, first.bytes, first.use_span)
-
-
-@dataclass
-class WriteFragment:
-    """DRAM write traffic for the output partition: final values only."""
-
-    trace: Trace                 # drain events; epilogue at cycles >= total_cycles
-    total_bytes: int
-    n_drains: int
-    epilogue_bytes: int
-    epilogue_cycles: int
+    return Bursts([(first.addresses, -first.use_span, first.use_span)]
+                  + [(nxt.addresses, prev.first_use_cycle, prev.use_span)
+                     for prev, nxt in zip(epochs, epochs[1:])],
+                  first.word_bytes)
 
 
 def _final_writes(ofmap_writes: Trace) -> tuple[np.ndarray, np.ndarray]:
@@ -192,59 +195,49 @@ def _final_writes(ofmap_writes: Trace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gen_dram_write_trace(ofmap_writes: Trace, capacity_bytes: int,
-                         total_cycles: int, word_bytes: int = 1) -> WriteFragment:
+                         total_cycles: int, word_bytes: int = 1) -> Bursts:
+    """Drain schedule of the final output values: each buffer-full drains
+    over the next one's fill interval, the last in an epilogue of its own
+    fill interval from ``total_cycles`` on."""
     if capacity_bytes < word_bytes:
         raise ValueError("capacity must hold at least one word")
     if not len(ofmap_writes):
-        return WriteFragment(Trace.empty(), 0, 0, 0, 0)
-    cap_words = capacity_bytes // word_bytes
+        return Bursts([], word_bytes)
     fin_cycles, fin_addrs = _final_writes(ofmap_writes)
-
-    n = len(fin_addrs)
-    n_chunks = -(-n // cap_words)
-    pieces = []
-    spans = []
-    for k in range(n_chunks):
-        sl = slice(k * cap_words, min(n, (k + 1) * cap_words))
-        spans.append((int(fin_cycles[sl.start]),
-                      int(fin_cycles[sl.stop - 1]) - int(fin_cycles[sl.start]) + 1))
-    for k in range(n_chunks - 1):
-        sl = slice(k * cap_words, (k + 1) * cap_words)
-        nxt_first, nxt_span = spans[k + 1]
-        pieces.append(_spread(fin_addrs[sl], nxt_first, nxt_span))
-    last_sl = slice((n_chunks - 1) * cap_words, n)
-    epi_span = spans[-1][1]
-    pieces.append(_spread(fin_addrs[last_sl], total_cycles, epi_span))
-    epi_bytes = (last_sl.stop - last_sl.start) * word_bytes
-    return WriteFragment(Trace.concat(pieces), n * word_bytes, n_chunks,
-                         epi_bytes, epi_span)
+    cap_words = capacity_bytes // word_bytes
+    fulls = [slice(a, a + cap_words) for a in range(0, len(fin_addrs), cap_words)]
+    # (first cycle, span) of the interval over which each buffer-full fills
+    fills = [(int(fin_cycles[f][0]), int(fin_cycles[f][-1] - fin_cycles[f][0]) + 1)
+             for f in fulls]
+    drains = fills[1:] + [(total_cycles, fills[-1][1])]
+    return Bursts([(fin_addrs[f], start, span) for f, (start, span) in zip(fulls, drains)],
+                  word_bytes)
 
 
 @dataclass
 class DramDemand:
-    """Merged DRAM view of one layer."""
+    """One layer's DRAM traffic.  The partitions share the layer's word size."""
 
-    read_trace: Trace            # prologue at negative cycles
-    write_trace: Trace           # epilogue at cycles >= total_cycles
-    ifmap: ReadFragment
-    filter: ReadFragment
-    write: WriteFragment
+    ifmap: Bursts                # prologue at negative cycles
+    filter: Bursts
+    write: Bursts                # epilogue at cycles >= total_cycles
+
+    @property
+    def read_trace(self) -> Bursts:
+        """Both input partitions' bursts, ifmap then filter."""
+        return Bursts(self.ifmap.bursts + self.filter.bursts, self.ifmap.word_bytes)
+
+    @property
+    def write_trace(self) -> Bursts:
+        """The output partition's bursts, named to pair with ``read_trace``."""
+        return self.write
 
 
-def in_run_peak(trace: Trace, total_cycles: int, word_bytes: int) -> int:
-    """Most bytes moved in one cycle of [0, total_cycles) of a sorted trace."""
-    lo, hi = np.searchsorted(trace.cycles, (0, total_cycles))
-    if lo == hi:
-        return 0
-    return int(np.diff(cycle_runs(trace.cycles[lo:hi])).max()) * word_bytes
-
-
-def bandwidth_report(ifmap_frag: ReadFragment, filter_frag: ReadFragment,
-                     write_frag: WriteFragment) -> DramDemand:
-    """Merge the partitions' DRAM traffic; ``metrics.layer_report`` reduces
-    the merged traces to bytes and bandwidths."""
-    return DramDemand(Trace.concat([ifmap_frag.trace, filter_frag.trace]),
-                      write_frag.trace, ifmap_frag, filter_frag, write_frag)
+def bandwidth_report(ifmap_frag: Bursts, filter_frag: Bursts,
+                     write_frag: Bursts) -> DramDemand:
+    """Collect the partitions' DRAM traffic; ``metrics.layer_report`` reduces
+    its burst cycles to bytes and bandwidths."""
+    return DramDemand(ifmap_frag, filter_frag, write_frag)
 
 
 def dram_demand(traces, arch: ArchConfig) -> DramDemand:

@@ -19,7 +19,6 @@ import numpy as np
 from .config import ArchConfig, LayerSpec
 from .errors import ConfigError, SimulationError
 from .mapping import fold_pe_totals, workload_counts
-from .memory import in_run_peak
 from .trace import Trace, segments
 
 SUMMARY_COLUMNS = (
@@ -95,14 +94,22 @@ class LayerReport:
     fold_pe_area: int = 0
 
 
+def _in_run_peak(cycles: np.ndarray, total_cycles: int, word_bytes: int) -> int:
+    """Most bytes moved in one cycle of [0, total_cycles), given each DRAM
+    event's cycle in any order."""
+    in_run = cycles[(cycles >= 0) & (cycles < total_cycles)]
+    return int(np.bincount(in_run).max()) * word_bytes if len(in_run) else 0
+
+
 def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | None,
                  ifmap_reads: int, filter_reads: int, ofmap_writes: Trace,
-                 dram_reads: Trace, dram_writes: Trace) -> LayerReport:
+                 dram_reads: np.ndarray, dram_writes: np.ndarray) -> LayerReport:
     """Reduce one layer's traces to its report.  ``run`` and ``report`` both
     call this, so they agree by construction.  The SRAM reads enter as
-    counts.  Runtime is one past the last output write; every write to an
-    address after its first is a partial sum that the next reduction fold
-    re-reads; DRAM bytes and bandwidths come from the DRAM traces."""
+    counts and the DRAM traffic as its events' cycles, in any order.
+    Runtime is one past the last output write; every write to an address
+    after its first is a partial sum that the next reduction fold re-reads;
+    DRAM bytes and bandwidths come from the DRAM cycles."""
     table = table or EnergyCostTable()
     if not len(ofmap_writes) or ofmap_writes.max_cycle < 0:
         raise SimulationError(f"layer {layer.name!r}: ofmap write trace has no "
@@ -140,9 +147,9 @@ def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | No
         dram_read_bytes=dram_rd_bytes,
         dram_write_bytes=dram_wr_bytes,
         avg_read_bw=dram_rd_bytes / cycles,
-        peak_read_bw=in_run_peak(dram_reads, cycles, word),
+        peak_read_bw=_in_run_peak(dram_reads, cycles, word),
         avg_write_bw=dram_wr_bytes / cycles,
-        peak_write_bw=in_run_peak(dram_writes, cycles, word),
+        peak_write_bw=_in_run_peak(dram_writes, cycles, word),
         energy=energy(counts.macs_total, ifmap_reads + filter_reads + partial_reads,
                       len(ofmap_writes), dram_rd_bytes + dram_wr_bytes, table),
         active_pe_folds=active,

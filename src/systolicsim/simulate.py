@@ -36,7 +36,7 @@ def simulate_layer(layer: LayerSpec, arch: ArchConfig,
     dram = dram_demand(traces, arch)
     report = layer_report(layer, arch, table, len(traces.ifmap_reads),
                           len(traces.filter_reads), traces.ofmap_writes,
-                          dram.read_trace, dram.write_trace)
+                          dram.read_trace.cycles(), dram.write_trace.cycles())
     return LayerResult(report, traces, dram)
 
 

@@ -97,13 +97,6 @@ class Trace:
     def empty(cls) -> "Trace":
         return cls(np.empty(0, np.int64), np.empty(0, np.int64), sort=False)
 
-    @classmethod
-    def concat(cls, traces: "list[Trace]") -> "Trace":
-        if not traces:
-            return cls.empty()
-        return cls(np.concatenate([t.cycles for t in traces]),
-                   np.concatenate([t.addresses for t in traces]))
-
     def __len__(self) -> int:
         return len(self.cycles)
 

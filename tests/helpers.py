@@ -1,11 +1,13 @@
 """Shared test helpers."""
 
+import csv
+import io
 import random
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from systolicsim.config import ArchConfig, Dataflow, LayerSpec
+from systolicsim.config import TOPOLOGY_HEADER, ArchConfig, Dataflow, LayerSpec
 from systolicsim.mapping import workload_counts
 from systolicsim.trace import Trace, cycle_runs
 
@@ -63,6 +65,32 @@ def per_cycle_counts(trace):
     """(cycles, event counts) for cycles that have at least one event."""
     bounds = cycle_runs(trace.cycles)
     return trace.cycles[bounds[:-1]], np.diff(bounds)
+
+
+# figures of a DRAM burst schedule (memory.Bursts) that only tests check
+
+def steady_peak_bw(reads):
+    """The most bytes per cycle that any prefetch after the prologue
+    demands; 0 with a single epoch."""
+    return max((len(a) * reads.word_bytes / span for a, _, span in reads.bursts[1:]),
+               default=0.0)
+
+
+def prologue(reads):
+    """(bytes, cycles) of the cold-fill prologue: the first read burst."""
+    addresses, _, span = reads.bursts[0]
+    return len(addresses) * reads.word_bytes, span
+
+
+def n_drains(writes):
+    return len(writes.bursts)
+
+
+def epilogue(writes):
+    """(bytes, cycles) of the drain after the last compute cycle: the last
+    write burst."""
+    addresses, _, span = writes.bursts[-1]
+    return len(addresses) * writes.word_bytes, span
 
 
 # one operand element's byte address, by coordinates: the layout that the
@@ -143,3 +171,35 @@ Topology = {topology}
 WordBytes = {word_bytes}
 """)
     return path
+
+
+def format_config(cfg: ArchConfig) -> str:
+    """Serialize back to the canonical single-section form; round-trips
+    through parse_config."""
+    lines = ["[architecture]"]
+    values = {
+        "ArrayHeight": cfg.array_rows,
+        "ArrayWidth": cfg.array_cols,
+        "IfmapSRAMSz": cfg.ifmap_sram_kb,
+        "FilterSRAMSz": cfg.filter_sram_kb,
+        "OfmapSRAMSz": cfg.ofmap_sram_kb,
+        "IfmapOffset": cfg.ifmap_offset,
+        "FilterOffset": cfg.filter_offset,
+        "OfmapOffset": cfg.ofmap_offset,
+        "DataFlow": cfg.dataflow.value,
+        "Topology": cfg.topology_path,
+    }
+    lines.extend(f"{k} = {v}" for k, v in values.items())
+    if cfg.word_bytes != 1:
+        lines.append(f"WordBytes = {cfg.word_bytes}")
+    return "\n".join(lines) + "\n"
+
+
+def format_topology(layers: list[LayerSpec]) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(TOPOLOGY_HEADER)
+    for l in layers:
+        writer.writerow([l.name, l.ifmap_h, l.ifmap_w, l.filter_h, l.filter_w,
+                         l.channels, l.num_filters, l.stride])
+    return out.getvalue()

@@ -1,8 +1,10 @@
-"""Every boundary the benchmark's tracer wraps must still exist.
+"""The benchmark's tracer must still fit the package.
 
 ``perfbench/tracer.py`` lists a boundary it cannot find as "absent" and runs
 on, so a rename in the package would silently drop that module from the
-benchmark's per-module split.  This test reads the list and fails instead.
+benchmark's per-module split; and a hook that raises on a changed return
+type fails the traced command.  These tests read the tracer and fail
+instead.
 """
 
 import importlib
@@ -11,17 +13,24 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from helpers import make_arch
+from systolicsim.config import LayerSpec
+from systolicsim.engine import generate_traces
+from systolicsim.memory import dram_demand, epochize
+from systolicsim.simulate import simulate_layer
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def _boundaries():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.BOUNDARIES
+    return tracer
 
 
-BOUNDARIES = _boundaries()
+TRACER = _load_tracer()
+BOUNDARIES = TRACER.BOUNDARIES
 
 
 @pytest.mark.parametrize("name,module_name,attr", BOUNDARIES,
@@ -33,3 +42,24 @@ def test_boundary_resolves(name, module_name, attr):
         assert attr.split(".", 1)[1] in vars(module.Trace), name
     else:
         assert callable(getattr(module, attr, None)), name
+
+
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_hooks_count_the_pipeline(dataflow):
+    # 1 KB buffers hold 256 words; the ifmap (1024), filter (288) and ofmap
+    # (1568 words) footprints all overflow them
+    layer = LayerSpec("t", 16, 16, 3, 3, 4, 8, 1)
+    arch = make_arch(4, 4, dataflow, ifmap_kb=1, filter_kb=1, ofmap_kb=1, word_bytes=4)
+    tracer = TRACER.Tracer("test")
+    ts = generate_traces(layer, arch)
+    tracer.after_generate_traces(ts, layer, arch)
+    for reads, capacity in ((ts.ifmap_reads, arch.ifmap_capacity_bytes),
+                            (ts.filter_reads, arch.filter_capacity_bytes)):
+        epochs = epochize(reads, capacity, arch.word_bytes)
+        tracer.after_epochize(epochs, reads, capacity, arch.word_bytes)
+    dram = dram_demand(ts, arch)
+    tracer.after_bandwidth_report(dram)
+    assert tracer.counts["memory.multi_epoch_calls"] == 2 and len(dram.write.bursts) > 1
+    report = simulate_layer(layer, arch).report
+    assert (tracer.counts["memory.dram_events"] * arch.word_bytes
+            == report.dram_read_bytes + report.dram_write_bytes)

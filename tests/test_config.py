@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from systolicsim.config import (ArchConfig, Dataflow, LayerSpec, format_config,
-                                format_topology, lower_gemm, parse_config,
-                                parse_topology)
+from helpers import format_config, format_topology
+from systolicsim.config import (ArchConfig, Dataflow, LayerSpec, lower_gemm,
+                                parse_config, parse_topology)
 from systolicsim.errors import ConfigError, TopologyError
 from systolicsim.mapping import workload_counts
 

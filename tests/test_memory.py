@@ -3,13 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from helpers import distinct_addresses, make_arch, random_small_layer
+from helpers import (distinct_addresses, make_arch, n_drains, prologue,
+                     random_small_layer, steady_peak_bw)
 from systolicsim.config import LayerSpec
 from systolicsim.engine import generate_traces
 from systolicsim.errors import WorkingSetUnderflow
-from systolicsim.memory import (WriteFragment, bandwidth_report, dram_demand,
-                                epochize, gen_dram_read_trace,
-                                gen_dram_write_trace)
+from systolicsim.memory import (Bursts, bandwidth_report, dram_demand, epochize,
+                                gen_dram_read_trace, gen_dram_write_trace)
 from systolicsim.trace import Trace
 
 
@@ -55,18 +55,19 @@ def test_epochize_refetch_counts_dram_traffic():
 
 def test_dram_read_trace_steady_demand():
     frag = gen_dram_read_trace(epochize(seq_trace(100), 50))
-    assert frag.steady_peak_bw == pytest.approx(1.0)
-    assert frag.prologue_bytes == 50 and frag.prologue_cycles == 50
-    assert frag.trace.cycles.min() == -50
+    assert steady_peak_bw(frag) == pytest.approx(1.0)
+    assert prologue(frag) == (50, 50)
+    cycles = frag.trace().cycles
+    assert cycles.min() == -50
     # prefetch of epoch 1 lands inside epoch 0's use span
-    in_span = frag.trace.cycles[frag.trace.cycles >= 0]
+    in_span = cycles[cycles >= 0]
     assert in_span.min() >= 0 and in_span.max() <= 49
 
 
 def test_dram_read_trace_single_epoch_has_no_steady_traffic():
     frag = gen_dram_read_trace(epochize(seq_trace(100), 1000))
-    assert frag.steady_peak_bw == 0.0
-    assert (frag.trace.cycles < 0).all()
+    assert steady_peak_bw(frag) == 0.0
+    assert (frag.trace().cycles < 0).all()
 
 
 def test_single_cycle_epoch_bursts_successor():
@@ -75,8 +76,9 @@ def test_single_cycle_epoch_bursts_successor():
     epochs = epochize(trace, 2)
     assert [e.use_span for e in epochs] == [1, 1]
     frag = gen_dram_read_trace(epochs)
-    assert frag.steady_peak_bw == 2.0  # both bytes in the single-cycle window
-    successor = frag.trace.cycles[frag.trace.cycles >= 0]
+    assert steady_peak_bw(frag) == 2.0  # both bytes in the single-cycle window
+    cycles = frag.trace().cycles
+    successor = cycles[cycles >= 0]
     assert successor.tolist() == [0, 0]
 
 
@@ -91,16 +93,17 @@ def test_halving_capacity_doubles_epochs_reuse_free():
 def test_write_drain_single_at_layer_end():
     writes = seq_trace(20)
     frag = gen_dram_write_trace(writes, 64, total_cycles=20)
-    assert frag.n_drains == 1
+    assert n_drains(frag) == 1
     assert frag.total_bytes == 20
-    assert frag.trace.cycles.min() >= 20  # epilogue only
+    assert frag.trace().cycles.min() >= 20  # epilogue only
 
 
 def test_write_drain_two_when_capacity_is_half():
     frag = gen_dram_write_trace(seq_trace(20), 10, total_cycles=20)
-    assert frag.n_drains == 2
+    assert n_drains(frag) == 2
     # first drain spreads over the second chunk's fill interval
-    in_run = frag.trace.cycles[frag.trace.cycles < 20]
+    cycles = frag.trace().cycles
+    in_run = cycles[cycles < 20]
     assert len(in_run) == 10 and in_run.min() >= 10
 
 
@@ -120,9 +123,10 @@ def test_bandwidth_report_averages():
     f1 = gen_dram_read_trace(epochize(seq_trace(600), 10**4))
     f2 = gen_dram_read_trace(epochize(
         Trace(np.arange(400), 10**6 + np.arange(400)), 10**4))
-    empty_w = WriteFragment(Trace.empty(), 0, 0, 0, 0)
-    rep = bandwidth_report(f1, f2, empty_w)
-    assert rep.read_trace == Trace.concat([f1.trace, f2.trace])
+    rep = bandwidth_report(f1, f2, Bursts([]))
+    t1, t2 = f1.trace(), f2.trace()
+    assert rep.read_trace.trace() == Trace(np.concatenate([t1.cycles, t2.cycles]),
+                                           np.concatenate([t1.addresses, t2.addresses]))
     assert len(rep.read_trace) == f1.total_bytes + f2.total_bytes == 1000
     assert not len(rep.write_trace)
 
@@ -169,7 +173,8 @@ def test_no_useless_prefetch():
             # every prefetched address is read from SRAM at the same or a
             # later cycle
             last_fetch = {}
-            for c, a in zip(frag.trace.cycles.tolist(), frag.trace.addresses.tolist()):
+            fetched = frag.trace()
+            for c, a in zip(fetched.cycles.tolist(), fetched.addresses.tolist()):
                 last_fetch[a] = c  # epochs arrive in order; keep the latest
             served = {a: -10**9 for a in last_fetch}
             for c, a in zip(trace.cycles.tolist(), trace.addresses.tolist()):

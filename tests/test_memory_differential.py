@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import distinct_addresses, make_arch, partial_reads
+from helpers import distinct_addresses, epilogue, make_arch, n_drains, partial_reads
 from memory_reference import epochize_reference, final_writes_reference
 from systolicsim import memory
 from systolicsim.bundled import default_config_path, workload_path
@@ -60,10 +60,9 @@ def assert_same_write_fragment(writes, capacity, total_cycles, word):
     got = gen_dram_write_trace(writes, capacity, total_cycles, word)
     with mock.patch.object(memory, "_final_writes", final_writes_reference):
         want = gen_dram_write_trace(writes, capacity, total_cycles, word)
-    assert got.trace == want.trace
-    assert ((got.total_bytes, got.n_drains, got.epilogue_bytes, got.epilogue_cycles)
-            == (want.total_bytes, want.n_drains, want.epilogue_bytes,
-                want.epilogue_cycles))
+    assert got.trace() == want.trace()
+    assert ((got.total_bytes, n_drains(got), *epilogue(got))
+            == (want.total_bytes, n_drains(want), *epilogue(want)))
 
 
 @settings(max_examples=150, deadline=None)

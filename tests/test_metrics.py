@@ -37,15 +37,15 @@ def test_layer_report_rejects_bad_ofmap_writes(cycles, addresses, error):
     writes = Trace(np.array(cycles), np.array(addresses))
     with pytest.raises(SimulationError, match=error):
         layer_report(lower_gemm(2, 1, 1), make_arch(1, 1, "os"), None, 2, 2,
-                     writes, Trace.empty(), Trace.empty())
+                     writes, np.empty(0, np.int64), np.empty(0, np.int64))
 
 
 def test_layer_report_dram_bytes_and_bandwidths():
     # 5 writes, runtime 10; reads: 4 in-run words (2 in cycle 3) and 2 prologue
     # words; writes: 1 in-run word and 2 epilogue words
     writes = Trace(np.array([0, 2, 4, 6, 9]), OFMAP_OFF + 2 * np.arange(5))
-    dram_rd = Trace(np.array([-2, -1, 0, 3, 3, 7]), 2 * np.arange(6))
-    dram_wr = Trace(np.array([5, 10, 11]), 100 + 2 * np.arange(3))
+    dram_rd = np.array([-2, -1, 0, 3, 3, 7])
+    dram_wr = np.array([5, 10, 11])
     rep = layer_report(lower_gemm(5, 1, 1), make_arch(1, 1, "os", word_bytes=2),
                        None, 5, 5, writes, dram_rd, dram_wr)
     assert rep.total_cycles == 10

@@ -38,14 +38,6 @@ def test_trace_csv_empty_round_trip(tmp_path):
     assert len(Trace.read_csv(path)) == 0
 
 
-def test_trace_concat_resorts():
-    a = Trace(np.array([5, 6]), np.array([1, 1]))
-    b = Trace(np.array([0, 5]), np.array([2, 0]))
-    merged = Trace.concat([a, b])
-    assert merged.cycles.tolist() == [0, 5, 5, 6]
-    assert merged.addresses.tolist() == [2, 0, 1, 1]
-
-
 @pytest.mark.parametrize("cycles, addresses", [
     pytest.param([4, -7, 0, -7, -1], [3, 9, 1, 2, 9], id="negative-prologue-cycles"),
     pytest.param([2, 2, 1, 2, 1, 2], [5, 5, 8, 3, 8, 5], id="duplicate-pairs"),

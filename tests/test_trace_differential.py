@@ -67,7 +67,8 @@ def test_bundled_layer_traces_match_reference(dataflow, tmp_path):
     layer = load_topology(workload_path("w4_ncf"))[2]  # mlp_fc3
     res = simulate_layer(layer, arch)
     traces = [res.traces.ifmap_reads, res.traces.filter_reads,
-              res.traces.ofmap_writes, res.dram.read_trace, res.dram.write_trace]
-    assert int(res.dram.read_trace.cycles[0]) < 0  # cold-fill prologue
+              res.traces.ofmap_writes, res.dram.read_trace.trace(),
+              res.dram.write_trace.trace()]
+    assert int(traces[3].cycles[0]) < 0  # cold-fill prologue
     for trace in traces:
         assert_matches_reference(trace, tmp_path)
