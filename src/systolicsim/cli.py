@@ -58,11 +58,16 @@ def _sanitize(name: str) -> str:
 
 
 def _layer_stems(layers: list[LayerSpec]) -> list[str]:
-    stems, seen = [], {}
+    """One distinct file stem per layer: a repeated name gets the next free
+    ``_2``, ``_3``, ... suffix."""
+    stems, taken, suffix = [], set(), {}
     for layer in layers:
-        stem = _sanitize(layer.name)
-        seen[stem] = seen.get(stem, 0) + 1
-        stems.append(stem if seen[stem] == 1 else f"{stem}_{seen[stem]}")
+        name = stem = _sanitize(layer.name)
+        while stem in taken:
+            suffix[name] = suffix.get(name, 1) + 1
+            stem = f"{name}_{suffix[name]}"
+        taken.add(stem)
+        stems.append(stem)
     return stems
 
 
@@ -199,6 +204,9 @@ def cmd_report(args) -> int:
         layers = [LayerSpec(**d) for d in manifest["layers"]]
         stems = manifest["layer_stems"]
         table = EnergyCostTable(**manifest.get("energy_table", {}))
+        if len(stems) != len(layers) or len(set(stems)) != len(stems):
+            raise SimulationError(f"manifest {manifest_path} does not give each of its "
+                                  f"{len(layers)} layers its own stem")
     except json.JSONDecodeError as exc:
         raise SimulationError(f"manifest {manifest_path} is not JSON: {exc}") from None
     except KeyError as exc:

@@ -3,12 +3,12 @@
 Each partition (IFMAP, filter, OFMAP) is a pair of buffers: compute reads
 the working set while DRAM fills the idle one.  An *epoch* is the residency
 interval of one working set; walking an SRAM read trace in cycle order, a
-new epoch opens whenever admitting a never-seen-in-this-epoch address would
-overflow the buffer.  Re-reads within an epoch are free; addresses reused
+new epoch opens whenever admitting a never-seen-in-this-epoch word would
+overflow the buffer.  Re-reads within an epoch are free; words reused
 across an epoch boundary are fetched again.  ``epochize`` finds these
-boundaries with whole-array passes instead of a walk over cycles: each event
-knows where its word was last read, which tells whether it is new to the
-epoch that contains it.
+boundaries in one scan over windows of whole cycles instead of a walk over
+cycles: a stamp per word, the last epoch that admitted it, tells whether an
+event is new to the open epoch.
 
 Epoch k+1's data is prefetched uniformly across epoch k's use span, which is
 the minimum bandwidth that keeps the array stall-free.  The first epoch is
@@ -30,9 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import trace as trace_module
 from .config import ArchConfig
 from .errors import WorkingSetUnderflow
-from .trace import Trace, cycle_runs, segments, sort_pairs
+from .trace import Trace, segments
 
 
 @dataclass
@@ -52,12 +53,9 @@ class Epoch:
         return self.last_use_cycle - self.first_use_cycle + 1
 
 
-def _word_offsets(addresses: np.ndarray, lo: int, word_bytes: int) -> np.ndarray:
-    """Word index of each address counted from the word at ``lo``."""
-    offsets = addresses - lo
-    if word_bytes > 1:
-        offsets //= word_bytes
-    return offsets
+# events in a full window of epochize's scan.  Short windows stamp a word
+# soon after its first read, so that fewer of its re-reads are tested again
+WINDOW_EVENTS = 1 << 16
 
 
 def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epoch]:
@@ -67,13 +65,18 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
     ends before the first cycle whose never-seen-in-this-epoch words would
     overflow the buffer; that cycle opens the next epoch.  A cycle that
     alone touches more distinct words than the buffer holds raises
-    WorkingSetUnderflow.  Epoch addresses are listed in first-use order.
+    WorkingSetUnderflow.  An epoch lists the first byte of each of its
+    words, counted from the lowest address, in first-use order.
 
-    The scan is vectorised.  One sort by word gives every event the position
-    of the previous event on the same word.  In an epoch that starts at
-    position ``s``, an event is new exactly when that previous position is
-    before ``s``.  New events are summed per cycle over a window of cycles
-    that doubles until the running total passes the capacity.
+    One scan walks windows of whole cycles.  ``stamp[word]`` is the last
+    epoch that admitted the word, so an event is new to the open epoch when
+    its word's stamp is older and it is the word's first event in the
+    window.  When a window's new words overflow the buffer, the epoch
+    closes before the cycle of its first word past capacity and the scan
+    resumes at that cycle.  A window holds ``WINDOW_EVENTS`` events, or
+    ``trace.SEGMENT_EVENTS`` if fewer, rounded up to a whole cycle; after
+    an epoch closes it restarts at that epoch's length and doubles while
+    the next one stays open, so the scan's work stays O(trace).
     """
     if capacity_bytes < word_bytes:
         raise ValueError("capacity must hold at least one word")
@@ -82,57 +85,52 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
         return []
     cap_words = capacity_bytes // word_bytes
     cycles, addresses = trace.cycles, trace.addresses
-
     lo = int(addresses.min())
-    extent = int(addresses.max()) - lo + 1
-    # the single-epoch test and branch run per segment, so that their
-    # temporaries stay O(SEGMENT_EVENTS) on the largest traces
-    seen = np.zeros(-(-extent // word_bytes), dtype=bool)
-    for seg in segments(n):
-        seen[_word_offsets(addresses[seg], lo, word_bytes)] = True
-    if np.count_nonzero(seen) <= cap_words:
-        # whole footprint fits: one epoch, addresses in first-use order
-        first = np.full(extent, n, dtype=np.int64)
-        for seg in segments(n):
-            np.minimum.at(first, addresses[seg] - lo, np.arange(seg.start, seg.stop))
-        first = np.sort(first[first < n])
-        return [Epoch(0, addresses[first], int(cycles[0]), int(cycles[-1]), word_bytes)]
+    n_words = (int(addresses.max()) - lo) // word_bytes + 1
+    stamp = np.full(n_words, -1, dtype=np.int32)
+    first = np.empty(n_words, dtype=np.int64)    # a word's first event in the window
 
-    # (word, position) pairs, sorted in place into word order
-    words, order = _word_offsets(addresses, lo, word_bytes), np.arange(n)
-    sort_pairs(words, order, out=(words, order))
-    repeat = np.flatnonzero(words[1:] == words[:-1])
-    prev = np.full(n, -1, dtype=np.int64)    # previous event on the same word
-    prev[order[repeat + 1]] = order[repeat]
-    del words, order, repeat
-
-    bounds = cycle_runs(cycles)
-    n_cycles = len(bounds) - 1
     epochs: list[Epoch] = []
-    g = 0
-    window = 1
-    while g < n_cycles:
-        start = bounds[g]
-        while True:
-            stop_g = min(g + window, n_cycles)
-            is_new = prev[start:bounds[stop_g]] < start
-            per_cycle = np.add.reduceat(is_new, bounds[g:stop_g] - start, dtype=np.int64)
-            fits = int(np.searchsorted(np.cumsum(per_cycle), cap_words, side="right"))
-            if fits < stop_g - g or stop_g == n_cycles:
-                break
-            window *= 2
-        if not fits:
-            raise WorkingSetUnderflow(
-                f"working set underflow: cycle {int(cycles[start])} touches "
-                f"{int(per_cycle[0])} distinct words but the buffer holds {cap_words}")
-        stop = bounds[g + fits]
-        new = addresses[start + np.flatnonzero(is_new[:stop - start])]
+    parts: list[np.ndarray] = []     # the open epoch's words, in first-use order
+    admitted = 0
+    start = pos = 0                  # the open epoch's and the window's first event
+    full = window = min(WINDOW_EVENTS, trace_module.SEGMENT_EVENTS)
+    while pos < n:
+        stop = int(np.searchsorted(cycles, cycles[min(pos + window, n) - 1], "right"))
+        words = addresses[pos:stop] - lo
         if word_bytes > 1:
-            new -= (new - lo) % word_bytes    # the first byte of each word
-        epochs.append(Epoch(len(epochs), new, int(cycles[start]), int(cycles[stop - 1]),
+            words //= word_bytes
+        at = np.flatnonzero(stamp[words] != len(epochs))
+        words = words[at]
+        first[words] = stop              # past every position in the window
+        np.minimum.at(first, words, at)
+        is_new = first[words] == at
+        words, at = words[is_new], at[is_new]
+        if admitted + len(words) <= cap_words:
+            stamp[words] = len(epochs)
+            parts.append(words)
+            admitted += len(words)
+            pos, window = stop, min(2 * window, full)
+            if pos < n:
+                continue
+            end = n                      # the trace ends the last epoch
+        else:
+            # the epoch ends before the cycle of its first word past capacity
+            cycle = cycles[pos + at[cap_words - admitted]]
+            end = int(np.searchsorted(cycles, cycle, "left"))
+            if end == start:
+                in_cycle = np.searchsorted(at, np.searchsorted(cycles, cycle, "right") - pos)
+                raise WorkingSetUnderflow(
+                    f"working set underflow: cycle {int(cycle)} touches {int(in_cycle)} "
+                    f"distinct words but the buffer holds {cap_words}")
+            parts.append(words[:np.searchsorted(at, end - pos)])
+        words = np.concatenate(parts)
+        words *= word_bytes
+        words += lo
+        epochs.append(Epoch(len(epochs), words, int(cycles[start]), int(cycles[end - 1]),
                             word_bytes))
-        g += fits
-        window = fits
+        window = min(end - start, full)
+        parts, admitted, start, pos = [], 0, end, end
     return epochs
 
 

@@ -72,14 +72,6 @@ def sort_pairs(major: np.ndarray, minor: np.ndarray,
     return high, low
 
 
-def cycle_runs(cycles: np.ndarray) -> np.ndarray:
-    """Boundaries of the runs of equal values in a sorted cycle array: run i
-    is ``cycles[b[i]:b[i + 1]]``.  Empty input gives ``[0]``."""
-    if not len(cycles):
-        return np.zeros(1, np.int64)
-    return np.concatenate(([0], np.flatnonzero(np.diff(cycles)) + 1, [len(cycles)]))
-
-
 class Trace:
     __slots__ = ("cycles", "addresses")
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from systolicsim.config import TOPOLOGY_HEADER, ArchConfig, Dataflow, LayerSpec
 from systolicsim.mapping import workload_counts
-from systolicsim.trace import Trace, cycle_runs
+from systolicsim.trace import Trace
 
 # offsets far enough apart for any desk-scale layer
 IFMAP_OFF = 0
@@ -47,6 +47,14 @@ def distinct_addresses(trace):
     if not len(addresses):
         return addresses
     return addresses[np.append(True, addresses[1:] != addresses[:-1])]
+
+
+def cycle_runs(cycles: np.ndarray) -> np.ndarray:
+    """Boundaries of the runs of equal values in a sorted cycle array: run i
+    is ``cycles[b[i]:b[i + 1]]``.  Empty input gives ``[0]``."""
+    if not len(cycles):
+        return np.zeros(1, np.int64)
+    return np.concatenate(([0], np.flatnonzero(np.diff(cycles)) + 1, [len(cycles)]))
 
 
 class TraceEvent(NamedTuple):

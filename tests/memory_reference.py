@@ -24,8 +24,8 @@ def epochize_reference(trace, capacity_bytes, word_bytes=1):
     word_idx = (trace.addresses - lo) // word_bytes
     distinct_total = len(np.unique(word_idx))
     if distinct_total <= cap_words:
-        uniq, first_pos = np.unique(trace.addresses, return_index=True)
-        ordered = uniq[np.argsort(first_pos)]
+        uniq, first_pos = np.unique(word_idx, return_index=True)
+        ordered = lo + uniq[np.argsort(first_pos)] * word_bytes
         return [Epoch(0, ordered, int(trace.cycles[0]), int(trace.cycles[-1]), word_bytes)]
 
     present = np.zeros(int(word_idx.max()) + 1, dtype=bool)

@@ -117,12 +117,24 @@ def _manifest_entry(key, value=None):
     return damage
 
 
+def _two_layers(stems):
+    """Damage that lists the run's one layer twice, with these stems."""
+    def damage(text):
+        manifest = json.loads(text)
+        manifest["layers"] *= 2
+        manifest["layer_stems"] = stems
+        return json.dumps(manifest).encode()
+    return damage
+
+
 @pytest.mark.parametrize("damage", [
     pytest.param(lambda text: b"{not json", id="not-json"),
     pytest.param(lambda text: b"[]", id="not-an-object"),
     pytest.param(_manifest_entry("layer_stems"), id="no-layer-stems"),
     pytest.param(_manifest_entry("arch"), id="no-arch"),
     pytest.param(_manifest_entry("layers", []), id="empty-layers"),
+    pytest.param(_two_layers(["layer0"]), id="stems-short"),
+    pytest.param(_two_layers(["layer0", "layer0"]), id="stems-duplicate"),
 ])
 def test_report_rejects_damaged_manifest(workdir, damage, capsys):
     run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
@@ -229,6 +241,21 @@ def test_duplicate_layer_names_get_distinct_files(workdir):
     manifest = json.loads((workdir / "out" / "r1" / "manifest.json").read_text())
     assert manifest["layer_stems"] == ["twin", "twin_2"]
     assert (workdir / "out" / "r1" / "twin_2_dram_read.csv").exists()
+
+    # a name equal to another layer's suffixed stem gets a stem of its own
+    write_topology(workdir / "topo.csv", [
+        ("a", 6, 6, 3, 3, 1, 2, 1), ("a", 6, 6, 3, 3, 1, 2, 1), ("a_2", 8, 8, 3, 3, 2, 3, 1)])
+    run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
+            "--run-id", "r2", "--jobs", "1")
+    run_dir = workdir / "out" / "r2"
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["layer_stems"] == ["a", "a_2", "a_2_2"]
+    traces = {p.name for p in run_dir.glob("*.csv")} - {"summary.csv", "network.csv"}
+    assert len(traces) == 3 * len(TRACE_KINDS)
+    summary = (run_dir / "summary.csv").read_bytes()
+    (run_dir / "summary.csv").unlink()
+    assert run_cli("report", run_dir) == EXIT_OK
+    assert (run_dir / "summary.csv").read_bytes() == summary
 
 
 def test_sweep_dataflow_default_axes(workdir):

@@ -23,17 +23,22 @@ from systolicsim.simulate import EVENT_BYTES, layer_peak_bytes, simulate_layer
 SEGMENT_EVENTS = 1 << 16
 
 
-@pytest.mark.parametrize("dataflow,rows,cols", [
+@pytest.mark.parametrize("dataflow,rows,cols,input_kb", [
     # DeepSpeech2 conv1 on 64x8: ~2.5 M SRAM events, 2.2 M of them ifmap
-    pytest.param("os", 64, 8, id="os"), pytest.param("ws", 64, 8, id="ws"),
+    pytest.param("os", 64, 8, None, id="os"), pytest.param("ws", 64, 8, None, id="ws"),
     # on 8x64 under WS: 2.79 M events, 80% of them ofmap writes (one per
     # reduction fold), so a temporary as long as the ofmap trace breaks it
-    pytest.param("ws", 8, 64, id="ws-8x64"),
+    pytest.param("ws", 8, 64, None, id="ws-8x64"),
+    # 4 KB ifmap and filter buffers overflow: 4 ifmap epochs under OS and
+    # 44 under WS, so epochize closes epochs and resumes mid-trace
+    pytest.param("os", 64, 8, 4, id="os-overflow"),
+    pytest.param("ws", 64, 8, 4, id="ws-overflow"),
 ])
-def test_peak_memory_bound(dataflow, rows, cols):
+def test_peak_memory_bound(dataflow, rows, cols, input_kb):
     layer = load_topology(workload_path("w2_deepspeech2"))[0]
     arch = load_config(default_config_path()).with_overrides(
-        array_rows=rows, array_cols=cols, dataflow=dataflow)
+        array_rows=rows, array_cols=cols, dataflow=dataflow,
+        ifmap_sram_kb=input_kb, filter_sram_kb=input_kb)
     with mock.patch.object(engine, "SEGMENT_EVENTS", SEGMENT_EVENTS), \
             mock.patch.object(trace, "SEGMENT_EVENTS", SEGMENT_EVENTS), \
             mock.patch.object(simulate, "SEGMENT_EVENTS", SEGMENT_EVENTS):
@@ -47,6 +52,8 @@ def test_peak_memory_bound(dataflow, rows, cols):
     ts = res.traces
     events = len(ts.ifmap_reads) + len(ts.filter_reads) + len(ts.ofmap_writes)
     assert events > 2_000_000
+    if input_kb:
+        assert len(res.dram.ifmap.bursts) > 1    # one burst per ifmap epoch
     assert peak <= bound
     # the bound is not vacuous: the traces themselves are most of it
     assert peak >= EVENT_BYTES * events
