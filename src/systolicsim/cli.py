@@ -108,18 +108,29 @@ def mem_available(meminfo: str = "/proc/meminfo") -> int | None:
 
 def _run_one_layer(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable,
                    run_dir: str, stem: str, write_traces: bool) -> LayerReport:
+    """Simulate one layer and, with ``write_traces``, write its five trace
+    files in ``TRACE_KINDS`` order.  The three SRAM traces are written and
+    dropped first; only then is each DRAM trace built from its bursts,
+    sorted and written, one at a time.  So no SRAM trace is held while a
+    sorted DRAM trace is built."""
     res = simulate_layer(layer, arch, table)
+    report, dram = res.report, res.dram
     if write_traces:
-        run_dir = Path(run_dir)
-        res.traces.ifmap_reads.write_csv(run_dir / f"{stem}_ifmap_sram_read.csv")
-        res.traces.filter_reads.write_csv(run_dir / f"{stem}_filter_sram_read.csv")
-        res.traces.ofmap_writes.write_csv(run_dir / f"{stem}_ofmap_sram_write.csv")
-        res.dram.read_trace.trace().write_csv(run_dir / f"{stem}_dram_read.csv")
-        res.dram.write_trace.trace().write_csv(run_dir / f"{stem}_dram_write.csv")
-    return res.report
+        ifmap, filt, writes, dram_rd, dram_wr = (Path(run_dir) / f"{stem}_{kind}.csv"
+                                                 for kind in TRACE_KINDS)
+        ts = res.traces
+        ts.ifmap_reads.write_csv(ifmap)
+        ts.filter_reads.write_csv(filt)
+        ts.ofmap_writes.write_csv(writes)
+        del res, ts
+        dram.read_trace.trace().write_csv(dram_rd)
+        dram.write_trace.trace().write_csv(dram_wr)
+    return report
 
 
 def cmd_run(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, not {args.jobs}")
     arch = load_config(args.config)
     arch = arch.with_overrides(
         array_rows=args.rows, array_cols=args.cols, dataflow=args.dataflow,
@@ -158,7 +169,7 @@ def cmd_run(args) -> int:
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
     jobs = args.jobs
-    if not jobs:
+    if jobs is None:
         per_worker = WORKER_BASE_BYTES + max(layer_peak_bytes(l, arch) for l in layers)
         jobs = default_jobs(os.cpu_count(), mem_available(), per_worker)
     work = [(layer, arch, table, str(run_dir), stem, write_traces)
@@ -186,11 +197,16 @@ def _write_summaries(run_dir: Path, reports: list[LayerReport]) -> None:
 
 def _report_layer(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable,
                   run_dir: Path, stem: str) -> LayerReport:
-    """Rebuild one layer's report purely from its trace files."""
-    ifmap, filt, writes, dram_rd, dram_wr = (
-        Trace.read_csv(run_dir / f"{stem}_{kind}.csv") for kind in TRACE_KINDS)
-    return layer_report(layer, arch, table, len(ifmap), len(filt), writes,
-                        dram_rd.cycles, dram_wr.cycles)
+    """Rebuild one layer's report purely from its trace files, read in
+    ``TRACE_KINDS`` order.  The SRAM reads enter as counts, so each of those
+    two files is dropped before the next one is read."""
+    ifmap, filt, writes, dram_rd, dram_wr = (run_dir / f"{stem}_{kind}.csv"
+                                             for kind in TRACE_KINDS)
+    ifmap_reads = len(Trace.read_csv(ifmap))
+    filter_reads = len(Trace.read_csv(filt))
+    return layer_report(layer, arch, table, ifmap_reads, filter_reads,
+                        Trace.read_csv(writes), Trace.read_csv(dram_rd).cycles,
+                        Trace.read_csv(dram_wr).cycles)
 
 
 def cmd_report(args) -> int:

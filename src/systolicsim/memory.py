@@ -21,7 +21,7 @@ output values drain; WS/IS partial sums stay on chip.
 Each partition's DRAM traffic is a list of bursts (addresses, start cycle,
 span), never a sorted trace: the report needs only the bursts' cycles, for
 bytes and per-cycle peaks.  The sorted (cycle, address) DRAM trace is built
-once, by ``Bursts.trace``, when ``run`` writes it.
+once, by ``Bursts.trace``, when ``run`` writes it, and sorted in place.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from . import trace as trace_module
 from .config import ArchConfig
 from .errors import WorkingSetUnderflow
-from .trace import Trace, segments
+from .trace import Trace, segments, sort_pairs
 
 
 @dataclass
@@ -88,7 +88,8 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
     lo = int(addresses.min())
     n_words = (int(addresses.max()) - lo) // word_bytes + 1
     stamp = np.full(n_words, -1, dtype=np.int32)
-    first = np.empty(n_words, dtype=np.int64)    # a word's first event in the window
+    # a word's first event in the window, as a position in it
+    first = np.empty(n_words, dtype=np.int32)
 
     epochs: list[Epoch] = []
     parts: list[np.ndarray] = []     # the open epoch's words, in first-use order
@@ -100,9 +101,10 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
         words = addresses[pos:stop] - lo
         if word_bytes > 1:
             words //= word_bytes
-        at = np.flatnonzero(stamp[words] != len(epochs))
+        # int32 like ``first``, so that np.minimum.at needs no cast
+        at = np.flatnonzero(stamp[words] != len(epochs)).astype(np.int32)
         words = words[at]
-        first[words] = stop              # past every position in the window
+        first[words] = stop - pos        # past every position in the window
         np.minimum.at(first, words, at)
         is_new = first[words] == at
         words, at = words[is_new], at[is_new]
@@ -116,7 +118,7 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
             end = n                      # the trace ends the last epoch
         else:
             # the epoch ends before the cycle of its first word past capacity
-            cycle = cycles[pos + at[cap_words - admitted]]
+            cycle = cycles[pos + int(at[cap_words - admitted])]
             end = int(np.searchsorted(cycles, cycle, "left"))
             if end == start:
                 in_cycle = np.searchsorted(at, np.searchsorted(cycles, cycle, "right") - pos)
@@ -143,7 +145,9 @@ class Bursts:
     ``(addresses, start, span)`` moves its i-th of n addresses at cycle
     ``start + i * span // n``, uniformly over ``[start, start + span)``.
     This is the form an external DRAM simulator replays; ``trace()`` sorts
-    it into the (cycle, address) trace that ``run`` writes."""
+    it into the (cycle, address) trace that ``run`` writes.  Neither
+    ``cycles()`` nor ``trace()`` holds a second copy of the events: each
+    fills the arrays it returns in place."""
 
     bursts: list[tuple[np.ndarray, int, int]]
     word_bytes: int = 1
@@ -156,15 +160,29 @@ class Bursts:
         return len(self) * self.word_bytes
 
     def cycles(self) -> np.ndarray:
-        """Every event's cycle, burst after burst; not sorted."""
-        return np.concatenate([_NO_EVENTS] + [
-            start + np.arange(len(addresses), dtype=np.int64) * span // len(addresses)
-            for addresses, start, span in self.bursts])
+        """Every event's cycle, burst after burst; not sorted.  One array,
+        filled one segment of a burst at a time."""
+        out = np.empty(len(self), np.int64)
+        pos = 0
+        for addresses, start, span in self.bursts:
+            n = len(addresses)
+            for seg in segments(n):
+                part = out[pos + seg.start:pos + seg.stop]
+                part[...] = np.arange(seg.start, seg.stop, dtype=np.int64)
+                part *= span
+                part //= n
+                part += start
+            pos += n
+        return out
 
     def trace(self) -> Trace:
-        """The events as one (cycle, address)-sorted trace: one sort."""
-        return Trace(self.cycles(),
-                     np.concatenate([_NO_EVENTS] + [a for a, _, _ in self.bursts]))
+        """The events as one (cycle, address)-sorted trace.  Its cycles and
+        addresses are new arrays, so one packed sort orders them in place."""
+        cycles = self.cycles()
+        addresses = np.concatenate([_NO_EVENTS] + [a for a, _, _ in self.bursts])
+        if len(cycles):
+            sort_pairs(cycles, addresses, out=(cycles, addresses))
+        return Trace(cycles, addresses, sort=False)
 
 
 def gen_dram_read_trace(epochs: list[Epoch]) -> Bursts:

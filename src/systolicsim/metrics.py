@@ -96,9 +96,17 @@ class LayerReport:
 
 def _in_run_peak(cycles: np.ndarray, total_cycles: int, word_bytes: int) -> int:
     """Most bytes moved in one cycle of [0, total_cycles), given each DRAM
-    event's cycle in any order."""
-    in_run = cycles[(cycles >= 0) & (cycles < total_cycles)]
-    return int(np.bincount(in_run).max()) * word_bytes if len(in_run) else 0
+    event's cycle in any order.  Each segment's in-run events are counted
+    on their own; the longest count so far is the total that the others
+    are added into, so one segment costs a single ``bincount``."""
+    total = np.zeros(0, np.int64)
+    for seg in segments(len(cycles)):
+        part = cycles[seg]
+        counts = np.bincount(part[(part >= 0) & (part < total_cycles)])
+        if len(counts) > len(total):
+            total, counts = counts, total
+        total[:len(counts)] += counts
+    return int(total.max()) * word_bytes if len(total) else 0
 
 
 def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | None,

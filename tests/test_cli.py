@@ -184,6 +184,14 @@ def test_parallel_jobs_match_serial(workdir):
         assert p.read_bytes() == (workdir / "out" / "par" / p.name).read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_a_config_error(workdir, jobs, capsys):
+    assert run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
+                   "--run-id", "r1", "--jobs", jobs) == EXIT_CONFIG
+    assert "--jobs" in capsys.readouterr().err
+    assert not (workdir / "out" / "r1").exists()
+
+
 GB = 1 << 30
 
 
