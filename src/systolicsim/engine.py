@@ -26,6 +26,13 @@ next slice of them, and each run of whole folds that reaches
 ``SEGMENT_EVENTS`` events is sorted in place in its own slice.  The
 builder asserts both facts it relies on, so a schedule that breaks them
 crashes instead of producing an unsorted or short trace.
+
+The fold grid says which output writes are final: ``TraceSet.final_writes``
+is the ofmap trace's last N_w*M events, as views.  Under OS every write is
+final.  Under WS and IS the reduction is the grid's outermost loop, so the
+last reduction chunk's folds end the trace and write each output once;
+``_gen_traces_stationary`` asserts that exactly N_w*M ofmap events are
+left to fill when that chunk's first fold starts.
 """
 
 from __future__ import annotations
@@ -58,6 +65,14 @@ class TraceSet:
     @property
     def total_cycles(self) -> int:
         return self.ofmap_writes.max_cycle + 1
+
+    @property
+    def final_writes(self) -> Trace:
+        """The last write of every output address, in (cycle, address)
+        order: the ofmap trace's last N_w*M events, as views."""
+        writes = self.ofmap_writes
+        first = len(writes) - self.counts.n_windows * self.counts.n_filters
+        return Trace(writes.cycles[first:], writes.addresses[first:])
 
 
 class _AddressParts(NamedTuple):
@@ -141,7 +156,7 @@ class _Builder:
     def _sort_segment(self) -> None:
         seg = slice(self.done, self.fill)
         cycles, addrs = self.cycles[seg], self.addrs[seg]
-        sort_pairs(cycles, addrs, out=(cycles, addrs))
+        sort_pairs(cycles, addrs)
         assert not self.done or cycles[0] > self.cycles[self.done - 1], (
             f"folds overlap in time: a segment starts at cycle {cycles[0]}, "
             f"not after cycle {self.cycles[self.done - 1]}")
@@ -152,7 +167,7 @@ class _Builder:
             f"folds emit {self.fill} events, the closed form {len(self.cycles)}")
         if self.fill > self.done:
             self._sort_segment()
-        return Trace(self.cycles, self.addrs, sort=False)
+        return Trace(self.cycles, self.addrs)
 
 
 def _builders(counts: WorkloadCounts, arch: ArchConfig) -> tuple[_Builder, ...]:
@@ -209,9 +224,15 @@ def _gen_traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
         stream_b, streamed, streamed_elem = ifm, parts.window, parts.window_elem
         drained_by_step, drained_by_col = parts.ofmap_pixel, parts.ofmap_filter
     s = np.arange(len(streamed), dtype=np.int64)
+    last_chunk = max(fold.row_start for fold in plan.folds)
+    final_from = len(out.cycles) - counts.n_windows * counts.n_filters
     base = 0
     for fold in plan.folds:
         rows, cols = fold.rows_used, fold.cols_used
+        if fold.row_start == last_chunk and fold.col_start == 0:
+            assert out.fill == final_from, (
+                f"the last reduction chunk starts after {out.fill} ofmap writes, not "
+                f"{final_from}, so its folds do not end the trace")
         elems = slice(fold.row_start, fold.row_start + rows)
         columns = slice(fold.col_start, fold.col_start + cols)
         tau = np.arange(rows, dtype=np.int64)

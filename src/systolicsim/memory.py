@@ -16,7 +16,10 @@ fetched in a prologue of the same length as its own use span, stamped with
 negative cycles and excluded from runtime.  Output drains mirror this:
 a full output buffer drains across the next buffer's fill interval, and the
 final drain lands in an epilogue after the last compute cycle.  Only final
-output values drain; WS/IS partial sums stay on chip.
+output values drain; WS/IS partial sums stay on chip.  The final writes
+come from the fold grid, not from a scan of the ofmap trace: they are
+``TraceSet.final_writes``, the trace's last N_w*M events, which the engine
+asserts are the last reduction chunk's drains.
 
 Each partition's DRAM traffic is a list of bursts (addresses, start cycle,
 span), never a sorted trace: the report needs only the bursts' cycles, for
@@ -181,8 +184,8 @@ class Bursts:
         cycles = self.cycles()
         addresses = np.concatenate([_NO_EVENTS] + [a for a, _, _ in self.bursts])
         if len(cycles):
-            sort_pairs(cycles, addresses, out=(cycles, addresses))
-        return Trace(cycles, addresses, sort=False)
+            sort_pairs(cycles, addresses)
+        return Trace(cycles, addresses)
 
 
 def gen_dram_read_trace(epochs: list[Epoch]) -> Bursts:
@@ -197,29 +200,17 @@ def gen_dram_read_trace(epochs: list[Epoch]) -> Bursts:
                   first.word_bytes)
 
 
-def _final_writes(ofmap_writes: Trace) -> tuple[np.ndarray, np.ndarray]:
-    """The last write of every address, in (cycle, address) order.  Partial
-    sums are overwritten in place, so only these values leave the chip."""
-    addresses = ofmap_writes.addresses
-    lo = int(addresses.min())
-    last = np.full(int(addresses.max()) - lo + 1, -1, dtype=np.int64)
-    for seg in segments(len(addresses)):
-        np.maximum.at(last, addresses[seg] - lo, np.arange(seg.start, seg.stop))
-    # the trace is sorted, so ascending positions are (cycle, address) order
-    kept = np.sort(last[last >= 0])
-    return ofmap_writes.cycles[kept], addresses[kept]
-
-
-def gen_dram_write_trace(ofmap_writes: Trace, capacity_bytes: int,
+def gen_dram_write_trace(final_writes: Trace, capacity_bytes: int,
                          total_cycles: int, word_bytes: int = 1) -> Bursts:
-    """Drain schedule of the final output values: each buffer-full drains
-    over the next one's fill interval, the last in an epilogue of its own
-    fill interval from ``total_cycles`` on."""
+    """Drain schedule of the final output values, given as a trace that
+    writes each address once (``TraceSet.final_writes``): each buffer-full
+    drains over the next one's fill interval, the last in an epilogue of
+    its own fill interval from ``total_cycles`` on."""
     if capacity_bytes < word_bytes:
         raise ValueError("capacity must hold at least one word")
-    if not len(ofmap_writes):
+    if not len(final_writes):
         return Bursts([], word_bytes)
-    fin_cycles, fin_addrs = _final_writes(ofmap_writes)
+    fin_cycles, fin_addrs = final_writes.cycles, final_writes.addresses
     cap_words = capacity_bytes // word_bytes
     fulls = [slice(a, a + cap_words) for a in range(0, len(fin_addrs), cap_words)]
     # (first cycle, span) of the interval over which each buffer-full fills
@@ -264,5 +255,5 @@ def dram_demand(traces, arch: ArchConfig) -> DramDemand:
     filter_frag = gen_dram_read_trace(
         epochize(traces.filter_reads, arch.filter_capacity_bytes, word))
     write_frag = gen_dram_write_trace(
-        traces.ofmap_writes, arch.ofmap_capacity_bytes, traces.total_cycles, word)
+        traces.final_writes, arch.ofmap_capacity_bytes, traces.total_cycles, word)
     return bandwidth_report(ifmap_frag, filter_frag, write_frag)

@@ -10,7 +10,6 @@ repeats the per-layer rows and appends an aggregate "total" row.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -209,14 +208,25 @@ def summarize_network(layers: list[LayerReport]) -> NetworkReport:
     return NetworkReport(list(layers), total)
 
 
-def _fmt(value) -> str:
+def _csv_cell(value) -> str:
+    """One CSV field of the summary and sweep CSVs: a float by ``repr``,
+    anything else by ``str``, quoted when it holds a comma, a quote or a
+    line break."""
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    text = str(value)
+    if any(ch in text for ch in ',"\n\r'):
+        text = '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_line(values) -> str:
+    """One line of the summary and sweep CSVs."""
+    return ",".join(_csv_cell(v) for v in values) + "\n"
 
 
 def report_row(r: LayerReport) -> str:
-    return ",".join(_fmt(v) for v in (
+    return csv_line((
         r.name, r.dataflow, r.rows, r.cols, r.total_cycles, r.mapping_efficiency,
         r.compute_utilization, r.sram_reads_ifmap, r.sram_reads_filter,
         r.sram_writes_ofmap, r.dram_read_bytes, r.dram_write_bytes,
@@ -224,17 +234,8 @@ def report_row(r: LayerReport) -> str:
 
 
 def summary_csv(layers: list[LayerReport]) -> str:
-    out = io.StringIO()
-    out.write(",".join(SUMMARY_COLUMNS) + "\n")
-    for r in layers:
-        out.write(report_row(r) + "\n")
-    return out.getvalue()
+    return csv_line(SUMMARY_COLUMNS) + "".join(report_row(r) for r in layers)
 
 
 def network_csv(net: NetworkReport) -> str:
-    out = io.StringIO()
-    out.write(",".join(SUMMARY_COLUMNS) + "\n")
-    for r in net.layers:
-        out.write(report_row(r) + "\n")
-    out.write(report_row(net.total) + "\n")
-    return out.getvalue()
+    return summary_csv(net.layers + [net.total])

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .config import ALL_DATAFLOWS, ArchConfig, LayerSpec, load_topology
 from .errors import ConfigError, SimulationError, TopologyError
-from .metrics import EnergyCostTable, LayerReport
+from .metrics import EnergyCostTable, LayerReport, csv_line
 from .simulate import simulate_layer, simulate_network
 
 DEFAULT_ARRAY_SIZES = (8, 16, 32, 64, 128)
@@ -309,15 +309,6 @@ def _fastest(rows, group, *columns):
 
 def write_sweep_csv(rows: list[dict], path) -> None:
     with open(path, "w") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
+        fh.write(csv_line(SWEEP_COLUMNS))
         for row in rows:
-            fh.write(",".join(_cell(row[c]) for c in SWEEP_COLUMNS) + "\n")
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    text = str(value)
-    if "," in text or '"' in text:
-        text = '"' + text.replace('"', '""') + '"'
-    return text
+            fh.write(csv_line(row[c] for c in SWEEP_COLUMNS))

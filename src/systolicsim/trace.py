@@ -1,7 +1,9 @@
 """Cycle-stamped address streams.
 
 A trace is a pair of parallel int64 arrays sorted by (cycle, address).
-DRAM traces may carry negative cycles for the cold-fill prologue.
+``Trace`` does not sort; its builders (the engine, ``memory.Bursts.trace``)
+sort in place with ``sort_pairs``.  DRAM traces may carry negative cycles
+for the cold-fill prologue.
 
 The CSV form is exact text: the line ``cycle,address``, then one line
 ``<cycle>,<address>`` per pair in trace order.  Both numbers are plain
@@ -39,55 +41,47 @@ def segments(n: int) -> Iterator[slice]:
         yield slice(start, min(start + SEGMENT_EVENTS, n))
 
 
-def sort_pairs(major: np.ndarray, minor: np.ndarray,
-               out: tuple[np.ndarray, np.ndarray] | None = None,
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Sort int64 pairs by (major, minor); return both arrays in that order.
+def sort_pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort int64 pairs by (major, minor) in place; return both arrays.
 
     The pair is packed into one key, ``(major - m0) * span + (minor - n0)``,
-    sorted in place and decoded with ``divmod``.  Equal pairs are equal keys,
-    so the result is exactly ``np.lexsort((minor, major))``'s order.  When the
-    packed range would not fit in int64, this falls back to ``np.lexsort``.
-
-    ``out`` is the pair of arrays that receives the result; it may be
-    ``(major, minor)`` itself, which sorts them in place.  The key is packed
-    in ``out[0]``, so the fast path allocates nothing beyond ``out``.
+    in ``major`` itself, sorted and decoded with ``divmod``, so nothing is
+    allocated.  Equal pairs are equal keys, so the result is exactly
+    ``np.lexsort((minor, major))``'s order.  When the packed range would not
+    fit in int64, this falls back to ``np.lexsort``.
     """
-    high, low = out if out is not None else (np.empty_like(major), np.empty_like(minor))
     m0, n0 = int(major.min()), int(minor.min())
     span = int(minor.max()) - n0 + 1
     if (int(major.max()) - m0 + 1) * span > np.iinfo(np.int64).max:
         order = np.lexsort((minor, major))
-        high[...], low[...] = major[order], minor[order]
-        return high, low
+        major[...], minor[...] = major[order], minor[order]
+        return major, minor
     # intermediate sums may wrap, but the final key fits, so it is exact
-    key = np.subtract(major, m0, out=high)
+    key = np.subtract(major, m0, out=major)
     key *= span
     key += minor
     key -= n0
     key.sort()
-    np.divmod(key, span, out=(high, low))
-    high += m0
-    low += n0
-    return high, low
+    np.divmod(key, span, out=(major, minor))
+    major += m0
+    minor += n0
+    return major, minor
 
 
 class Trace:
     __slots__ = ("cycles", "addresses")
 
-    def __init__(self, cycles: np.ndarray, addresses: np.ndarray, sort: bool = True):
+    def __init__(self, cycles: np.ndarray, addresses: np.ndarray):
         cycles = np.asarray(cycles, dtype=np.int64)
         addresses = np.asarray(addresses, dtype=np.int64)
         if cycles.shape != addresses.shape:
             raise ValueError("cycle/address arrays must have equal length")
-        if sort and len(cycles):
-            cycles, addresses = sort_pairs(cycles, addresses)
         self.cycles = cycles
         self.addresses = addresses
 
     @classmethod
     def empty(cls) -> "Trace":
-        return cls(np.empty(0, np.int64), np.empty(0, np.int64), sort=False)
+        return cls(np.empty(0, np.int64), np.empty(0, np.int64))
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -130,7 +124,7 @@ class Trace:
             raise SimulationError(f"trace {path}: {exc}") from None
         if data.shape[1] != 2:
             raise SimulationError(f"trace {path}: rows have {data.shape[1]} fields, not 2")
-        return cls(data[:, 0], data[:, 1], sort=False)
+        return cls(data[:, 0], data[:, 1])
 
 
 def _csv_rows(cycles: np.ndarray, addresses: np.ndarray) -> np.ndarray:

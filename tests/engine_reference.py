@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from helpers import sorted_trace
 from systolicsim.config import ArchConfig, Dataflow, LayerSpec
 from systolicsim.engine import TraceSet, _check_regions
 from systolicsim.mapping import WorkloadCounts, fold_schedule, workload_counts
@@ -63,7 +64,7 @@ class _Builder:
     def build(self) -> Trace:
         if not self.cycles:
             return Trace.empty()
-        return Trace(np.concatenate(self.cycles), np.concatenate(self.addrs))
+        return sorted_trace(np.concatenate(self.cycles), np.concatenate(self.addrs))
 
 
 def _traces_os(layer: LayerSpec, arch: ArchConfig) -> TraceSet:

@@ -9,7 +9,7 @@ import numpy as np
 
 from systolicsim.config import TOPOLOGY_HEADER, ArchConfig, Dataflow, LayerSpec
 from systolicsim.mapping import workload_counts
-from systolicsim.trace import Trace
+from systolicsim.trace import Trace, sort_pairs
 
 # offsets far enough apart for any desk-scale layer
 IFMAP_OFF = 0
@@ -24,12 +24,22 @@ def make_arch(rows, cols, dataflow="os", ifmap_kb=64, filter_kb=64, ofmap_kb=64,
                       Dataflow.parse(dataflow), word_bytes)
 
 
+def sorted_trace(cycles, addresses):
+    """A trace of copies of the pairs, sorted by (cycle, address);
+    ``Trace`` itself does not sort."""
+    cycles = np.array(cycles, dtype=np.int64)
+    addresses = np.array(addresses, dtype=np.int64)
+    if len(cycles):
+        sort_pairs(cycles, addresses)
+    return Trace(cycles, addresses)
+
+
 def pairs_to_trace(pairs):
     """Oracle (cycle, address) lists -> sorted Trace."""
     if not pairs:
         return Trace.empty()
     arr = np.array(pairs, dtype=np.int64)
-    return Trace(arr[:, 0], arr[:, 1])
+    return sorted_trace(arr[:, 0], arr[:, 1])
 
 
 def partial_reads(ofmap_writes):
@@ -38,7 +48,7 @@ def partial_reads(ofmap_writes):
     first = np.unique(ofmap_writes.addresses, return_index=True)[1]
     later = np.ones(len(ofmap_writes), dtype=bool)
     later[first] = False
-    return Trace(ofmap_writes.cycles[later], ofmap_writes.addresses[later], sort=False)
+    return Trace(ofmap_writes.cycles[later], ofmap_writes.addresses[later])
 
 
 def distinct_addresses(trace):

@@ -1,12 +1,14 @@
+import csv
 import hashlib
 import json
 
 import pytest
 
-from helpers import write_config, write_topology
+from helpers import format_topology, write_config, write_topology
 from systolicsim import cli
 from systolicsim.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SIM, EXIT_TOPOLOGY,
                              TRACE_KINDS, default_jobs, main, mem_available)
+from systolicsim.config import LayerSpec
 
 
 @pytest.fixture
@@ -76,6 +78,28 @@ def test_report_reproduces_summaries(workdir, dataflow, word_bytes):
     assert run_cli("report", run_dir) == EXIT_OK
     after = {n: (run_dir / n).read_bytes() for n in ("summary.csv", "network.csv")}
     assert before == after
+
+
+def test_quoted_layer_names_keep_summary_rows_whole(workdir):
+    # the topology reader takes quoted CSV fields, so a layer name may hold a
+    # comma or a quote; the summaries must quote it back
+    names = ["a,b", 'q"x']
+    (workdir / "topo.csv").write_text(format_topology(
+        [LayerSpec(name, 6, 6, 3, 3, 2, 4, 1) for name in names]))
+    assert '"a,b"' in (workdir / "topo.csv").read_text()
+    write_config(workdir / "arch.cfg", rows=4, cols=4, dataflow="ws")
+    assert run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
+                   "--run-id", "r1", "--jobs", "1") == EXIT_OK
+    run_dir = workdir / "out" / "r1"
+    files = ("summary.csv", "network.csv")
+    before = {n: (run_dir / n).read_bytes() for n in files}
+    for n, layers in zip(files, (names, names + ["total"])):
+        rows = list(csv.reader((run_dir / n).read_text().splitlines()))
+        assert [len(r) for r in rows] == [17] * (1 + len(layers))
+        assert [r[0] for r in rows[1:]] == layers
+        (run_dir / n).unlink()
+    assert run_cli("report", run_dir) == EXIT_OK
+    assert {n: (run_dir / n).read_bytes() for n in files} == before
 
 
 def test_report_empty_dir_fails(tmp_path):

@@ -20,7 +20,7 @@ from systolicsim import engine, trace
 from systolicsim.bundled import default_config_path, workload_path
 from systolicsim.config import LayerSpec, load_config, load_topology
 from systolicsim.engine import generate_traces
-from systolicsim.mapping import sram_event_counts
+from systolicsim.mapping import FoldPlan, sram_event_counts, workload_counts
 
 KINDS = ("ifmap_reads", "filter_reads", "ofmap_writes")
 
@@ -142,3 +142,32 @@ def test_event_count_off_the_closed_form_crashes():
         short.build()
     with pytest.raises(AssertionError, match="closed form"):
         add_column(engine._Builder(1), [0, 1], [4, 5])
+
+
+@pytest.mark.parametrize("dataflow", ["ws", "is"])
+def test_reduction_innermost_crashes(monkeypatch, dataflow):
+    # a mutated fold order that runs the reduction chunks innermost: partial
+    # sums then end the ofmap trace, so its last N_w*M events are not final
+    schedule = engine.fold_schedule
+
+    def reduction_innermost(counts, arch):
+        plan = schedule(counts, arch)
+        return FoldPlan(plan.dataflow, tuple(sorted(
+            plan.folds, key=lambda f: (f.col_start, f.row_start))))
+
+    monkeypatch.setattr(engine, "fold_schedule", reduction_innermost)
+    layer = LayerSpec("t", 4, 4, 2, 2, 2, 3, 1)  # W_sz=8, M=3, N_w=9
+    arch = make_arch(4, 2, dataflow)             # 2 reduction and >= 2 column chunks
+    plan = reduction_innermost(workload_counts(layer), arch)
+    assert len({f.row_start for f in plan.folds}) >= 2
+    assert len({f.col_start for f in plan.folds}) >= 2
+    with pytest.raises(AssertionError, match="last reduction chunk"):
+        generate_traces(layer, arch)
+
+
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_final_writes_are_views_of_the_ofmap_trace(dataflow):
+    ts = generate_traces(LayerSpec("t", 4, 4, 2, 2, 2, 3, 1), make_arch(4, 2, dataflow))
+    fin, writes = ts.final_writes, ts.ofmap_writes
+    assert len(fin) == ts.counts.n_windows * ts.counts.n_filters
+    assert fin.cycles.base is writes.cycles and fin.addresses.base is writes.addresses

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (distinct_addresses, make_arch, n_drains, prologue,
-                     random_small_layer, steady_peak_bw)
+                     random_small_layer, sorted_trace, steady_peak_bw)
 from systolicsim.config import LayerSpec
 from systolicsim.engine import generate_traces
 from systolicsim.errors import WorkingSetUnderflow
@@ -114,8 +114,7 @@ def test_ws_partials_do_not_drain():
     ts = generate_traces(layer, arch)
     counts = ts.counts
     assert len(ts.ofmap_writes) == 2 * counts.n_windows * counts.n_filters
-    frag = gen_dram_write_trace(ts.ofmap_writes, arch.ofmap_capacity_bytes,
-                                ts.total_cycles)
+    frag = dram_demand(ts, arch).write
     assert frag.total_bytes == counts.n_windows * counts.n_filters
 
 
@@ -125,8 +124,8 @@ def test_bandwidth_report_averages():
         Trace(np.arange(400), 10**6 + np.arange(400)), 10**4))
     rep = bandwidth_report(f1, f2, Bursts([]))
     t1, t2 = f1.trace(), f2.trace()
-    assert rep.read_trace.trace() == Trace(np.concatenate([t1.cycles, t2.cycles]),
-                                           np.concatenate([t1.addresses, t2.addresses]))
+    assert rep.read_trace.trace() == sorted_trace(np.concatenate([t1.cycles, t2.cycles]),
+                                                  np.concatenate([t1.addresses, t2.addresses]))
     assert len(rep.read_trace) == f1.total_bytes + f2.total_bytes == 1000
     assert not len(rep.write_trace)
 
@@ -189,7 +188,7 @@ def test_dram_write_bytes_equal_final_footprint_all_capacities():
         ts = generate_traces(layer, arch)
         footprint = ts.counts.n_windows * ts.counts.n_filters
         for cap in (1, 7, footprint // 2, footprint, 4 * footprint):
-            frag = gen_dram_write_trace(ts.ofmap_writes, max(1, cap), ts.total_cycles)
+            frag = gen_dram_write_trace(ts.final_writes, max(1, cap), ts.total_cycles)
             assert frag.total_bytes == footprint
 
 

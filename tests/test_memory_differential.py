@@ -1,7 +1,9 @@
 """The vectorised memory model against its loop-based references.
 
 Every epoch list, final-write selection and underflow message must be
-identical to what ``memory_reference`` computes on the same trace.
+identical to what ``memory_reference`` computes on the same trace.  The
+engine's final writes (``TraceSet.final_writes``, taken from the fold grid)
+must be the reference's last write of every address.
 """
 
 from unittest import mock
@@ -11,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import distinct_addresses, epilogue, make_arch, n_drains, partial_reads
+from helpers import (distinct_addresses, epilogue, make_arch, n_drains, partial_reads,
+                     sorted_trace)
 from memory_reference import epochize_reference, final_writes_reference
-from systolicsim import memory
 from systolicsim.bundled import default_config_path, workload_path
 from systolicsim.config import LayerSpec, load_config, load_topology
 from systolicsim.engine import generate_traces
@@ -60,10 +62,10 @@ def assert_same_epochs(trace, capacity, word):
     return got
 
 
-def assert_same_write_fragment(writes, capacity, total_cycles, word):
-    got = gen_dram_write_trace(writes, capacity, total_cycles, word)
-    with mock.patch.object(memory, "_final_writes", final_writes_reference):
-        want = gen_dram_write_trace(writes, capacity, total_cycles, word)
+def assert_same_write_fragment(ts, capacity, word):
+    got = gen_dram_write_trace(ts.final_writes, capacity, ts.total_cycles, word)
+    want = gen_dram_write_trace(Trace(*final_writes_reference(ts.ofmap_writes)), capacity,
+                                ts.total_cycles, word)
     assert got.trace() == want.trace()
     assert ((got.total_bytes, n_drains(got), *epilogue(got))
             == (want.total_bytes, n_drains(want), *epilogue(want)))
@@ -85,12 +87,12 @@ def test_epochize_matches_reference(traced, data):
 @given(traced_layers(), st.data())
 def test_final_writes_match_reference(traced, data):
     ts, word = traced
-    writes = ts.ofmap_writes
-    got = memory._final_writes(writes)
+    writes, fin = ts.ofmap_writes, ts.final_writes
+    got = fin.cycles, fin.addresses
     want = final_writes_reference(writes)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     capacity = data.draw(st.integers(word, (len(writes) + 2) * word))
-    assert_same_write_fragment(writes, capacity, ts.total_cycles, word)
+    assert_same_write_fragment(ts, capacity, word)
 
 
 def test_underflow_message_matches_reference():
@@ -110,8 +112,7 @@ def test_bundled_layers_ladder_matches_reference(dataflow):
         for kb in LADDER_KB:
             for trace in (ts.ifmap_reads, ts.filter_reads):
                 assert_same_epochs(trace, kb * 1024, base.word_bytes)
-            assert_same_write_fragment(ts.ofmap_writes, kb * 1024, ts.total_cycles,
-                                       base.word_bytes)
+            assert_same_write_fragment(ts, kb * 1024, base.word_bytes)
 
 
 @settings(max_examples=100, deadline=None)
@@ -120,8 +121,8 @@ def test_bundled_layers_ladder_matches_reference(dataflow):
        st.sampled_from([1, 3, 16]), st.data())
 def test_segmented_scans_match_reference(layer, rows, cols, dataflow, word, segment,
                                          data):
-    # epochize's windows, the final-write selection and the report's bitmap
-    # count walk the trace in segments; tiny segments must not matter
+    # epochize's windows and the report's bitmap count walk the trace in
+    # segments; tiny segments must not matter
     arch = make_arch(rows, cols, dataflow, word_bytes=word)
     ts = generate_traces(layer, arch)
     with mock.patch("systolicsim.trace.SEGMENT_EVENTS", segment):
@@ -129,7 +130,7 @@ def test_segmented_scans_match_reference(layer, rows, cols, dataflow, word, segm
             footprint = len(distinct_addresses(reads))
             assert_same_epochs(reads, data.draw(st.integers(word, (footprint + 2) * word)),
                                word)
-        got = memory._final_writes(ts.ofmap_writes)
+        got = ts.final_writes.cycles, ts.final_writes.addresses
         report = simulate_layer(layer, arch).report
     want = final_writes_reference(ts.ofmap_writes)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -144,6 +145,6 @@ def test_unaligned_addresses_match_reference(pairs, word, data):
     # addresses need not be word-aligned: an epoch lists each word by the
     # first byte of the word, counted from the lowest address
     arr = np.array(pairs, dtype=np.int64)
-    trace = Trace(arr[:, 0], arr[:, 1] + 7)
+    trace = sorted_trace(arr[:, 0], arr[:, 1] + 7)
     footprint = len(np.unique((trace.addresses - 7) // word))
     assert_same_epochs(trace, data.draw(st.integers(word, (footprint + 2) * word)), word)

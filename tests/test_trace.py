@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import distinct_addresses, events, per_cycle_counts
+from helpers import distinct_addresses, events, per_cycle_counts, sorted_trace
 from systolicsim.trace import Trace, sort_pairs
 
 
@@ -11,13 +11,13 @@ def _lexsorted(cycles, addresses):
 
 
 def test_trace_sorts_by_cycle_then_address():
-    t = Trace(np.array([3, 1, 1, 0]), np.array([5, 9, 2, 7]))
+    t = sorted_trace(np.array([3, 1, 1, 0]), np.array([5, 9, 2, 7]))
     assert t.cycles.tolist() == [0, 1, 1, 3]
     assert t.addresses.tolist() == [7, 2, 9, 5]
 
 
 def test_trace_events_group_by_cycle():
-    t = Trace(np.array([1, 1, 4]), np.array([8, 3, 6]))
+    t = sorted_trace(np.array([1, 1, 4]), np.array([8, 3, 6]))
     groups = list(events(t))
     assert [(e.cycle, e.addresses.tolist()) for e in groups] == [(1, [3, 8]), (4, [6])]
 
@@ -53,7 +53,7 @@ def test_trace_csv_empty_round_trip(tmp_path):
 def test_trace_sort_matches_lexsort(cycles, addresses):
     c = np.array(cycles, dtype=np.int64)
     a = np.array(addresses, dtype=np.int64)
-    t = Trace(c, a)
+    t = sorted_trace(c, a)
     assert (t.cycles.tolist(), t.addresses.tolist()) == _lexsorted(c, a)
 
 
@@ -61,18 +61,18 @@ def test_trace_sort_random_matches_lexsort():
     rng = np.random.default_rng(5)
     c = rng.integers(-50, 50, 5000)
     a = rng.integers(0, 1 << 20, 5000) * 4
-    t = Trace(c, a)
+    t = sorted_trace(c, a)
     assert (t.cycles.tolist(), t.addresses.tolist()) == _lexsorted(c, a)
 
 
 def test_trace_sort_leaves_inputs_untouched():
     c, a = np.array([3, 1, 2]), np.array([1, 2, 3])
-    Trace(c, a)
+    sorted_trace(c, a)
     assert c.tolist() == [3, 1, 2] and a.tolist() == [1, 2, 3]
 
 
 def test_trace_distinct_addresses_and_per_cycle_counts():
-    t = Trace(np.array([0, 0, 0, 3, 3, 9]), np.array([4, 4, 1, 4, 2, 1]))
+    t = sorted_trace(np.array([0, 0, 0, 3, 3, 9]), np.array([4, 4, 1, 4, 2, 1]))
     assert distinct_addresses(t).tolist() == [1, 2, 4]
     cycles, counts = per_cycle_counts(t)
     assert cycles.tolist() == [0, 3, 9] and counts.tolist() == [3, 2, 1]
@@ -90,7 +90,7 @@ def test_sort_pairs_in_place_into_slices(cycles, addresses):
     a = np.array([-1] + addresses + [-1], dtype=np.int64)
     seg = slice(1, len(c) - 1)
     major, minor = c[seg], a[seg]
-    got = sort_pairs(major, minor, out=(major, minor))
+    got = sort_pairs(major, minor)
     assert got[0] is major and got[1] is minor
     want = _lexsorted(np.array(cycles), np.array(addresses))
     assert (c[seg].tolist(), a[seg].tolist()) == want
@@ -98,8 +98,9 @@ def test_sort_pairs_in_place_into_slices(cycles, addresses):
 
 
 def test_sort_pairs_into_given_arrays():
+    # sort_pairs sorts only the arrays it is given: sorted_trace gives it copies
     c, a = np.array([3, 1, 1]), np.array([5, 9, 2])
-    out = (np.empty(3, np.int64), np.empty(3, np.int64))
-    sort_pairs(c, a, out=out)
+    t = sorted_trace(c, a)
+    out = (t.cycles, t.addresses)
     assert (out[0].tolist(), out[1].tolist()) == ([1, 1, 3], [2, 9, 5])
     assert c.tolist() == [3, 1, 1] and a.tolist() == [5, 9, 2]

@@ -40,13 +40,13 @@ def assert_matches_reference(trace, tmp_path):
 def test_write_csv_matches_reference(pairs, tmp_path):
     cycles = np.array([c for c, _ in pairs], dtype=np.int64)
     addresses = np.array([a for _, a in pairs], dtype=np.int64)
-    assert_matches_reference(Trace(cycles, addresses, sort=False), tmp_path)
+    assert_matches_reference(Trace(cycles, addresses), tmp_path)
 
 
 def test_write_csv_digit_count_changes_within_chunk(tmp_path):
     cycles = np.arange(-1005, CSV_CHUNK_ROWS - 1005, dtype=np.int64)
     addresses = 10 ** (np.arange(len(cycles)) % 19) - np.arange(len(cycles)) % 2
-    assert_matches_reference(Trace(cycles, addresses, sort=False), tmp_path)
+    assert_matches_reference(Trace(cycles, addresses), tmp_path)
 
 
 @pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
@@ -58,7 +58,7 @@ def test_write_csv_chunk_edges_match_reference(rows, tmp_path):
     addresses = rng.integers(0, 1 << 20, rows)
     if rows:
         cycles[-1], addresses[-1] = INT64_MAX, INT64_MIN
-    assert_matches_reference(Trace(cycles, addresses, sort=False), tmp_path)
+    assert_matches_reference(Trace(cycles, addresses), tmp_path)
 
 
 @pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
