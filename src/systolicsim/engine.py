@@ -55,7 +55,6 @@ class TraceSet:
     writes; each write to an address after its first also re-reads the
     partial sum it accumulates onto, at the same cycle."""
 
-    layer: LayerSpec
     counts: WorkloadCounts
     plan: FoldPlan
     ifmap_reads: Trace
@@ -196,7 +195,7 @@ def gen_traces_os(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
         fil.add(base + c, k, parts.filter[filters], parts.filter_elem)
         out.add(r + ksz - 1, c, parts.ofmap_pixel[windows], parts.ofmap_filter[filters])
         base += rows + cols + ksz - 2
-    return TraceSet(layer, counts, plan, ifm.build(), fil.build(), out.build())
+    return TraceSet(counts, plan, ifm.build(), fil.build(), out.build())
 
 
 def _gen_traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
@@ -245,7 +244,7 @@ def _gen_traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
         out.add(base + 2 * rows - 1 + s, np.arange(cols, dtype=np.int64), drained_by_step,
                 drained_by_col[columns])
         base += 2 * rows + len(s) + cols - 2
-    return TraceSet(layer, counts, plan, ifm.build(), fil.build(), out.build())
+    return TraceSet(counts, plan, ifm.build(), fil.build(), out.build())
 
 
 def generate_traces(layer: LayerSpec, arch: ArchConfig) -> TraceSet:

@@ -87,12 +87,6 @@ def fold_schedule(counts: WorkloadCounts, arch: ArchConfig) -> FoldPlan:
     return FoldPlan(arch.dataflow, tuple(folds))
 
 
-def mapping_efficiency(plan: FoldPlan, arch: ArchConfig) -> float:
-    """Mean fraction of the array kept mapped across folds."""
-    active = sum(f.rows_used * f.cols_used for f in plan.folds)
-    return active / (plan.num_folds * arch.array_rows * arch.array_cols)
-
-
 # Closed forms of sums over fold_schedule, in exact integers, so that callers
 # need not build the fold list.  Each fold maps rows_used x cols_used work
 # items: the grid covers the row work ceil(col_total/cols) times and the
@@ -100,7 +94,8 @@ def mapping_efficiency(plan: FoldPlan, arch: ArchConfig) -> float:
 
 def fold_pe_totals(counts: WorkloadCounts, arch: ArchConfig) -> tuple[int, int]:
     """(sum of rows_used * cols_used, num_folds * rows * cols) over the folds;
-    their ratio is ``mapping_efficiency``."""
+    their ratio is the mapping efficiency, the mean fraction of the array
+    kept mapped across folds."""
     row_total, col_total, _ = _grid_dims(counts, arch.dataflow)
     rows, cols = arch.array_rows, arch.array_cols
     return row_total * col_total, -(-row_total // rows) * -(-col_total // cols) * rows * cols

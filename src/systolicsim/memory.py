@@ -35,13 +35,12 @@ import numpy as np
 
 from . import trace as trace_module
 from .config import ArchConfig
-from .errors import WorkingSetUnderflow
+from .errors import ConfigError, WorkingSetUnderflow
 from .trace import Trace, segments, sort_pairs
 
 
 @dataclass
 class Epoch:
-    index: int
     addresses: np.ndarray      # distinct byte addresses, first-use order
     first_use_cycle: int
     last_use_cycle: int
@@ -79,7 +78,9 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
     resumes at that cycle.  A window holds ``WINDOW_EVENTS`` events, or
     ``trace.SEGMENT_EVENTS`` if fewer, rounded up to a whole cycle; after
     an epoch closes it restarts at that epoch's length and doubles while
-    the next one stays open, so the scan's work stays O(trace).
+    the next one stays open, so the scan's work stays O(trace).  Each window
+    is checked to be in cycle order, and to start a cycle, so a trace out
+    of order crashes with an AssertionError instead of stalling the scan.
     """
     if capacity_bytes < word_bytes:
         raise ValueError("capacity must hold at least one word")
@@ -101,6 +102,11 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
     full = window = min(WINDOW_EVENTS, trace_module.SEGMENT_EVENTS)
     while pos < n:
         stop = int(np.searchsorted(cycles, cycles[min(pos + window, n) - 1], "right"))
+        in_window = cycles[pos:stop]
+        # out of cycle order, the search above can stall or skip events
+        assert (stop > pos and (pos == 0 or cycles[pos - 1] < in_window[0])
+                and (in_window[1:] >= in_window[:-1]).all()), (
+            f"trace is not in cycle order at or after event {pos}")
         words = addresses[pos:stop] - lo
         if word_bytes > 1:
             words //= word_bytes
@@ -121,10 +127,10 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
             end = n                      # the trace ends the last epoch
         else:
             # the epoch ends before the cycle of its first word past capacity
-            cycle = cycles[pos + int(at[cap_words - admitted])]
-            end = int(np.searchsorted(cycles, cycle, "left"))
+            cycle = in_window[int(at[cap_words - admitted])]
+            end = pos + int(np.searchsorted(in_window, cycle, "left"))
             if end == start:
-                in_cycle = np.searchsorted(at, np.searchsorted(cycles, cycle, "right") - pos)
+                in_cycle = np.searchsorted(at, np.searchsorted(in_window, cycle, "right"))
                 raise WorkingSetUnderflow(
                     f"working set underflow: cycle {int(cycle)} touches {int(in_cycle)} "
                     f"distinct words but the buffer holds {cap_words}")
@@ -132,8 +138,7 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
         words = np.concatenate(parts)
         words *= word_bytes
         words += lo
-        epochs.append(Epoch(len(epochs), words, int(cycles[start]), int(cycles[end - 1]),
-                            word_bytes))
+        epochs.append(Epoch(words, int(cycles[start]), int(cycles[end - 1]), word_bytes))
         window = min(end - start, full)
         parts, admitted, start, pos = [], 0, end, end
     return epochs
@@ -250,6 +255,10 @@ def bandwidth_report(ifmap_frag: Bursts, filter_frag: Bursts,
 def dram_demand(traces, arch: ArchConfig) -> DramDemand:
     """Full memory-system pass over one layer's TraceSet."""
     word = arch.word_bytes
+    for part in ("ifmap", "filter", "ofmap"):
+        kb = getattr(arch, f"{part}_sram_kb")
+        if kb * 1024 < word:
+            raise ConfigError(f"{part} buffer of {kb} KB cannot hold one {word}-byte word")
     ifmap_frag = gen_dram_read_trace(
         epochize(traces.ifmap_reads, arch.ifmap_capacity_bytes, word))
     filter_frag = gen_dram_read_trace(

@@ -1,5 +1,6 @@
 """Design-space studies: dataflow vs array size, scratchpad sizing, array
-aspect ratio, and scale-up vs scale-out.
+aspect ratio, and scale-up vs scale-out.  Scale-up is the one-node case of
+scale-out: both modes run through ``_sharded``.
 
 Every study emits fully-keyed rows sharing one column schema so each cell is
 reproducible in isolation from the CLI.  Per-cell failures of the simulator's
@@ -10,7 +11,8 @@ sweep; any other exception propagates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import ALL_DATAFLOWS, ArchConfig, LayerSpec, load_topology
@@ -174,101 +176,71 @@ def partition_output_channels(layer: LayerSpec, k: int) -> list[LayerSpec]:
             f"layer {layer.name!r}: cannot shard {layer.num_filters} filters "
             f"over {k} nodes (empty shard)")
     base, rem = divmod(layer.num_filters, k)
-    shards = []
-    for i in range(k):
-        m = base + (1 if i < rem else 0)
-        shards.append(LayerSpec(f"{layer.name}_shard{i}", layer.ifmap_h, layer.ifmap_w,
-                                layer.filter_h, layer.filter_w, layer.channels,
-                                m, layer.stride))
-    return shards
+    return [replace(layer, name=f"{layer.name}_shard{i}", num_filters=base + int(i < rem))
+            for i in range(k)]
 
 
-@dataclass
-class _ScaleLayerCell:
-    cycles: int = 0
-    filter_bytes: int = 0
-    filter_bw: float = 0.0
-
-
-def _scale_out_layer(layer: LayerSpec, nodes: int, node_arch: ArchConfig,
-                     table) -> _ScaleLayerCell:
-    """All nodes run their shard in lockstep; the layer finishes with the
-    slowest shard, filter fetch bandwidth adds across nodes."""
-    shards = partition_output_channels(layer, nodes)
-    by_m: dict[int, int] = {}
-    for s in shards:
-        by_m[s.num_filters] = by_m.get(s.num_filters, 0) + 1
-    cell = _ScaleLayerCell()
-    for m, count in by_m.items():
-        res = simulate_layer(
-            LayerSpec(f"{layer.name}_m{m}", layer.ifmap_h, layer.ifmap_w,
-                      layer.filter_h, layer.filter_w, layer.channels, m,
-                      layer.stride),
-            node_arch, table)
-        cycles = res.report.total_cycles
-        fbytes = res.dram.filter.total_bytes
-        cell.cycles = max(cell.cycles, cycles)
-        cell.filter_bytes += count * fbytes
-        cell.filter_bw += count * (fbytes / cycles)
-    return cell
+def _sharded(layer: LayerSpec, nodes: int, arch: ArchConfig,
+             table) -> tuple[int, int, float]:
+    """(cycles, filter DRAM bytes, filter DRAM bandwidth) of the layer with
+    its filters split over ``nodes`` copies of ``arch`` that run their
+    shards in lockstep: the layer finishes with the slowest shard, and
+    bytes and bandwidth add across nodes.  Each distinct shard size runs
+    once; a shard that holds every filter is the layer itself, run under
+    its own name."""
+    shard_sizes = Counter(s.num_filters for s in partition_output_channels(layer, nodes))
+    cycles = filter_bytes = 0
+    filter_bw = 0.0
+    for m, count in shard_sizes.items():
+        shard = (layer if m == layer.num_filters
+                 else replace(layer, name=f"{layer.name}_m{m}", num_filters=m))
+        res = simulate_layer(shard, arch, table)
+        c, b = res.report.total_cycles, res.dram.filter.total_bytes
+        cycles = max(cycles, c)
+        filter_bytes += count * b
+        filter_bw += count * (b / c)
+    return cycles, filter_bytes, filter_bw
 
 
 def _scale_rows(workload: str, layers: list[LayerSpec], spec: SweepSpec,
                 base_arch: ArchConfig, table) -> list[dict]:
     """Scale-up (one square array) vs scale-out (PEs/64 nodes of 8x8 with the
-    output channels sharded).  Emits per-layer and network rows per mode;
-    layers with fewer filters than nodes are flagged and skipped in both
-    modes.  Its rows differ in shape from the other studies' cells, so it
-    keeps its own loop."""
+    output channels sharded): per-layer and network rows per mode.  A layer
+    with fewer filters than nodes gets one skipped out-mode row; a failing
+    layer gets one up-mode error row, its first failure."""
     rows = []
     for pe in spec.pe_ladder:
-        side = math.isqrt(pe)
         nodes = pe // (NODE_SIDE * NODE_SIDE)
         for df in spec.dataflows:
-            up_arch = base_arch.with_overrides(array_rows=side, array_cols=side,
-                                               dataflow=df)
-            out_arch = base_arch.with_overrides(array_rows=NODE_SIDE,
-                                                array_cols=NODE_SIDE, dataflow=df)
-            up_total = _ScaleLayerCell()
-            out_total = _ScaleLayerCell()
-            any_ok = False
-            up = dict(dataflow=df, pe_count=pe, mode="up", rows=side, cols=side)
-            out = dict(dataflow=df, pe_count=pe, mode="out", rows=NODE_SIDE,
-                       cols=NODE_SIDE)
+            # scale-up is the one-node case of scale-out
+            modes = [(dict(dataflow=df, pe_count=pe, mode=mode, rows=side, cols=side),
+                      base_arch.with_overrides(array_rows=side, array_cols=side,
+                                               dataflow=df), n)
+                     for mode, side, n in (("up", math.isqrt(pe), 1),
+                                           ("out", NODE_SIDE, nodes))]
+            up_key, out_key = (key for key, _, _ in modes)
+            done = []    # per simulated layer, each mode's _sharded numbers
             for layer in layers:
                 if layer.num_filters < nodes:
                     rows.append(_row("scale", workload, layer=layer.name,
                                      status=f"skipped: {layer.num_filters} filters "
-                                            f"< {nodes} nodes", **out))
+                                            f"< {nodes} nodes", **out_key))
                     continue
                 try:
-                    up_res = simulate_layer(layer, up_arch, table)
-                    out_cell = _scale_out_layer(layer, nodes, out_arch, table)
+                    cells = [_sharded(layer, n, arch, table) for _, arch, n in modes]
                 except CELL_ERRORS as exc:
                     rows.append(_row("scale", workload, layer=layer.name,
-                                     status=f"error: {exc}", **up))
+                                     status=f"error: {exc}", **up_key))
                     continue
-                any_ok = True
-                up_cyc = up_res.report.total_cycles
-                up_fb = up_res.dram.filter.total_bytes
-                rows.append(_row("scale", workload, layer=layer.name,
-                                 total_cycles=up_cyc, dram_filter_rd_bytes=up_fb,
-                                 avg_filter_rd_bw=up_fb / up_cyc, **up))
-                rows.append(_row("scale", workload, layer=layer.name,
-                                 total_cycles=out_cell.cycles,
-                                 dram_filter_rd_bytes=out_cell.filter_bytes,
-                                 avg_filter_rd_bw=out_cell.filter_bw, **out))
-                up_total.cycles += up_cyc
-                up_total.filter_bytes += up_fb
-                out_total.cycles += out_cell.cycles
-                out_total.filter_bytes += out_cell.filter_bytes
-            if any_ok:
-                rows.append(_row("scale", workload, layer="network",
-                                 total_cycles=up_total.cycles,
-                                 dram_filter_rd_bytes=up_total.filter_bytes, **up))
-                rows.append(_row("scale", workload, layer="network",
-                                 total_cycles=out_total.cycles,
-                                 dram_filter_rd_bytes=out_total.filter_bytes, **out))
+                done.append(cells)
+                rows += [_row("scale", workload, layer=layer.name, total_cycles=cycles,
+                              dram_filter_rd_bytes=fbytes, avg_filter_rd_bw=fbw, **key)
+                         for (key, _, _), (cycles, fbytes, fbw) in zip(modes, cells)]
+            if done:
+                rows += [_row("scale", workload, layer="network",
+                              total_cycles=sum(c for c, _, _ in per_layer),
+                              dram_filter_rd_bytes=sum(b for _, b, _ in per_layer), **key)
+                         for (key, _, _), per_layer in zip(modes, zip(*done))]
     return rows
 
 

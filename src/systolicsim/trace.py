@@ -10,7 +10,8 @@ The CSV form is exact text: the line ``cycle,address``, then one line
 decimal with no padding and no ``+``; a negative one starts with ``-``.
 Every line, the last included, ends in ``\n``, and nothing follows the
 last row.  An empty trace is the header line alone.  ``Trace.read_csv`` rejects a file
-that breaks this form with a ``SimulationError``.
+that breaks this form, or whose rows are out of (cycle, address) order,
+with a ``SimulationError``.
 """
 
 from __future__ import annotations
@@ -124,7 +125,26 @@ class Trace:
             raise SimulationError(f"trace {path}: {exc}") from None
         if data.shape[1] != 2:
             raise SimulationError(f"trace {path}: rows have {data.shape[1]} fields, not 2")
+        row = _first_out_of_order(data[:, 0], data[:, 1])
+        if row is not None:
+            raise SimulationError(f"trace {path}: line {row + 2} is out of (cycle, address) "
+                                  "order")
         return cls(data[:, 0], data[:, 1])
+
+
+def _first_out_of_order(cycles: np.ndarray, addresses: np.ndarray) -> int | None:
+    """The first row that sorts before the row above it by (cycle, address),
+    or None.  Each segment is checked with the last row of the one before,
+    so the temporaries are O(SEGMENT_EVENTS)."""
+    for seg in segments(len(cycles)):
+        rows = slice(max(seg.start - 1, 0), seg.stop)
+        c, a = cycles[rows], addresses[rows]
+        down = a[1:] < a[:-1]
+        down &= c[1:] == c[:-1]
+        down |= c[1:] < c[:-1]
+        if down.any():
+            return rows.start + 1 + int(np.argmax(down))
+    return None
 
 
 def _csv_rows(cycles: np.ndarray, addresses: np.ndarray) -> np.ndarray:

@@ -87,7 +87,7 @@ def _traces_os(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
         fil.add(base + c[:, None] + k[None, :], am.filter_addrs(f_ids, k))
         out.add(base + r[:, None] + c[None, :] + ksz - 1, am.ofmap_addrs(w_ids, f_ids))
         base += fold.rows_used + fold.cols_used + ksz - 2
-    return TraceSet(layer, counts, plan, ifm.build(), fil.build(), out.build())
+    return TraceSet(counts, plan, ifm.build(), fil.build(), out.build())
 
 
 def _traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
@@ -138,7 +138,7 @@ def _traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
             wr_addrs = am.ofmap_addrs(s, col_ids)
         out.add(wr_cycles, wr_addrs)
         base += 2 * rows + stream_total + cols - 2
-    return TraceSet(layer, counts, plan, ifm.build(), fil.build(), out.build())
+    return TraceSet(counts, plan, ifm.build(), fil.build(), out.build())
 
 
 def generate_traces_reference(layer: LayerSpec, arch: ArchConfig) -> TraceSet:

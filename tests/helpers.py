@@ -3,6 +3,8 @@
 import csv
 import io
 import random
+import signal
+from contextlib import contextmanager
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -221,3 +223,19 @@ def format_topology(layers: list[LayerSpec]) -> str:
         writer.writerow([l.name, l.ifmap_h, l.ifmap_w, l.filter_h, l.filter_w,
                          l.channels, l.num_filters, l.stride])
     return out.getvalue()
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once it has run ``seconds``, so that
+    a hang fails the test instead of stalling the suite."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

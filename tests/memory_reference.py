@@ -26,7 +26,7 @@ def epochize_reference(trace, capacity_bytes, word_bytes=1):
     if distinct_total <= cap_words:
         uniq, first_pos = np.unique(word_idx, return_index=True)
         ordered = lo + uniq[np.argsort(first_pos)] * word_bytes
-        return [Epoch(0, ordered, int(trace.cycles[0]), int(trace.cycles[-1]), word_bytes)]
+        return [Epoch(ordered, int(trace.cycles[0]), int(trace.cycles[-1]), word_bytes)]
 
     present = np.zeros(int(word_idx.max()) + 1, dtype=bool)
     cyc_vals, starts = np.unique(trace.cycles, return_index=True)
@@ -39,8 +39,8 @@ def epochize_reference(trace, capacity_bytes, word_bytes=1):
     def close(last_cycle):
         nonlocal cur_parts, cur_count
         idx = np.concatenate(cur_parts)
-        epochs.append(Epoch(len(epochs), lo + idx * word_bytes,
-                            int(first_cyc), int(last_cycle), word_bytes))
+        epochs.append(Epoch(lo + idx * word_bytes, int(first_cyc), int(last_cycle),
+                            word_bytes))
         present[idx] = False
         cur_parts, cur_count = [], 0
 

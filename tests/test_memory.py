@@ -1,13 +1,15 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from helpers import (distinct_addresses, make_arch, n_drains, prologue,
-                     random_small_layer, sorted_trace, steady_peak_bw)
+                     random_small_layer, sorted_trace, steady_peak_bw, time_limit)
+from systolicsim import memory
 from systolicsim.config import LayerSpec
 from systolicsim.engine import generate_traces
-from systolicsim.errors import WorkingSetUnderflow
+from systolicsim.errors import ConfigError, WorkingSetUnderflow
 from systolicsim.memory import (Bursts, bandwidth_report, dram_demand, epochize,
                                 gen_dram_read_trace, gen_dram_write_trace)
 from systolicsim.trace import Trace
@@ -42,6 +44,37 @@ def test_epochize_underflow():
     wide = Trace(np.zeros(10, np.int64), np.arange(10))
     with pytest.raises(WorkingSetUnderflow, match="underflow"):
         epochize(wide, 5)
+
+
+def _late_disorder():
+    cycles = np.arange(200)
+    cycles[150] = 0     # past the first few 16-event windows
+    return cycles, np.arange(200)
+
+
+@pytest.mark.parametrize("cycles, addresses, capacity, window", [
+    pytest.param([3, 1, 2, 0], [0, 1, 2, 3], 1, memory.WINDOW_EVENTS, id="stalled-scan"),
+    pytest.param([3, 2], [5, 2], 1, memory.WINDOW_EVENTS, id="false-underflow"),
+    pytest.param([0, 2, 1, 3], [0, 1, 2, 3], 4, memory.WINDOW_EVENTS,
+                 id="inside-one-window"),
+    pytest.param(*_late_disorder(), 1000, 16, id="late-disorder"),
+])
+def test_epochize_crashes_on_trace_out_of_cycle_order(cycles, addresses, capacity,
+                                                      window):
+    # out of order, the scan once stalled for good, reported an underflow
+    # that the sorted trace does not have, or went on past the disorder
+    # within a window or across windows
+    with time_limit(5), mock.patch.object(memory, "WINDOW_EVENTS", window), \
+            pytest.raises(AssertionError, match="not in cycle order"):
+        epochize(Trace(cycles, addresses), capacity)
+
+
+def test_word_larger_than_a_buffer_is_a_config_error():
+    arch = make_arch(4, 4, "os", filter_kb=1, word_bytes=2048)
+    ts = generate_traces(LayerSpec("t", 6, 6, 3, 3, 2, 4, 1), arch)
+    with pytest.raises(ConfigError, match="filter buffer of 1 KB cannot hold one "
+                                          "2048-byte word"):
+        dram_demand(ts, arch)
 
 
 def test_epochize_refetch_counts_dram_traffic():

@@ -46,7 +46,7 @@ def traced_layers(draw):
 
 def _outcome(fn, trace, capacity, word):
     try:
-        return [(e.index, e.addresses.tolist(), e.first_use_cycle, e.last_use_cycle,
+        return [(e.addresses.tolist(), e.first_use_cycle, e.last_use_cycle,
                  e.word_bytes) for e in fn(trace, capacity, word)]
     except WorkingSetUnderflow as exc:
         return ("underflow", str(exc))
@@ -58,7 +58,7 @@ def assert_same_epochs(trace, capacity, word):
     if isinstance(got, list):
         # no epoch holds more bytes than the buffer's whole words
         assert all(len(addresses) * word <= capacity // word * word
-                   for _, addresses, _, _, _ in got)
+                   for addresses, _, _, _ in got)
     return got
 
 

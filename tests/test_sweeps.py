@@ -66,6 +66,14 @@ def test_memory_sweep_flags_underflow_cells(tmp_path):
     assert "underflow" in rows[0]["status"]
 
 
+def test_memory_sweep_flags_buffers_smaller_than_a_word(tiny_workload):
+    rows = run_sweep(SweepSpec("memory", [tiny_workload], sram_sizes_kb=(1, 64),
+                               dataflows=("os",)), make_arch(8, 8, "os", word_bytes=2048))
+    assert [r["sram_kb"] for r in rows] == [1, 64]
+    assert rows[0]["status"] == "error: ifmap buffer of 1 KB cannot hold one 2048-byte word"
+    assert rows[1]["status"] == "ok"
+
+
 def test_memory_sweep_program_bug_propagates(tiny_workload, monkeypatch):
     # only the simulator's own errors become flagged cells; a bug must crash
     def broken(traces, arch):
@@ -147,6 +155,34 @@ def test_scale_study_skips_undersplittable_layers(tmp_path):
     rows = run_sweep(SweepSpec("scale", [wl], pe_ladder=(256,), dataflows=("os",)), BASE)
     assert any(r["status"].startswith("skipped") for r in rows)
     assert not any(r["layer"] == "network" for r in rows)
+
+
+def test_scale_study_error_row_has_up_keys_and_layer_name(tmp_path):
+    # the first layer's ifmap runs into the filter region at offset 10**7
+    wl = str(write_topology(tmp_path / "big.csv", [("big", 3163, 3163, 1, 1, 1, 8, 1),
+                                                   ("ok", 6, 6, 3, 3, 2, 4, 1)]))
+    rows = run_sweep(SweepSpec("scale", [wl], pe_ladder=(64, 256), dataflows=("os",)),
+                     BASE)
+    errors = [r for r in rows if r["layer"] == "big"]
+    assert [(r["pe_count"], r["mode"], r["rows"]) for r in errors] == [(64, "up", 8),
+                                                                      (256, "up", 16)]
+    for r in errors:
+        assert r["status"].startswith("error: layer 'big': ifmap and filter")
+    assert [(r["pe_count"], r["mode"]) for r in rows if r["layer"] == "network"] == [
+        (64, "up"), (64, "out"), (256, "up"), (256, "out")]
+
+
+def test_scale_study_skipped_layer_gets_one_out_row(tmp_path):
+    wl = str(write_topology(tmp_path / "mixed.csv", [("m2", 6, 6, 3, 3, 2, 2, 1),
+                                                     ("m8", 6, 6, 3, 3, 2, 8, 1)]))
+    rows = run_sweep(SweepSpec("scale", [wl], pe_ladder=(256,), dataflows=("os",)), BASE)
+    skipped = [r for r in rows if r["layer"] == "m2"]
+    assert [(r["mode"], r["rows"], r["cols"], r["status"]) for r in skipped] == [
+        ("out", 8, 8, "skipped: 2 filters < 4 nodes")]
+    for mode in ("up", "out"):
+        layer, net = (next(r for r in rows if r["layer"] == name and r["mode"] == mode)
+                      for name in ("m8", "network"))
+        assert net["total_cycles"] == layer["total_cycles"]
 
 
 def test_run_sweep_dispatch_and_csv(tmp_path, tiny_workload):

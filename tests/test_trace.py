@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import distinct_addresses, events, per_cycle_counts, sorted_trace
+from systolicsim import trace as trace_module
+from systolicsim.errors import SimulationError
 from systolicsim.trace import Trace, sort_pairs
 
 
@@ -30,6 +32,21 @@ def test_trace_csv_round_trip(tmp_path):
     assert text.splitlines()[0] == "cycle,address"
     assert text.splitlines()[1] == "-5,100"  # negative prologue cycles allowed
     assert Trace.read_csv(path) == t
+
+
+@pytest.mark.parametrize("segment", [2, 3, trace_module.SEGMENT_EVENTS])
+@pytest.mark.parametrize("cycles, addresses, line", [
+    pytest.param([0, 1, 1, 2], [5, 4, 3, 9], 4, id="address-order"),
+    pytest.param([0, 1, 2, 1], [5, 4, 3, 9], 5, id="cycle-order"),
+])
+def test_read_csv_rejects_rows_out_of_order(tmp_path, monkeypatch, segment, cycles,
+                                            addresses, line):
+    # checked a segment at a time; the bad row may start a segment
+    path = tmp_path / "t.csv"
+    Trace(np.array(cycles), np.array(addresses)).write_csv(path)
+    monkeypatch.setattr(trace_module, "SEGMENT_EVENTS", segment)
+    with pytest.raises(SimulationError, match=f"line {line} is out of"):
+        Trace.read_csv(path)
 
 
 def test_trace_csv_empty_round_trip(tmp_path):

@@ -2,7 +2,8 @@
 
 Every file ``Trace.write_csv`` writes must be byte-identical to what
 ``trace_reference.write_csv_reference`` writes for the same trace, and
-``Trace.read_csv`` must give the trace back.
+``Trace.read_csv`` must give the trace back.  The traces are in (cycle,
+address) order, the only order ``read_csv`` accepts.
 """
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import sorted_trace
 from systolicsim.bundled import default_config_path, workload_path
 from systolicsim.config import load_config, load_topology
 from systolicsim.simulate import simulate_layer
@@ -40,7 +42,7 @@ def assert_matches_reference(trace, tmp_path):
 def test_write_csv_matches_reference(pairs, tmp_path):
     cycles = np.array([c for c, _ in pairs], dtype=np.int64)
     addresses = np.array([a for _, a in pairs], dtype=np.int64)
-    assert_matches_reference(Trace(cycles, addresses), tmp_path)
+    assert_matches_reference(sorted_trace(cycles, addresses), tmp_path)
 
 
 def test_write_csv_digit_count_changes_within_chunk(tmp_path):
@@ -58,7 +60,7 @@ def test_write_csv_chunk_edges_match_reference(rows, tmp_path):
     addresses = rng.integers(0, 1 << 20, rows)
     if rows:
         cycles[-1], addresses[-1] = INT64_MAX, INT64_MIN
-    assert_matches_reference(Trace(cycles, addresses), tmp_path)
+    assert_matches_reference(sorted_trace(cycles, addresses), tmp_path)
 
 
 @pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
