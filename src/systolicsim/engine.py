@@ -14,46 +14,73 @@ element:
 
 where k = (r*filter_w + s)*channels + c is the in-window element index and
 p the raster index of the output pixel.  Each address splits into a part
-per window, filter or pixel and a part per element, and each event cycle
-into a part per array row and a part per column or stream step, so a
-fold's events in one trace are a block of two outer sums.
+per window, filter or pixel and a part per element, so a fold's events in
+one trace are a block: event (i, j) reads or writes ``a[i] + b[j]``.  Its
+cycle is ``c0 + i + j`` (a diagonal block: both streams and every drain)
+or ``c0 + i`` (the WS/IS fill).
+
+SRAM traces are in cycle order; the order of the events within one cycle
+is left unspecified, and the engine never sorts.  A diagonal block is
+written straight into its slice of the trace diagonal by diagonal, each
+diagonal by ascending i: the full diagonals in one add over a sliding
+window of the longer side, and the two corner triangles, whose sides are
+at most the array's, through a small index of their (i, j) pairs.  A fill block's rows
+are already in cycle order.  (cycle, address) order, which the trace files
+need, is made on that path only, by ``trace.sort_within_cycles``.
+
+Folds of one shape are written in batches.  Every full row of the fold
+grid emits the same number of events in each trace and spans the same
+cycles, so the folds of one grid column (or of one grid row, when the grid
+is wider than tall) sit at equal strides in every trace and in time.  One
+pass writes such a batch through a strided view of each trace, so the
+Python loop runs per batch, not per fold.  The engine still walks
+``fold_schedule``'s plan to find the batches, so any fold order the plan
+gives is written as given.
 
 Folds are disjoint in time: each fold's base cycle comes after every event
-of the fold before it, in every trace.  So a trace needs no global sort.
-Its final arrays are allocated once, at the length ``sram_event_counts``
-gives in closed form.  Each fold's block is computed straight into the
-next slice of them, and each run of whole folds that reaches
-``SEGMENT_EVENTS`` events is sorted in place in its own slice.  The
-builder asserts both facts it relies on, so a schedule that breaks them
-crashes instead of producing an unsorted or short trace.
+of the fold before it, in every trace.  Each trace's arrays are allocated
+once, at the length ``sram_event_counts`` gives in closed form.  The plan
+walk asserts that the folds emit exactly that many events before any is
+written, and the finished trace is checked to be in cycle order one
+chunk at a time (an O(n) check), so a schedule whose folds overlap in
+time crashes instead of producing a trace out of order.
 
 The fold grid says which output writes are final: ``TraceSet.final_writes``
 is the ofmap trace's last N_w*M events, as views.  Under OS every write is
 final.  Under WS and IS the reduction is the grid's outermost loop, so the
 last reduction chunk's folds end the trace and write each output once;
-``_gen_traces_stationary`` asserts that exactly N_w*M ofmap events are
-left to fill when that chunk's first fold starts.
+the plan walk asserts that exactly N_w*M ofmap events are left when that
+chunk's first fold starts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ArchConfig, Dataflow, LayerSpec
 from .errors import ConfigError
 from .mapping import (FoldPlan, WorkloadCounts, fold_schedule,
                       sram_event_counts, workload_counts)
-from .trace import SEGMENT_EVENTS, Trace, sort_pairs
+from .trace import SEGMENT_EVENTS, Trace
+
+# events per corner gather, and per pass of the cycle-order check (or
+# SEGMENT_EVENTS, if fewer), so that no temporary exceeds 128 KB: freeing a
+# larger one raises malloc's mmap threshold, which kept the memory model's
+# later temporaries on the heap and raised peak RSS
+CHUNK_EVENTS = 1 << 14
 
 
 @dataclass
 class TraceSet:
-    """Per-layer SRAM traffic.  ofmap_writes includes WS/IS partial-sum
-    writes; each write to an address after its first also re-reads the
-    partial sum it accumulates onto, at the same cycle."""
+    """Per-layer SRAM traffic, each trace in cycle order.  ofmap_writes
+    includes WS/IS partial-sum writes; each write to an address after its
+    first also re-reads the partial sum it accumulates onto, at the same
+    cycle."""
 
     counts: WorkloadCounts
     plan: FoldPlan
@@ -67,8 +94,9 @@ class TraceSet:
 
     @property
     def final_writes(self) -> Trace:
-        """The last write of every output address, in (cycle, address)
-        order: the ofmap trace's last N_w*M events, as views."""
+        """The last write of every output address, in cycle order: the
+        ofmap trace's last N_w*M events, as views, so they are in (cycle,
+        address) order once that trace is."""
         writes = self.ofmap_writes
         first = len(writes) - self.counts.n_windows * self.counts.n_filters
         return Trace(writes.cycles[first:], writes.addresses[first:])
@@ -128,74 +156,240 @@ def _check_regions(layer: LayerSpec, arch: ArchConfig, counts: WorkloadCounts) -
                     f"({spans[names[a]]} vs {spans[names[b]]}); adjust the offsets")
 
 
-class _Builder:
-    """One trace, filled fold by fold into arrays of its final length."""
-
-    __slots__ = ("cycles", "addrs", "fill", "done")
-
-    def __init__(self, length: int):
-        self.cycles = np.empty(length, np.int64)
-        self.addrs = np.empty(length, np.int64)
-        self.fill = 0   # events written
-        self.done = 0   # events sorted
-
-    def add(self, cycle_rows: np.ndarray, cycle_cols, addr_rows: np.ndarray,
-            addr_cols: np.ndarray) -> None:
-        """Append one fold's block of events: event (i, j) reads or writes
-        ``addr_rows[i] + addr_cols[j]`` at ``cycle_rows[i] + cycle_cols[j]``."""
-        shape = len(addr_rows), len(addr_cols)
-        start, stop = self.fill, self.fill + shape[0] * shape[1]
-        assert stop <= len(self.cycles), "folds emit more events than the closed form"
-        np.add(cycle_rows[:, None], cycle_cols, out=self.cycles[start:stop].reshape(shape))
-        np.add(addr_rows[:, None], addr_cols, out=self.addrs[start:stop].reshape(shape))
-        self.fill = stop
-        if stop - self.done >= SEGMENT_EVENTS:
-            self._sort_segment()
-
-    def _sort_segment(self) -> None:
-        seg = slice(self.done, self.fill)
-        cycles, addrs = self.cycles[seg], self.addrs[seg]
-        sort_pairs(cycles, addrs)
-        assert not self.done or cycles[0] > self.cycles[self.done - 1], (
-            f"folds overlap in time: a segment starts at cycle {cycles[0]}, "
-            f"not after cycle {self.cycles[self.done - 1]}")
-        self.done = self.fill
-
-    def build(self) -> Trace:
-        assert self.fill == len(self.cycles), (
-            f"folds emit {self.fill} events, the closed form {len(self.cycles)}")
-        if self.fill > self.done:
-            self._sort_segment()
-        return Trace(self.cycles, self.addrs)
+# which part of a vector a fold takes: all of it, or the slice of its rows
+# or columns of the fold grid
+WHOLE, ROWS, COLS = 0, 1, 2
 
 
-def _builders(counts: WorkloadCounts, arch: ArchConfig) -> tuple[_Builder, ...]:
-    """Builders of the ifmap, filter and ofmap traces."""
-    return tuple(_Builder(n) for n in sram_event_counts(counts, arch))
+class _Side(NamedTuple):
+    values: np.ndarray
+    part: int = WHOLE
+    reversed: bool = False
+
+
+class _Block(NamedTuple):
+    """One trace's events of a fold: event (i, j) is at address
+    ``a[i] + b[j]`` and cycle ``base + delay + i + j``, or ``base + delay
+    + i`` when the block is not diagonal.  A diagonal block lists each
+    cycle's events by ascending i, so ``a`` is the side with the larger
+    address stride wherever that keeps a cycle's addresses ascending."""
+
+    delay: int
+    a: _Side
+    b: _Side
+    diagonal: bool = True
+
+
+class _Batch(NamedTuple):
+    """``n`` folds of one shape, fold m at ``first + m * step`` in each
+    field of (row_start, col_start, base cycle, offset in each trace)."""
+
+    rows: int
+    cols: int
+    n: int
+    first: tuple[int, ...]
+    step: tuple[int, ...]
+
+
+def _walk(plan: FoldPlan, span, sizes, lengths: tuple[int, ...],
+          final_from: int | None) -> list[_Batch]:
+    """Walk the plan's folds in order and group them into batches: folds
+    of one shape in one grid column (or row, for a grid with more columns
+    than rows) whose fields advance by equal steps.  Asserts that the folds
+    emit the closed-form event counts and, with ``final_from``, that the
+    last reduction chunk's first fold starts that many ofmap events in."""
+    folds = plan.folds
+    by_column = len({f.row_start for f in folds}) >= len({f.col_start for f in folds})
+    last_chunk = max(f.row_start for f in folds)
+    shapes: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
+    runs: dict[tuple[int, int, int], list] = {}    # open batch per key
+    batches: list[_Batch] = []
+    base, offsets = 0, (0,) * len(lengths)
+    for fold in folds:
+        rows, cols = fold.rows_used, fold.cols_used
+        if final_from is not None and fold.row_start == last_chunk and fold.col_start == 0:
+            assert offsets[-1] == final_from, (
+                f"the last reduction chunk starts after {offsets[-1]} ofmap writes, not "
+                f"{final_from}, so its folds do not end the trace")
+        key = rows, cols, fold.col_start if by_column else fold.row_start
+        state = fold.row_start, fold.col_start, base, *offsets
+        run = runs.get(key)     # [first state, step, folds, last state]
+        gap = run and tuple(b - a for a, b in zip(run[3], state))
+        if run and (gap == run[1] or run[2] == 1 and min(gap[:2]) >= 0):
+            run[1:] = gap, run[2] + 1, state
+        else:
+            if run:
+                batches.append(_Batch(rows, cols, run[2], run[0], run[1]))
+            runs[key] = [state, (0,) * len(state), 1, state]
+        if (rows, cols) not in shapes:
+            shapes[rows, cols] = span(rows, cols), sizes(rows, cols)
+        cycles, events = shapes[rows, cols]
+        base += cycles
+        offsets = tuple(o + n for o, n in zip(offsets, events))
+    assert offsets == lengths, (
+        f"folds emit {offsets} events, the closed form {lengths}")
+    batches += [_Batch(rows, cols, n, first, step)
+                for (rows, cols, _), (first, step, n, _) in runs.items()]
+    return batches
+
+
+def _length(side: _Side, rows: int, cols: int) -> int:
+    """The length of a fold's slice of the side."""
+    return (len(side.values), rows, cols)[side.part]
+
+
+def _side_rows(side: _Side, batch: _Batch) -> np.ndarray:
+    """(n, length) view: row m is the side's slice for the batch's fold m,
+    which starts at the fold's row_start or col_start."""
+    start, step = ((0, 0) if side.part == WHOLE
+                   else (batch.first[side.part - 1], batch.step[side.part - 1]))
+    rows = _strided_rows(side.values, start, step, batch.n,
+                         _length(side, batch.rows, batch.cols))
+    return rows[:, ::-1] if side.reversed else rows
+
+
+def _strided_rows(values: np.ndarray, start: int, step: int, n: int, length: int,
+                  writeable: bool = False) -> np.ndarray:
+    """(n, length) view of ``values`` whose row m starts at
+    ``start + m * step``; rows of a writeable view must not overlap."""
+    if step == 0 and not writeable:
+        return np.broadcast_to(values[start:start + length], (n, length))
+    assert n == 1 or step >= length, "folds of a batch overlap in a trace"
+    window = values[start:start + (n - 1) * step + length]
+    return sliding_window_view(window, length, writeable=writeable)[::max(step, 1)]
+
+
+def _split(rows: np.ndarray, *shape: int) -> np.ndarray:
+    """A view of (n, prod(shape)) rows as (n, *shape); never a copy."""
+    view = rows.reshape(len(rows), *shape)
+    assert np.may_share_memory(view, rows)
+    return view
+
+
+def _triangle(count: int) -> int:
+    """Events on the first ``count`` diagonals of a corner."""
+    return count * (count + 1) // 2
+
+
+def _corner_chunks(r: int):
+    """Ranges [first, stop) of the diagonals 0..r-2 of an r-wide corner,
+    each of at most CHUNK_EVENTS events (or one diagonal)."""
+    first = 0
+    while first < r - 1:
+        most = (math.isqrt(8 * (CHUNK_EVENTS + _triangle(first)) + 1) - 1) // 2
+        stop = min(max(most, first + 1), r - 1)
+        yield first, stop
+        first = stop
+
+
+def _corner(first: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, i + j) of the corner events on diagonals first..stop-1,
+    diagonal by diagonal, i ascending within one."""
+    diag = np.arange(first, stop, dtype=np.intp)
+    diag = np.repeat(diag, diag + 1)
+    i = np.arange(_triangle(first), _triangle(stop), dtype=np.intp) - _triangle(diag)
+    return i, diag - i, diag
+
+
+def _write_diagonal(cycles: np.ndarray, addrs: np.ndarray, c0: np.ndarray,
+                    a: np.ndarray, b: np.ndarray) -> None:
+    """Write a batch of diagonal blocks into (n, len_a * len_b) rows: fold
+    m's event (i, j) at cycle ``c0[m] + i + j`` and address ``a[m, i] +
+    b[m, j]``, diagonal by diagonal, i ascending within one."""
+    n, la = a.shape
+    lb = b.shape[1]
+    r = min(la, lb)
+    full = max(la, lb) - r + 1              # diagonals of r events
+    head = _triangle(r - 1)
+    body = slice(head, head + full * r)
+    np.add(c0[:, None, None], np.arange(r - 1, r - 1 + full)[:, None],
+           out=_split(cycles[:, body], full, r))
+    if la <= lb:    # diagonal d's event k is (k, d - k)
+        np.add(a[:, None, :], sliding_window_view(b, r, axis=1)[:, :, ::-1],
+               out=_split(addrs[:, body], full, r))
+    else:           # diagonal d's event k is (d - r + 1 + k, r - 1 - k)
+        np.add(b[:, None, ::-1], sliding_window_view(a, r, axis=1),
+               out=_split(addrs[:, body], full, r))
+    # the corners: the head's diagonal d mirrors the tail's last-but-d
+    end, last = la * lb, la + lb - 2
+    for first, stop in _corner_chunks(r):
+        i, j, diag = _corner(first, stop)
+        ti, tj = la - 1 - i[::-1], lb - 1 - j[::-1]
+        lo, hi = _triangle(first), _triangle(stop)
+        per = max(1, CHUNK_EVENTS // (hi - lo))
+        for f in range(0, n, per):
+            fs = slice(f, f + per)
+            np.add(c0[fs, None], diag, out=cycles[fs, lo:hi])
+            np.add(a[fs][:, i], b[fs][:, j], out=addrs[fs, lo:hi])
+            np.subtract(c0[fs, None] + last, diag[::-1], out=cycles[fs, end - hi:end - lo])
+            np.add(a[fs][:, ti], b[fs][:, tj], out=addrs[fs, end - hi:end - lo])
+
+
+def _write_rows(cycles: np.ndarray, addrs: np.ndarray, c0: np.ndarray,
+                a: np.ndarray, b: np.ndarray) -> None:
+    """Write a batch of fill blocks: fold m's event (i, j) at cycle
+    ``c0[m] + i`` and address ``a[m, i] + b[m, j]``, row by row."""
+    la, lb = a.shape[1], b.shape[1]
+    np.add(c0[:, None, None], np.arange(la)[:, None], out=_split(cycles, la, lb))
+    np.add(a[:, :, None], b[:, None, :], out=_split(addrs, la, lb))
+
+
+def _check_cycle_order(cycles: np.ndarray) -> None:
+    """Assert that the cycles never decrease, one chunk at a time, each
+    with the last event before it."""
+    step = min(CHUNK_EVENTS, SEGMENT_EVENTS)
+    for start in range(0, len(cycles), step):
+        seg = cycles[max(start - 1, 0):start + step]
+        back = seg[1:] < seg[:-1]
+        assert not back.any(), (f"folds overlap in time: cycle {seg[back.argmax() + 1]} "
+                                f"follows cycle {seg[back.argmax()]}")
+
+
+def _build(layer: LayerSpec, arch: ArchConfig, blocks, span,
+           final: bool) -> TraceSet:
+    """Walk the plan and write the ifmap, filter and ofmap traces, whose
+    fold blocks ``blocks(parts, rows)`` gives in that order; each fold
+    starts ``span(rows, cols)`` cycles after the one before it.  With
+    ``final``, the last reduction chunk must end the ofmap trace."""
+    counts = workload_counts(layer)
+    _check_regions(layer, arch, counts)
+    plan = fold_schedule(counts, arch)
+    parts = _address_parts(layer, arch, counts)
+    lengths = sram_event_counts(counts, arch)
+
+    def sizes(rows, cols):
+        return tuple(_length(blk.a, rows, cols) * _length(blk.b, rows, cols)
+                     for blk in blocks(parts, rows))
+
+    final_from = lengths[2] - counts.n_windows * counts.n_filters if final else None
+    batches = _walk(plan, span, sizes, lengths, final_from)
+    traces = [(np.empty(n, np.int64), np.empty(n, np.int64)) for n in lengths]
+    for batch in batches:
+        base = batch.first[2] + batch.step[2] * np.arange(batch.n, dtype=np.int64)
+        for t, blk in enumerate(blocks(parts, batch.rows)):
+            a, b = _side_rows(blk.a, batch), _side_rows(blk.b, batch)
+            events = a.shape[1] * b.shape[1]
+            cycles, addrs = (_strided_rows(arr, batch.first[3 + t], batch.step[3 + t],
+                                           batch.n, events, writeable=True)
+                             for arr in traces[t])
+            write = _write_diagonal if blk.diagonal else _write_rows
+            write(cycles, addrs, base + blk.delay, a, b)
+    for cycles, _ in traces:
+        _check_cycle_order(cycles)
+    return TraceSet(counts, plan, *(Trace(c, a) for c, a in traces))
 
 
 def gen_traces_os(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
     """Outputs pinned: row i streams window (row_start+i), column j streams
     filter (col_start+j); PE(i,j) reduces in place and drains one value."""
-    counts = workload_counts(layer)
-    _check_regions(layer, arch, counts)
-    plan = fold_schedule(counts, arch)
-    parts = _address_parts(layer, arch, counts)
-    ksz = counts.window_size
-    k = np.arange(ksz, dtype=np.int64)
-    ifm, fil, out = _builders(counts, arch)
-    base = 0
-    for fold in plan.folds:
-        rows, cols = fold.rows_used, fold.cols_used
-        windows = slice(fold.row_start, fold.row_start + rows)
-        filters = slice(fold.col_start, fold.col_start + cols)
-        r = base + np.arange(rows, dtype=np.int64)
-        c = np.arange(cols, dtype=np.int64)
-        ifm.add(r, k, parts.window[windows], parts.window_elem)
-        fil.add(base + c, k, parts.filter[filters], parts.filter_elem)
-        out.add(r + ksz - 1, c, parts.ofmap_pixel[windows], parts.ofmap_filter[filters])
-        base += rows + cols + ksz - 2
-    return TraceSet(counts, plan, ifm.build(), fil.build(), out.build())
+    ksz = workload_counts(layer).window_size
+
+    def blocks(p: _AddressParts, rows: int) -> tuple[_Block, ...]:
+        return (_Block(0, _Side(p.window, ROWS), _Side(p.window_elem)),
+                _Block(0, _Side(p.filter, COLS), _Side(p.filter_elem)),
+                _Block(ksz - 1, _Side(p.ofmap_pixel, ROWS), _Side(p.ofmap_filter, COLS)))
+
+    return _build(layer, arch, blocks, lambda rows, cols: rows + cols + ksz - 2, False)
 
 
 def _gen_traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
@@ -209,42 +403,31 @@ def _gen_traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
     writes intermediate sums to the output partition; each later reduction
     fold re-reads them at its drain cycle and writes the address again.
     """
+    pin_windows = arch.dataflow is Dataflow.IS
     counts = workload_counts(layer)
-    _check_regions(layer, arch, counts)
-    plan = fold_schedule(counts, arch)
-    parts = _address_parts(layer, arch, counts)
-    ifm, fil, out = _builders(counts, arch)
-    if arch.dataflow is Dataflow.IS:
-        fill_b, pinned, pinned_elem = ifm, parts.window, parts.window_elem
-        stream_b, streamed, streamed_elem = fil, parts.filter, parts.filter_elem
-        drained_by_step, drained_by_col = parts.ofmap_filter, parts.ofmap_pixel
-    else:
-        fill_b, pinned, pinned_elem = fil, parts.filter, parts.filter_elem
-        stream_b, streamed, streamed_elem = ifm, parts.window, parts.window_elem
-        drained_by_step, drained_by_col = parts.ofmap_pixel, parts.ofmap_filter
-    s = np.arange(len(streamed), dtype=np.int64)
-    last_chunk = max(fold.row_start for fold in plan.folds)
-    final_from = len(out.cycles) - counts.n_windows * counts.n_filters
-    base = 0
-    for fold in plan.folds:
-        rows, cols = fold.rows_used, fold.cols_used
-        if fold.row_start == last_chunk and fold.col_start == 0:
-            assert out.fill == final_from, (
-                f"the last reduction chunk starts after {out.fill} ofmap writes, not "
-                f"{final_from}, so its folds do not end the trace")
-        elems = slice(fold.row_start, fold.row_start + rows)
-        columns = slice(fold.col_start, fold.col_start + cols)
-        tau = np.arange(rows, dtype=np.int64)
+    stream_len = counts.n_filters if pin_windows else counts.n_windows
+
+    def blocks(p: _AddressParts, rows: int) -> tuple[_Block, ...]:
+        if pin_windows:
+            pinned, pinned_elem = p.window, p.window_elem
+            streamed, streamed_elem = p.filter, p.filter_elem
+        else:
+            pinned, pinned_elem = p.filter, p.filter_elem
+            streamed, streamed_elem = p.window, p.window_elem
         # fill: at cycle base+tau every active column loads the operand
         # destined for row rows-1-tau
-        fill_b.add(base + tau, 0, pinned_elem[elems][::-1], pinned[columns])
+        fill = _Block(0, _Side(pinned_elem, ROWS, reversed=True), _Side(pinned, COLS),
+                      diagonal=False)
         # stream: row r's element for stream index s enters at base+rows+s+r
-        stream_b.add(base + rows + tau, s, streamed_elem[elems], streamed)
+        stream = _Block(rows, _Side(streamed), _Side(streamed_elem, ROWS))
         # drain: column j emits stream index s at base + 2*rows - 1 + s + j
-        out.add(base + 2 * rows - 1 + s, np.arange(cols, dtype=np.int64), drained_by_step,
-                drained_by_col[columns])
-        base += 2 * rows + len(s) + cols - 2
-    return TraceSet(counts, plan, ifm.build(), fil.build(), out.build())
+        pixels = _Side(p.ofmap_pixel, COLS if pin_windows else WHOLE)
+        filters = _Side(p.ofmap_filter, WHOLE if pin_windows else COLS)
+        drain = _Block(2 * rows - 1, pixels, filters)
+        return (fill, stream, drain) if pin_windows else (stream, fill, drain)
+
+    return _build(layer, arch, blocks,
+                  lambda rows, cols: 2 * rows + stream_len + cols - 2, True)
 
 
 def generate_traces(layer: LayerSpec, arch: ArchConfig) -> TraceSet:

@@ -61,14 +61,17 @@ WINDOW_EVENTS = 1 << 16
 
 
 def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epoch]:
-    """Split a sorted SRAM read trace into working-set epochs.
+    """Split a cycle-ordered SRAM read trace into working-set epochs.
 
     An epoch runs over whole cycles and holds every word it touches.  It
     ends before the first cycle whose never-seen-in-this-epoch words would
     overflow the buffer; that cycle opens the next epoch.  A cycle that
     alone touches more distinct words than the buffer holds raises
-    WorkingSetUnderflow.  An epoch lists the first byte of each of its
-    words, counted from the lowest address, in first-use order.
+    WorkingSetUnderflow.  So the boundaries and each epoch's set of words
+    depend only on which words each cycle touches, not on the order of a
+    cycle's events.  An epoch lists the first byte of each of its words,
+    counted from the lowest address, in first-use order; that order, and
+    so the DRAM trace files, does follow the order within a cycle.
 
     One scan walks windows of whole cycles.  ``stamp[word]`` is the last
     epoch that admitted the word, so an event is new to the open epoch when

@@ -218,7 +218,9 @@ def _scale_rows(workload: str, layers: list[LayerSpec], spec: SweepSpec,
                                                dataflow=df), n)
                      for mode, side, n in (("up", math.isqrt(pe), 1),
                                            ("out", NODE_SIDE, nodes))]
-            up_key, out_key = (key for key, _, _ in modes)
+            (up_key, up_arch, _), (out_key, out_arch, _) = modes
+            # at the 64-PE rung both modes are one 8x8 array: simulate it once
+            same = (up_arch, 1) == (out_arch, nodes)
             done = []    # per simulated layer, each mode's _sharded numbers
             for layer in layers:
                 if layer.num_filters < nodes:
@@ -227,7 +229,8 @@ def _scale_rows(workload: str, layers: list[LayerSpec], spec: SweepSpec,
                                             f"< {nodes} nodes", **out_key))
                     continue
                 try:
-                    cells = [_sharded(layer, n, arch, table) for _, arch, n in modes]
+                    up = _sharded(layer, 1, up_arch, table)
+                    cells = [up, up if same else _sharded(layer, nodes, out_arch, table)]
                 except CELL_ERRORS as exc:
                     rows.append(_row("scale", workload, layer=layer.name,
                                      status=f"error: {exc}", **up_key))

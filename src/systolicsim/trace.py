@@ -1,9 +1,13 @@
 """Cycle-stamped address streams.
 
-A trace is a pair of parallel int64 arrays sorted by (cycle, address).
-``Trace`` does not sort; its builders (the engine, ``memory.Bursts.trace``)
-sort in place with ``sort_pairs``.  DRAM traces may carry negative cycles
-for the cold-fill prologue.
+A trace is a pair of parallel int64 arrays in cycle order.  SRAM traces in
+memory are in cycle order only: the engine leaves the order of the events
+within a cycle unspecified, and no summary depends on it.  Trace files and
+DRAM traces are in (cycle, address) order: ``run`` puts each SRAM trace in
+that order in place with ``sort_within_cycles`` before it writes the trace
+or builds the DRAM traces from it, and ``memory.Bursts.trace`` sorts in
+place with ``sort_pairs``.  ``Trace`` itself does not sort.  DRAM traces
+may carry negative cycles for the cold-fill prologue.
 
 The CSV form is exact text: the line ``cycle,address``, then one line
 ``<cycle>,<address>`` per pair in trace order.  Both numbers are plain
@@ -30,9 +34,9 @@ CSV_HEADER = "cycle,address"
 # rows formatted per pass of Trace.write_csv; its temporaries are a few MB
 CSV_CHUNK_ROWS = 1 << 16
 
-# events per in-place sort of a trace under construction, and per pass of
-# the whole-trace scans in the memory model and the report; their
-# temporaries are O(SEGMENT_EVENTS), not O(trace)
+# events per in-place sort of a trace's slice, and per pass of the
+# whole-trace scans in the memory model and the report; their temporaries
+# are O(SEGMENT_EVENTS), not O(trace)
 SEGMENT_EVENTS = 1 << 20
 
 
@@ -67,6 +71,24 @@ def sort_pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.nda
     major += m0
     minor += n0
     return major, minor
+
+
+def sort_within_cycles(cycles: np.ndarray, addresses: np.ndarray) -> None:
+    """Put a cycle-ordered trace's pairs in (cycle, address) order, in place.
+
+    The trace is taken one slice of about ``SEGMENT_EVENTS`` events at a
+    time, each ending with a whole cycle, so sorting each slice on its own
+    sorts the trace.  A slice already in order, which an O(n) check finds,
+    is left as it is; the others go through ``sort_pairs``.
+    """
+    start, n = 0, len(cycles)
+    while start < n:
+        stop = min(start + SEGMENT_EVENTS, n)
+        stop = int(np.searchsorted(cycles, cycles[stop - 1], "right"))
+        assert stop > start, f"trace is not in cycle order at or after event {start}"
+        if _first_out_of_order(cycles[start:stop], addresses[start:stop]) is not None:
+            sort_pairs(cycles[start:stop], addresses[start:stop])
+        start = stop
 
 
 class Trace:

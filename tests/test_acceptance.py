@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from helpers import (distinct_addresses, make_arch, pairs_to_trace, partial_reads,
-                     random_small_layer, write_config)
+from helpers import (distinct_addresses, in_file_order, make_arch, pairs_to_trace,
+                     partial_reads, random_small_layer, write_config)
 from oracle import direct_convolution, simulate_grid
 from systolicsim.bundled import bundled_workloads, default_config_path
 from systolicsim.cli import EXIT_OK, main
@@ -40,10 +40,11 @@ def test_criterion_1_oracle_equivalence():
             ts = generate_traces(layer, arch)
             orc = simulate_grid(layer, arch)
             assert ts.total_cycles == orc.total_cycles, (layer, rows, cols, df)
-            assert ts.ifmap_reads == pairs_to_trace(orc.ifmap_reads)
-            assert ts.filter_reads == pairs_to_trace(orc.filter_reads)
-            assert ts.ofmap_writes == pairs_to_trace(orc.ofmap_writes)
-            assert partial_reads(ts.ofmap_writes) == pairs_to_trace(orc.ofmap_partial_reads)
+            assert in_file_order(ts.ifmap_reads) == pairs_to_trace(orc.ifmap_reads)
+            assert in_file_order(ts.filter_reads) == pairs_to_trace(orc.filter_reads)
+            assert in_file_order(ts.ofmap_writes) == pairs_to_trace(orc.ofmap_writes)
+            assert in_file_order(partial_reads(ts.ofmap_writes)) == \
+                pairs_to_trace(orc.ofmap_partial_reads)
             assert orc.outputs == direct_convolution(layer)
             assert orc.mac_count == ts.counts.macs_total
     elapsed = time.time() - t0

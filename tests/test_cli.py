@@ -4,11 +4,11 @@ import json
 
 import pytest
 
-from helpers import format_topology, write_config, write_topology
-from systolicsim import cli
+from helpers import format_topology, in_file_order, write_config, write_topology
+from systolicsim import cli, engine, trace
 from systolicsim.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SIM, EXIT_TOPOLOGY,
                              TRACE_KINDS, default_jobs, main, mem_available)
-from systolicsim.config import LayerSpec
+from systolicsim.config import LayerSpec, load_config, load_topology
 
 
 @pytest.fixture
@@ -61,6 +61,28 @@ def test_no_traces_writes_summaries_only(workdir):
     run_dir = workdir / "out" / "r1"
     assert not list(run_dir.glob("layer0_*.csv"))
     assert (run_dir / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_run_trace_files_are_in_file_order(workdir, monkeypatch, dataflow):
+    # under OS and WS the engine leaves some cycles' ifmap reads out of
+    # address order (under IS this layer's traces come out in file order);
+    # run sorts them one slice at a time, here 7-event slices
+    write_config(workdir / "arch.cfg", rows=4, cols=4, dataflow=dataflow)
+    layer = load_topology(workdir / "topo.csv")[0]
+    ifmap = engine.generate_traces(layer, load_config(workdir / "arch.cfg")).ifmap_reads
+    assert (in_file_order(ifmap) == ifmap) == (dataflow == "is")
+    run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
+            "--run-id", "whole", "--jobs", "1")
+    monkeypatch.setattr(engine, "SEGMENT_EVENTS", 7)
+    monkeypatch.setattr(trace, "SEGMENT_EVENTS", 7)
+    run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
+            "--run-id", "sliced", "--jobs", "1")
+    for kind in TRACE_KINDS:
+        whole, sliced = (workdir / "out" / rid / f"layer0_{kind}.csv"
+                         for rid in ("whole", "sliced"))
+        trace.Trace.read_csv(sliced)     # rejects rows out of (cycle, address) order
+        assert sliced.read_bytes() == whole.read_bytes()
 
 
 @pytest.mark.parametrize("word_bytes", [1, 2])

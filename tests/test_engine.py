@@ -3,8 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from helpers import (addr_filter, addr_ifmap, addr_ofmap, make_arch, pairs_to_trace,
-                     partial_reads, per_cycle_counts, random_small_layer)
+from helpers import (addr_filter, addr_ifmap, addr_ofmap, in_file_order, make_arch,
+                     pairs_to_trace, partial_reads, per_cycle_counts, random_small_layer)
 from oracle import simulate_grid
 from systolicsim.config import Dataflow, LayerSpec, lower_gemm
 from systolicsim.engine import generate_traces
@@ -53,10 +53,11 @@ def assert_matches_oracle(layer, arch):
     ts = generate_traces(layer, arch)
     orc = simulate_grid(layer, arch)
     assert ts.total_cycles == orc.total_cycles
-    assert ts.ifmap_reads == pairs_to_trace(orc.ifmap_reads)
-    assert ts.filter_reads == pairs_to_trace(orc.filter_reads)
-    assert ts.ofmap_writes == pairs_to_trace(orc.ofmap_writes)
-    assert partial_reads(ts.ofmap_writes) == pairs_to_trace(orc.ofmap_partial_reads)
+    assert in_file_order(ts.ifmap_reads) == pairs_to_trace(orc.ifmap_reads)
+    assert in_file_order(ts.filter_reads) == pairs_to_trace(orc.filter_reads)
+    assert in_file_order(ts.ofmap_writes) == pairs_to_trace(orc.ofmap_writes)
+    assert in_file_order(partial_reads(ts.ofmap_writes)) == \
+        pairs_to_trace(orc.ofmap_partial_reads)
     return ts, orc
 
 

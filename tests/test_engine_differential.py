@@ -1,9 +1,11 @@
-"""The segment-sorting trace builder against the whole-trace reference.
+"""The batched diagonal trace builder against the whole-trace reference.
 
-The engine writes folds into arrays of the closed-form length and sorts
-each run of folds in place; ``engine_reference`` keeps every fold's pieces
-and sorts the whole trace once.  Their traces must be identical, however
-the folds fall into segments.
+The engine writes each batch of same-shape folds straight into arrays of
+the closed-form length, diagonal by diagonal, in cycle order and without a
+sort; ``engine_reference`` keeps every fold's pieces and sorts the whole
+trace once.  Each engine trace must be in cycle order, and in (cycle,
+address) order it must equal the reference's, however the folds fall into
+batches, corner gathers and segments.
 """
 
 from contextlib import contextmanager
@@ -15,12 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engine_reference import generate_traces_reference
-from helpers import make_arch
+from helpers import in_file_order, make_arch
 from systolicsim import engine, trace
 from systolicsim.bundled import default_config_path, workload_path
 from systolicsim.config import LayerSpec, load_config, load_topology
 from systolicsim.engine import generate_traces
 from systolicsim.mapping import FoldPlan, sram_event_counts, workload_counts
+from systolicsim.trace import Trace, sort_within_cycles
 
 KINDS = ("ifmap_reads", "filter_reads", "ofmap_writes")
 
@@ -37,7 +40,7 @@ def assert_matches_reference(layer, arch):
     want = generate_traces_reference(layer, arch)
     assert got.plan == want.plan
     for kind in KINDS:
-        assert getattr(got, kind) == getattr(want, kind), kind
+        assert in_file_order(getattr(got, kind)) == getattr(want, kind), kind
     assert tuple(len(getattr(got, kind)) for kind in KINDS) == \
         sram_event_counts(got.counts, arch)
     return got
@@ -91,57 +94,79 @@ def test_bundled_layer_spans_segments(dataflow):
     assert max(len(getattr(ts, kind)) for kind in KINDS) > trace.SEGMENT_EVENTS
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_layers(), st.integers(1, 7), st.integers(1, 7),
+       st.sampled_from(["os", "ws", "is"]), st.sampled_from([1, 3, 10]))
+def test_corner_gathers_in_chunks_match_reference(layer, rows, cols, dataflow, gather):
+    # gathers of a few events split every corner over diagonals and folds
+    with mock.patch.object(engine, "CHUNK_EVENTS", gather):
+        assert_matches_reference(layer, make_arch(rows, cols, dataflow))
+
+
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_corner_wider_than_a_gather(dataflow):
+    # 40x40 corners hold 780 events each: one gather cannot hold one
+    layer = LayerSpec("t", 12, 12, 3, 3, 8, 50, 1)
+    arch = make_arch(40, 40, dataflow)
+    with mock.patch.object(engine, "CHUNK_EVENTS", 64):
+        ts = assert_matches_reference(layer, arch)
+    assert max(min(f.rows_used, f.cols_used) for f in ts.plan.folds) == 40
+
+
 @pytest.mark.parametrize("segment", [64, trace.SEGMENT_EVENTS])
 @pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
 def test_lexsort_fallback(dataflow, segment):
-    # words of 2**55 bytes: a segment's cycle range times its address range
-    # overflows int64, so the packed-key sort falls back to np.lexsort
+    # words of 2**55 bytes: a slice's cycle range times its address range
+    # overflows int64, so the file-order sort falls back to np.lexsort.
+    # Each cycle's events are put in descending address order first, an
+    # order the engine may give, so that every slice needs the sort
     layer = LayerSpec("t", 5, 5, 2, 2, 2, 3, 1)
     arch = make_arch(2, 2, dataflow, word_bytes=2**55).with_overrides(
         ifmap_offset=0, filter_offset=2**61, ofmap_offset=3 * 2**60)
-    with segment_events(segment), mock.patch.object(
-            trace.np, "lexsort", wraps=np.lexsort) as lexsort:
-        generate_traces(layer, arch)
+    got, want = generate_traces(layer, arch), generate_traces_reference(layer, arch)
+    for kind in KINDS:
+        cycles, addresses = getattr(got, kind).cycles, getattr(got, kind).addresses
+        down = np.lexsort((-addresses, cycles))
+        cycles, addresses = cycles[down], addresses[down]
+        with segment_events(segment), mock.patch.object(
+                trace.np, "lexsort", wraps=np.lexsort) as lexsort:
+            sort_within_cycles(cycles, addresses)
         assert lexsort.called
-    with segment_events(segment):
-        assert_matches_reference(layer, arch)
+        assert Trace(cycles, addresses) == getattr(want, kind), kind
 
 
 def test_overlapping_folds_crash(monkeypatch):
-    # a mutated engine whose every fold starts 1000 cycles before the last
-    add = engine._Builder.add
-    shift = iter(range(0, -10**6, -1000))
+    # a mutated schedule: every fold starts about 1000 cycles before the
+    # fold before it ends
+    walk = engine._walk
 
-    def overlapping_add(self, cycle_rows, *rest):
-        add(self, cycle_rows + next(shift), *rest)
+    def overlapping_walk(plan, span, *rest):
+        return walk(plan, lambda rows, cols: span(rows, cols) - 1000, *rest)
 
-    monkeypatch.setattr(engine._Builder, "add", overlapping_add)
+    monkeypatch.setattr(engine, "_walk", overlapping_walk)
     with segment_events(1), pytest.raises(AssertionError, match="overlap in time"):
         generate_traces(LayerSpec("t", 6, 6, 2, 2, 2, 4, 1), make_arch(2, 2, "os"))
 
 
-def add_column(builder, cycles, addrs):
-    """Append a fold of one event per row."""
-    zero = np.zeros(1, np.int64)
-    builder.add(np.array(cycles), zero, np.array(addrs), zero)
-
-
 def test_overlap_in_last_segment_crashes_build():
-    builder = engine._Builder(3)
-    with segment_events(2):
-        add_column(builder, [5, 6], [1, 2])
-        add_column(builder, [6], [3])
-        with pytest.raises(AssertionError, match="overlap in time"):
-            builder.build()
+    # at 2-event segments the step back is in the last segment, or at the
+    # boundary into it
+    for cycles in ([5, 6, 4], [5, 6, 7, 4], [5, 5, 6, 7, 7, 6]):
+        cycles = np.array(cycles, dtype=np.int64)
+        with segment_events(2), pytest.raises(AssertionError, match="overlap in time"):
+            engine._check_cycle_order(cycles)
+        with segment_events(2):
+            engine._check_cycle_order(np.sort(cycles))
 
 
-def test_event_count_off_the_closed_form_crashes():
-    short = engine._Builder(3)
-    add_column(short, [0, 1], [4, 5])
-    with pytest.raises(AssertionError, match="closed form"):
-        short.build()
-    with pytest.raises(AssertionError, match="closed form"):
-        add_column(engine._Builder(1), [0, 1], [4, 5])
+def test_event_count_off_the_closed_form_crashes(monkeypatch):
+    # mutated plans with one fold fewer or one more than the fold grid
+    schedule = engine.fold_schedule
+    for change in (lambda folds: folds[:-1], lambda folds: folds[:1] + folds):
+        monkeypatch.setattr(engine, "fold_schedule", lambda counts, arch: FoldPlan(
+            arch.dataflow, change(schedule(counts, arch).folds)))
+        with pytest.raises(AssertionError, match="closed form"):
+            generate_traces(LayerSpec("t", 6, 6, 2, 2, 2, 4, 1), make_arch(2, 2, "os"))
 
 
 @pytest.mark.parametrize("dataflow", ["ws", "is"])

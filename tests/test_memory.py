@@ -3,12 +3,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (distinct_addresses, make_arch, n_drains, prologue,
                      random_small_layer, sorted_trace, steady_peak_bw, time_limit)
 from systolicsim import memory
 from systolicsim.config import LayerSpec
-from systolicsim.engine import generate_traces
+from systolicsim.engine import TraceSet, generate_traces
+from systolicsim.metrics import layer_report
 from systolicsim.errors import ConfigError, WorkingSetUnderflow
 from systolicsim.memory import (Bursts, bandwidth_report, dram_demand, epochize,
                                 gen_dram_read_trace, gen_dram_write_trace)
@@ -232,3 +235,50 @@ def test_dram_demand_pipeline_word_bytes():
     dem = dram_demand(ts, arch)
     assert dem.write.total_bytes == 2 * ts.counts.n_windows * ts.counts.n_filters
     assert dem.ifmap.total_bytes % 2 == 0 and dem.filter.total_bytes % 2 == 0
+
+
+def shuffled_within_cycles(trace, rng):
+    """A copy of a cycle-ordered trace with each cycle's events in a random
+    order, which the engine's contract allows."""
+    order = np.lexsort((rng.permutation(len(trace)), trace.cycles))
+    return Trace(trace.cycles[order], trace.addresses[order])
+
+
+def order_free_figures(layer, arch, ts):
+    """What the memory model and the report make of a TraceSet, with every
+    epoch's words as a set and the burst cycles sorted."""
+    word = arch.word_bytes
+    try:
+        figures = [[(e.first_use_cycle, e.last_use_cycle, sorted(e.addresses.tolist()))
+                    for e in epochize(trace, capacity, word)]
+                   for trace, capacity in ((ts.ifmap_reads, arch.ifmap_capacity_bytes),
+                                           (ts.filter_reads, arch.filter_capacity_bytes))]
+        dram = dram_demand(ts, arch)
+    except WorkingSetUnderflow as exc:
+        return str(exc)
+    read, write = dram.read_trace.cycles(), dram.write_trace.cycles()
+    figures += [np.sort(read).tolist(), np.sort(write).tolist()]
+    figures.append(layer_report(layer, arch, None, len(ts.ifmap_reads),
+                                len(ts.filter_reads), ts.ofmap_writes, read, write))
+    return figures
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 4), st.integers(1, 6), st.integers(1, 2), st.integers(1, 6),
+       st.integers(1, 6), st.sampled_from(["os", "ws", "is"]),
+       st.sampled_from([8, 32, 128]), st.integers(1, 2), st.integers(1, 2),
+       st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_figures_ignore_order_within_a_cycle(ih, iw, fh, fw, chans, filters, stride,
+                                             rows, cols, dataflow, word, ifmap_kb,
+                                             filter_kb, ofmap_kb, seed):
+    # words of 8 to 128 bytes in 1-2 KB buffers: 8 to 256 words, so most
+    # layers' buffers overflow and the drain splits into several bursts
+    layer = LayerSpec("t", ih, iw, min(fh, ih), min(fw, iw), chans, filters, stride)
+    arch = make_arch(rows, cols, dataflow, ifmap_kb, filter_kb, ofmap_kb, word_bytes=word)
+    ts = generate_traces(layer, arch)
+    rng = np.random.default_rng(seed)
+    shuffled = TraceSet(ts.counts, ts.plan, *(
+        shuffled_within_cycles(t, rng)
+        for t in (ts.ifmap_reads, ts.filter_reads, ts.ofmap_writes)))
+    assert order_free_figures(layer, arch, shuffled) == order_free_figures(layer, arch, ts)

@@ -3,7 +3,10 @@
 Every epoch list, final-write selection and underflow message must be
 identical to what ``memory_reference`` computes on the same trace.  The
 engine's final writes (``TraceSet.final_writes``, taken from the fold grid)
-must be the reference's last write of every address.
+must be the reference's last write of every address.  The references list
+a cycle's words by ascending address, so the traces here are in (cycle,
+address) order, as on ``run``'s trace-file path; that the model's figures
+do not depend on the order within a cycle is ``test_memory``'s concern.
 """
 
 from unittest import mock
@@ -13,8 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (distinct_addresses, epilogue, make_arch, n_drains, partial_reads,
-                     sorted_trace)
+from helpers import (distinct_addresses, epilogue, file_ordered, make_arch, n_drains,
+                     partial_reads, sorted_trace)
 from memory_reference import epochize_reference, final_writes_reference
 from systolicsim.bundled import default_config_path, workload_path
 from systolicsim.config import LayerSpec, load_config, load_topology
@@ -41,7 +44,7 @@ def traced_layers(draw):
     arch = make_arch(draw(st.integers(1, 6)), draw(st.integers(1, 6)),
                      draw(st.sampled_from(["os", "ws", "is"])),
                      word_bytes=draw(st.sampled_from([1, 2, 4])))
-    return generate_traces(draw(small_layers()), arch), arch.word_bytes
+    return file_ordered(generate_traces(draw(small_layers()), arch)), arch.word_bytes
 
 
 def _outcome(fn, trace, capacity, word):
@@ -108,7 +111,7 @@ def test_bundled_layers_ladder_matches_reference(dataflow):
     # conv1 fits every buffer in one epoch; conv2 overflows the 32 KB rung
     base = load_config(default_config_path())
     for layer in load_topology(workload_path("w2_deepspeech2"))[:2]:
-        ts = generate_traces(layer, base.with_overrides(dataflow=dataflow))
+        ts = file_ordered(generate_traces(layer, base.with_overrides(dataflow=dataflow)))
         for kb in LADDER_KB:
             for trace in (ts.ifmap_reads, ts.filter_reads):
                 assert_same_epochs(trace, kb * 1024, base.word_bytes)
@@ -124,7 +127,7 @@ def test_segmented_scans_match_reference(layer, rows, cols, dataflow, word, segm
     # epochize's windows and the report's bitmap count walk the trace in
     # segments; tiny segments must not matter
     arch = make_arch(rows, cols, dataflow, word_bytes=word)
-    ts = generate_traces(layer, arch)
+    ts = file_ordered(generate_traces(layer, arch))
     with mock.patch("systolicsim.trace.SEGMENT_EVENTS", segment):
         for reads in (ts.ifmap_reads, ts.filter_reads):
             footprint = len(distinct_addresses(reads))

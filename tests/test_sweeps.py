@@ -1,6 +1,9 @@
+from unittest import mock
+
 import pytest
 
 from helpers import make_arch, write_topology
+from systolicsim import sweeps
 from systolicsim.config import LayerSpec
 from systolicsim.errors import TopologyError
 from systolicsim.mapping import workload_counts
@@ -129,6 +132,23 @@ def test_scale_study_degenerate_rung_is_identity(tiny_workload):
                                dataflows=("os",)), BASE)
     net = {r["mode"]: r for r in rows if r["layer"] == "network"}
     assert net["up"]["total_cycles"] == net["out"]["total_cycles"]
+
+
+def test_scale_study_simulates_the_64_pe_rung_once(tiny_workload):
+    # at 64 PEs scale-up (one 8x8) and scale-out (one node of 8x8) are the
+    # same simulation, one per layer; at 256 PEs "a" (4 filters) runs up
+    # and out, and "b" (3 filters) is skipped
+    for ladder, calls in (((64,), 2), ((64, 256), 2 + 2)):
+        with mock.patch.object(sweeps, "simulate_layer",
+                               wraps=sweeps.simulate_layer) as simulate:
+            rows = run_sweep(SweepSpec("scale", [tiny_workload], pe_ladder=ladder,
+                                       dataflows=("os",)), BASE)
+        assert simulate.call_count == calls
+    at_64 = {(r["layer"], r["mode"]): r for r in rows if r["pe_count"] == 64}
+    for layer in ("a", "b", "network"):
+        up, out = at_64[layer, "up"], at_64[layer, "out"]
+        assert [up[c] for c in sweeps.SWEEP_COLUMNS if c != "mode"] == \
+            [out[c] for c in sweeps.SWEEP_COLUMNS if c != "mode"]
 
 
 def test_scale_study_shard_runtime(tmp_path):

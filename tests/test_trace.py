@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from unittest import mock
+
 from helpers import distinct_addresses, events, per_cycle_counts, sorted_trace
 from systolicsim import trace as trace_module
 from systolicsim.errors import SimulationError
-from systolicsim.trace import Trace, sort_pairs
+from systolicsim.trace import Trace, sort_pairs, sort_within_cycles
 
 
 def _lexsorted(cycles, addresses):
@@ -121,3 +123,49 @@ def test_sort_pairs_into_given_arrays():
     out = (t.cycles, t.addresses)
     assert (out[0].tolist(), out[1].tolist()) == ([1, 1, 3], [2, 9, 5])
     assert c.tolist() == [3, 1, 1] and a.tolist() == [5, 9, 2]
+
+
+def test_sort_within_cycles_slices_end_with_whole_cycles(monkeypatch):
+    # 4-event slices: cycle 1 straddles the first boundary, cycle 2 the
+    # second, so a slice cut mid-cycle would leave them out of order
+    cycles = np.array([0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 3], dtype=np.int64)
+    addresses = np.array([5, 4, 9, 8, 7, 1, 0, 6, 3, 2, 0], dtype=np.int64)
+    want = sorted_trace(cycles, addresses)
+    monkeypatch.setattr(trace_module, "SEGMENT_EVENTS", 4)
+    sort_within_cycles(cycles, addresses)
+    assert Trace(cycles, addresses) == want
+
+
+def test_sort_within_cycles_skips_slices_in_order(monkeypatch):
+    # three 3-event slices; only the middle one is out of address order
+    cycles = np.array([0, 1, 1, 2, 2, 3, 4, 4, 5], dtype=np.int64)
+    addresses = np.array([0, 1, 2, 9, 3, 0, 1, 2, 0], dtype=np.int64)
+    want = sorted_trace(cycles, addresses)
+    monkeypatch.setattr(trace_module, "SEGMENT_EVENTS", 3)
+    with mock.patch.object(trace_module, "sort_pairs", wraps=sort_pairs) as sort:
+        sort_within_cycles(cycles, addresses)
+    assert [call.args[0].tolist() for call in sort.call_args_list] == [[2, 2, 3]]
+    assert Trace(cycles, addresses) == want
+    with mock.patch.object(trace_module, "sort_pairs", wraps=sort_pairs) as sort:
+        sort_within_cycles(cycles, addresses)
+    assert not sort.called
+
+
+@pytest.mark.parametrize("segment", [1, 2, 5, trace_module.SEGMENT_EVENTS])
+def test_sort_within_cycles_matches_a_full_sort(monkeypatch, segment):
+    rng = np.random.default_rng(segment)
+    cycles = np.sort(rng.integers(-3, 40, 300))
+    addresses = rng.integers(-50, 50, 300)
+    want = sorted_trace(cycles, addresses)
+    monkeypatch.setattr(trace_module, "SEGMENT_EVENTS", segment)
+    sort_within_cycles(cycles, addresses)
+    assert Trace(cycles, addresses) == want
+
+
+def test_sort_within_cycles_crashes_out_of_cycle_order():
+    # the second slice's search for the end of its last cycle lands before
+    # the slice, which would stall the walk
+    cycles = np.array([0, 5, 6, 1, 2], dtype=np.int64)
+    with mock.patch.object(trace_module, "SEGMENT_EVENTS", 2), \
+            pytest.raises(AssertionError, match="not in cycle order"):
+        sort_within_cycles(cycles, np.arange(5))

@@ -67,7 +67,7 @@ def test_write_csv_chunk_edges_match_reference(rows, tmp_path):
 def test_bundled_layer_traces_match_reference(dataflow, tmp_path):
     arch = load_config(default_config_path()).with_overrides(dataflow=dataflow)
     layer = load_topology(workload_path("w4_ncf"))[2]  # mlp_fc3
-    res = simulate_layer(layer, arch)
+    res = simulate_layer(layer, arch, file_order=True)
     traces = [res.traces.ifmap_reads, res.traces.filter_reads,
               res.traces.ofmap_writes, res.dram.read_trace.trace(),
               res.dram.write_trace.trace()]
