@@ -8,7 +8,7 @@ runtime, utilization, memory traffic, bandwidth, and energy reports.
 from .config import (ArchConfig, Dataflow, LayerSpec, load_config,
                      load_topology, lower_gemm, parse_config, parse_topology)
 from .engine import TraceSet, generate_traces
-from .mapping import Fold, FoldPlan, WorkloadCounts, fold_schedule, workload_counts
+from .mapping import FoldPlan, WorkloadCounts, workload_counts
 from .memory import DramDemand, Epoch, dram_demand, epochize
 from .metrics import (EnergyCostTable, LayerReport, NetworkReport, energy,
                       summarize_network)
@@ -18,9 +18,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArchConfig", "Dataflow", "DramDemand", "EnergyCostTable", "Epoch",
-    "Fold", "FoldPlan", "LayerReport", "LayerResult", "LayerSpec",
+    "FoldPlan", "LayerReport", "LayerResult", "LayerSpec",
     "NetworkReport", "TraceSet", "WorkloadCounts", "dram_demand", "energy",
-    "epochize", "fold_schedule", "generate_traces", "load_config",
+    "epochize", "generate_traces", "load_config",
     "load_topology", "lower_gemm", "parse_config",
     "parse_topology", "simulate_layer", "simulate_network",
     "summarize_network", "workload_counts",

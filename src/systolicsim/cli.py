@@ -206,8 +206,8 @@ def _report_layer(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable,
     ifmap_reads = len(Trace.read_csv(ifmap))
     filter_reads = len(Trace.read_csv(filt))
     return layer_report(layer, arch, table, ifmap_reads, filter_reads,
-                        Trace.read_csv(writes), Trace.read_csv(dram_rd).cycles,
-                        Trace.read_csv(dram_wr).cycles)
+                        Trace.read_csv(writes), [Trace.read_csv(dram_rd).cycles],
+                        [Trace.read_csv(dram_wr).cycles])
 
 
 def cmd_report(args) -> int:

@@ -28,29 +28,26 @@ at most the array's, through a small index of their (i, j) pairs.  A fill block'
 are already in cycle order.  (cycle, address) order, which the trace files
 need, is made on that path only, by ``trace.sort_within_cycles``.
 
-Folds of one shape are written in batches.  Every full row of the fold
-grid emits the same number of events in each trace and spans the same
-cycles, so the folds of one grid column (or of one grid row, when the grid
-is wider than tall) sit at equal strides in every trace and in time.  One
-pass writes such a batch through a strided view of each trace, so the
-Python loop runs per batch, not per fold.  The engine still walks
-``fold_schedule``'s plan to find the batches, so any fold order the plan
-gives is written as given.
+Folds of one shape are written in batches read off the fold grid,
+``mapping.FoldPlan``, in closed form.  Every grid row of one run emits the
+same events per trace and spans the same cycles, so the folds of one grid
+column (or row, when the grid is wider than tall) sit at equal strides in
+every trace and in time.  One pass writes a batch through strided views of
+the traces: the Python loop runs per batch, never per fold.
 
 Folds are disjoint in time: each fold's base cycle comes after every event
 of the fold before it, in every trace.  Each trace's arrays are allocated
-once, at the length ``sram_event_counts`` gives in closed form.  The plan
-walk asserts that the folds emit exactly that many events before any is
-written, and the finished trace is checked to be in cycle order one
-chunk at a time (an O(n) check), so a schedule whose folds overlap in
-time crashes instead of producing a trace out of order.
+once, at the closed-form length ``FoldPlan.sram_event_counts``; the batches
+are checked to emit exactly that many events before any is written, and
+each finished trace to be in cycle order one chunk at a time (an O(n)
+check), so folds that overlap in time crash instead of leaving a trace
+out of order.
 
 The fold grid says which output writes are final: ``TraceSet.final_writes``
 is the ofmap trace's last N_w*M events, as views.  Under OS every write is
 final.  Under WS and IS the reduction is the grid's outermost loop, so the
 last reduction chunk's folds end the trace and write each output once;
-the plan walk asserts that exactly N_w*M ofmap events are left when that
-chunk's first fold starts.
+the batches are checked to put exactly that chunk's folds in those events.
 """
 
 from __future__ import annotations
@@ -64,8 +61,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import ArchConfig, Dataflow, LayerSpec
 from .errors import ConfigError
-from .mapping import (FoldPlan, WorkloadCounts, fold_schedule,
-                      sram_event_counts, workload_counts)
+from .mapping import FoldPlan, WorkloadCounts, fold_plan, workload_counts
 from .trace import SEGMENT_EVENTS, Trace
 
 # events per corner gather, and per pass of the cycle-order check (or
@@ -191,45 +187,33 @@ class _Batch(NamedTuple):
     step: tuple[int, ...]
 
 
-def _walk(plan: FoldPlan, span, sizes, lengths: tuple[int, ...],
-          final_from: int | None) -> list[_Batch]:
-    """Walk the plan's folds in order and group them into batches: folds
-    of one shape in one grid column (or row, for a grid with more columns
-    than rows) whose fields advance by equal steps.  Asserts that the folds
-    emit the closed-form event counts and, with ``final_from``, that the
-    last reduction chunk's first fold starts that many ofmap events in."""
-    folds = plan.folds
-    by_column = len({f.row_start for f in folds}) >= len({f.col_start for f in folds})
-    last_chunk = max(f.row_start for f in folds)
-    shapes: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    runs: dict[tuple[int, int, int], list] = {}    # open batch per key
-    batches: list[_Batch] = []
-    base, offsets = 0, (0,) * len(lengths)
-    for fold in folds:
-        rows, cols = fold.rows_used, fold.cols_used
-        if final_from is not None and fold.row_start == last_chunk and fold.col_start == 0:
-            assert offsets[-1] == final_from, (
-                f"the last reduction chunk starts after {offsets[-1]} ofmap writes, not "
-                f"{final_from}, so its folds do not end the trace")
-        key = rows, cols, fold.col_start if by_column else fold.row_start
-        state = fold.row_start, fold.col_start, base, *offsets
-        run = runs.get(key)     # [first state, step, folds, last state]
-        gap = run and tuple(b - a for a, b in zip(run[3], state))
-        if run and (gap == run[1] or run[2] == 1 and min(gap[:2]) >= 0):
-            run[1:] = gap, run[2] + 1, state
-        else:
-            if run:
-                batches.append(_Batch(rows, cols, run[2], run[0], run[1]))
-            runs[key] = [state, (0,) * len(state), 1, state]
-        if (rows, cols) not in shapes:
-            shapes[rows, cols] = span(rows, cols), sizes(rows, cols)
-        cycles, events = shapes[rows, cols]
-        base += cycles
-        offsets = tuple(o + n for o, n in zip(offsets, events))
-    assert offsets == lengths, (
-        f"folds emit {offsets} events, the closed form {lengths}")
-    batches += [_Batch(rows, cols, n, first, step)
-                for (rows, cols, _), (first, step, n, _) in runs.items()]
+def _batches(plan: FoldPlan, span, sizes) -> list[_Batch]:
+    """The plan's folds as batches, in closed form.  A fold advances the
+    fields of ``_Batch`` by its cycles ``span(rows, cols)`` and its events
+    in each trace ``sizes(rows, cols)``.  Every grid row of one run advances them by the
+    same amount, so the fields of the fold at the start of each run are
+    sums over the runs before it.  A batch is one grid column of a row run
+    or, when the grid has more columns than rows, one grid row of a column
+    run."""
+    def cost(rows, cols):       # one grid column on, in the same grid row
+        return np.array((0, plan.cols, span(rows, cols), *sizes(rows, cols)), np.int64)
+
+    by_column = plan.grid[0] >= plan.grid[1]
+    batches, above = [], 0      # above: the fields at the row run's first fold
+    for n_rows, rows in plan.row_runs:
+        down = sum(n * cost(rows, cols) for n, cols in plan.col_runs)
+        down[:2] = plan.rows, 0     # one grid row on, in the same grid column
+        at = above
+        for n_cols, cols in plan.col_runs:
+            right = cost(rows, cols)
+            if by_column:
+                batches += [_Batch(rows, cols, n_rows, tuple(at + k * right), tuple(down))
+                            for k in range(n_cols)]
+            else:
+                batches += [_Batch(rows, cols, n_cols, tuple(at + k * down), tuple(right))
+                            for k in range(n_rows)]
+            at = at + n_cols * right
+        above = above + n_rows * down
     return batches
 
 
@@ -345,24 +329,32 @@ def _check_cycle_order(cycles: np.ndarray) -> None:
                                 f"follows cycle {seg[back.argmax()]}")
 
 
-def _build(layer: LayerSpec, arch: ArchConfig, blocks, span,
-           final: bool) -> TraceSet:
-    """Walk the plan and write the ifmap, filter and ofmap traces, whose
+def _build(layer: LayerSpec, arch: ArchConfig, blocks, span) -> TraceSet:
+    """Write the ifmap, filter and ofmap traces of the plan's batches, whose
     fold blocks ``blocks(parts, rows)`` gives in that order; each fold
-    starts ``span(rows, cols)`` cycles after the one before it.  With
-    ``final``, the last reduction chunk must end the ofmap trace."""
+    starts ``span(rows, cols)`` cycles after the one before it."""
     counts = workload_counts(layer)
     _check_regions(layer, arch, counts)
-    plan = fold_schedule(counts, arch)
+    plan = fold_plan(counts, arch)
     parts = _address_parts(layer, arch, counts)
-    lengths = sram_event_counts(counts, arch)
+    lengths = plan.sram_event_counts
 
     def sizes(rows, cols):
         return tuple(_length(blk.a, rows, cols) * _length(blk.b, rows, cols)
                      for blk in blocks(parts, rows))
 
-    final_from = lengths[2] - counts.n_windows * counts.n_filters if final else None
-    batches = _walk(plan, span, sizes, lengths, final_from)
+    batches = _batches(plan, span, sizes)
+    emitted = tuple(sum(b.n * sizes(b.rows, b.cols)[t] for b in batches) for t in range(3))
+    assert emitted == lengths, f"folds emit {emitted} events, the closed form {lengths}"
+    # the last reduction chunk's folds, and only they, write the last N_w*M
+    # events; under OS each fold holds its whole reduction
+    last_chunk = 0 if plan.dataflow is Dataflow.OS else (plan.grid[0] - 1) * plan.rows
+    final_from = lengths[2] - counts.n_windows * counts.n_filters
+    for b in batches:
+        m = np.arange(b.n)
+        assert np.array_equal(b.first[0] + m * b.step[0] >= last_chunk,
+                              b.first[5] + m * b.step[5] >= final_from), (
+            f"the last reduction chunk's folds are not the ofmap writes from {final_from} on")
     traces = [(np.empty(n, np.int64), np.empty(n, np.int64)) for n in lengths]
     for batch in batches:
         base = batch.first[2] + batch.step[2] * np.arange(batch.n, dtype=np.int64)
@@ -389,7 +381,7 @@ def gen_traces_os(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
                 _Block(0, _Side(p.filter, COLS), _Side(p.filter_elem)),
                 _Block(ksz - 1, _Side(p.ofmap_pixel, ROWS), _Side(p.ofmap_filter, COLS)))
 
-    return _build(layer, arch, blocks, lambda rows, cols: rows + cols + ksz - 2, False)
+    return _build(layer, arch, blocks, lambda rows, cols: rows + cols + ksz - 2)
 
 
 def _gen_traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
@@ -426,8 +418,7 @@ def _gen_traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
         drain = _Block(2 * rows - 1, pixels, filters)
         return (fill, stream, drain) if pin_windows else (stream, fill, drain)
 
-    return _build(layer, arch, blocks,
-                  lambda rows, cols: 2 * rows + stream_len + cols - 2, True)
+    return _build(layer, arch, blocks, lambda rows, cols: 2 * rows + stream_len + cols - 2)
 
 
 def generate_traces(layer: LayerSpec, arch: ArchConfig) -> TraceSet:

@@ -1,9 +1,12 @@
-"""Workload quantities and fold (time-multiplexing) schedules.
+"""Workload quantities and the fold grid.
 
 A layer is viewed as N_w convolution windows of W_sz elements reduced
 against M filters.  When the work exceeds the physical array it is split
-into folds executed serially; folds are ordered row-major over the fold
-grid with the stationary dimension outermost.
+into folds executed serially over a regular grid, ``FoldPlan``, row-major
+with the row dimension outermost.  Each grid axis is at most two runs of
+equal chunks, the full chunks and then the remainder, so the engine's
+fold batches and the totals below are closed forms over those runs; no
+code lists the folds one by one.
 
 Window enumeration is raster order over (ofmap_h, ofmap_w); within a
 window elements are ordered (r, s, c) with the channel innermost.
@@ -38,83 +41,79 @@ def workload_counts(layer: LayerSpec) -> WorkloadCounts:
     return WorkloadCounts(ofmap_h, ofmap_w, n_w, w_sz, m, n_w * m * w_sz)
 
 
-@dataclass(frozen=True)
-class Fold:
-    """One mapping round.  row_start/col_start locate the fold's slice of the
-    dataflow's (row-dimension, column-dimension) work."""
-
-    rows_used: int
-    cols_used: int
-    stream_len: int
-    row_start: int = 0
-    col_start: int = 0
+def _runs(work: int, size: int) -> list[tuple[int, int]]:
+    """(count, chunk size) runs that split ``work`` into chunks of at most
+    ``size``: the full chunks, then the remainder, each only if present."""
+    full, rest = divmod(work, size)
+    return [(count, used) for count, used in ((full, size), (1, rest)) if count and used]
 
 
 @dataclass(frozen=True)
 class FoldPlan:
+    """The fold grid of one layer on one array.  Fold (i, j) maps chunk i
+    of the row work onto rows_used <= rows array rows and chunk j of the
+    column work onto cols_used <= cols columns, and streams stream_len
+    values through them.  Its totals are closed forms in exact integers:
+    the folds cover the row work once per grid column and the column work
+    once per grid row."""
+
     dataflow: Dataflow
-    folds: tuple[Fold, ...]
+    row_work: int
+    col_work: int
+    stream_len: int
+    rows: int
+    cols: int
+
+    @property
+    def row_runs(self) -> list[tuple[int, int]]:
+        return _runs(self.row_work, self.rows)
+
+    @property
+    def col_runs(self) -> list[tuple[int, int]]:
+        return _runs(self.col_work, self.cols)
+
+    @property
+    def grid(self) -> tuple[int, int]:
+        """(grid rows, grid columns)"""
+        return -(-self.row_work // self.rows), -(-self.col_work // self.cols)
 
     @property
     def num_folds(self) -> int:
-        return len(self.folds)
+        return self.grid[0] * self.grid[1]
+
+    @property
+    def pe_totals(self) -> tuple[int, int]:
+        """(sum of rows_used * cols_used, num_folds * rows * cols) over the
+        folds; their ratio is the mapping efficiency, the mean fraction of
+        the array kept mapped across folds."""
+        return self.row_work * self.col_work, self.num_folds * self.rows * self.cols
+
+    @property
+    def sram_event_counts(self) -> tuple[int, int, int]:
+        """(ifmap reads, filter reads, ofmap writes) in the layer's SRAM traces.
+
+        Every fold streams the stream length through each of its rows_used
+        rows and out of each of its cols_used columns.  OS streams both
+        operands that way and drains one value per mapped PE; WS and IS fill
+        one pinned operand per mapped PE, stream the other through the rows
+        and drain the columns.
+        """
+        through_rows = self.row_work * self.grid[1] * self.stream_len
+        through_cols = self.col_work * self.grid[0] * self.stream_len
+        mapped = self.row_work * self.col_work
+        return {Dataflow.OS: (through_rows, through_cols, mapped),
+                Dataflow.WS: (through_rows, mapped, through_cols),
+                Dataflow.IS: (mapped, through_rows, through_cols)}[self.dataflow]
 
 
-def _grid_dims(counts: WorkloadCounts, dataflow: Dataflow) -> tuple[int, int, int]:
-    """(row work, column work, stream length per fold) of a dataflow:
+def fold_plan(counts: WorkloadCounts, arch: ArchConfig) -> FoldPlan:
+    """The fold grid of a dataflow:
 
     OS: rows take windows, cols take filters, W_sz streamed per fold.
     WS: rows take window elements (reduction), cols take filters, N_w streamed.
     IS: rows take window elements, cols take windows, M streamed.
     """
-    if dataflow is Dataflow.OS:
-        return counts.n_windows, counts.n_filters, counts.window_size
-    if dataflow is Dataflow.WS:
-        return counts.window_size, counts.n_filters, counts.n_windows
-    return counts.window_size, counts.n_windows, counts.n_filters
-
-
-def fold_schedule(counts: WorkloadCounts, arch: ArchConfig) -> FoldPlan:
-    """Folds in row-major order over the fold grid of ``_grid_dims``."""
-    row_total, col_total, stream_len = _grid_dims(counts, arch.dataflow)
-    rows, cols = arch.array_rows, arch.array_cols
-    folds = []
-    for i in range(-(-row_total // rows)):
-        r = min(rows, row_total - i * rows)
-        for j in range(-(-col_total // cols)):
-            c = min(cols, col_total - j * cols)
-            folds.append(Fold(r, c, stream_len, row_start=i * rows, col_start=j * cols))
-    return FoldPlan(arch.dataflow, tuple(folds))
-
-
-# Closed forms of sums over fold_schedule, in exact integers, so that callers
-# need not build the fold list.  Each fold maps rows_used x cols_used work
-# items: the grid covers the row work ceil(col_total/cols) times and the
-# column work ceil(row_total/rows) times.
-
-def fold_pe_totals(counts: WorkloadCounts, arch: ArchConfig) -> tuple[int, int]:
-    """(sum of rows_used * cols_used, num_folds * rows * cols) over the folds;
-    their ratio is the mapping efficiency, the mean fraction of the array
-    kept mapped across folds."""
-    row_total, col_total, _ = _grid_dims(counts, arch.dataflow)
-    rows, cols = arch.array_rows, arch.array_cols
-    return row_total * col_total, -(-row_total // rows) * -(-col_total // cols) * rows * cols
-
-
-def sram_event_counts(counts: WorkloadCounts, arch: ArchConfig) -> tuple[int, int, int]:
-    """(ifmap reads, filter reads, ofmap writes) in the layer's SRAM traces.
-
-    Every fold streams the stream length through each of its rows_used rows
-    and out of each of its cols_used columns.  OS streams both operands that
-    way and drains one value per mapped PE; WS and IS fill one pinned operand
-    per mapped PE, stream the other through the rows and drain the columns.
-    """
-    row_total, col_total, stream_len = _grid_dims(counts, arch.dataflow)
-    through_rows = row_total * -(-col_total // arch.array_cols) * stream_len
-    through_cols = col_total * -(-row_total // arch.array_rows) * stream_len
-    mapped = row_total * col_total
-    if arch.dataflow is Dataflow.OS:
-        return through_rows, through_cols, mapped
-    if arch.dataflow is Dataflow.WS:
-        return through_rows, mapped, through_cols
-    return mapped, through_rows, through_cols
+    work = {Dataflow.OS: (counts.n_windows, counts.n_filters, counts.window_size),
+            Dataflow.WS: (counts.window_size, counts.n_filters, counts.n_windows),
+            Dataflow.IS: (counts.window_size, counts.n_windows, counts.n_filters)}
+    return FoldPlan(arch.dataflow, *work[arch.dataflow], arch.array_rows, arch.array_cols)

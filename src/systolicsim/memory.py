@@ -30,6 +30,7 @@ once, by ``Bursts.trace``, when ``run`` writes it, and sorted in place.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -156,9 +157,9 @@ class Bursts:
     ``(addresses, start, span)`` moves its i-th of n addresses at cycle
     ``start + i * span // n``, uniformly over ``[start, start + span)``.
     This is the form an external DRAM simulator replays; ``trace()`` sorts
-    it into the (cycle, address) trace that ``run`` writes.  Neither
-    ``cycles()`` nor ``trace()`` holds a second copy of the events: each
-    fills the arrays it returns in place."""
+    it into the (cycle, address) trace that ``run`` writes.  The report and
+    ``trace()`` take the events' cycles one segment of a burst at a time
+    from ``cycle_segments()``, so neither holds a second copy of them."""
 
     bursts: list[tuple[np.ndarray, int, int]]
     word_bytes: int = 1
@@ -170,26 +171,25 @@ class Bursts:
     def total_bytes(self) -> int:
         return len(self) * self.word_bytes
 
-    def cycles(self) -> np.ndarray:
-        """Every event's cycle, burst after burst; not sorted.  One array,
-        filled one segment of a burst at a time."""
-        out = np.empty(len(self), np.int64)
-        pos = 0
+    def cycle_segments(self) -> Iterator[np.ndarray]:
+        """Every event's cycle, burst after burst, one new array per segment
+        of a burst; not sorted."""
         for addresses, start, span in self.bursts:
             n = len(addresses)
             for seg in segments(n):
-                part = out[pos + seg.start:pos + seg.stop]
-                part[...] = np.arange(seg.start, seg.stop, dtype=np.int64)
+                part = np.arange(seg.start, seg.stop, dtype=np.int64)
                 part *= span
                 part //= n
                 part += start
-            pos += n
-        return out
+                yield part
 
     def trace(self) -> Trace:
         """The events as one (cycle, address)-sorted trace.  Its cycles and
         addresses are new arrays, so one packed sort orders them in place."""
-        cycles = self.cycles()
+        cycles, pos = np.empty(len(self), np.int64), 0
+        for part in self.cycle_segments():
+            cycles[pos:pos + len(part)] = part
+            pos += len(part)
         addresses = np.concatenate([_NO_EVENTS] + [a for a, _, _ in self.bursts])
         if len(cycles):
             sort_pairs(cycles, addresses)

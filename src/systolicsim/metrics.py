@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .config import ArchConfig, LayerSpec
 from .errors import ConfigError, SimulationError
-from .mapping import fold_pe_totals, workload_counts
+from .mapping import fold_plan, workload_counts
 from .trace import Trace, segments
 
 SUMMARY_COLUMNS = (
@@ -93,30 +94,38 @@ class LayerReport:
     fold_pe_area: int = 0
 
 
-def _in_run_peak(cycles: np.ndarray, total_cycles: int, word_bytes: int) -> int:
-    """Most bytes moved in one cycle of [0, total_cycles), given each DRAM
-    event's cycle in any order.  Each segment's in-run events are counted
-    on their own; the longest count so far is the total that the others
-    are added into, so one segment costs a single ``bincount``."""
-    total = np.zeros(0, np.int64)
-    for seg in segments(len(cycles)):
-        part = cycles[seg]
-        counts = np.bincount(part[(part >= 0) & (part < total_cycles)])
-        if len(counts) > len(total):
-            total, counts = counts, total
-        total[:len(counts)] += counts
-    return int(total.max()) * word_bytes if len(total) else 0
+def _dram_bytes(cycle_arrays: Iterable[np.ndarray], total_cycles: int,
+                word_bytes: int) -> tuple[int, int]:
+    """(bytes moved, most bytes moved in one cycle of [0, total_cycles)),
+    given every DRAM event's cycle in arrays read once each, in any order;
+    one ``bincount`` per segment of an array, over its own in-run cycles."""
+    events, total = 0, np.zeros(0, np.int64)
+    for cycles in cycle_arrays:
+        events += len(cycles)
+        for seg in segments(len(cycles)):
+            part = cycles[seg]
+            part = part[(part >= 0) & (part < total_cycles)]    # a copy
+            if len(part):
+                low = int(part.min())
+                part -= low
+                counts = np.bincount(part)
+                if not len(total):
+                    total = np.zeros(total_cycles, np.int64)
+                total[low:low + len(counts)] += counts
+    return events * word_bytes, int(total.max()) * word_bytes if len(total) else 0
 
 
 def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | None,
                  ifmap_reads: int, filter_reads: int, ofmap_writes: Trace,
-                 dram_reads: np.ndarray, dram_writes: np.ndarray) -> LayerReport:
+                 dram_reads: Iterable[np.ndarray],
+                 dram_writes: Iterable[np.ndarray]) -> LayerReport:
     """Reduce one layer's traces to its report.  ``run`` and ``report`` both
     call this, so they agree by construction.  The SRAM reads enter as
-    counts and the DRAM traffic as its events' cycles, in any order.
-    Runtime is one past the last output write; every write to an address
-    after its first is a partial sum that the next reduction fold re-reads;
-    DRAM bytes and bandwidths come from the DRAM cycles."""
+    counts and each DRAM partition as its events' cycles, in arrays read
+    once each, one at a time, in any order.  Runtime is one past the last
+    output write; every write to an address after its first is a partial
+    sum that the next reduction fold re-reads; DRAM bytes and bandwidths
+    come from the DRAM cycles."""
     table = table or EnergyCostTable()
     if not len(ofmap_writes) or ofmap_writes.max_cycle < 0:
         raise SimulationError(f"layer {layer.name!r}: ofmap write trace has no "
@@ -124,7 +133,7 @@ def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | No
     word = arch.word_bytes
     cycles = ofmap_writes.max_cycle + 1
     counts = workload_counts(layer)
-    active, area = fold_pe_totals(counts, arch)
+    active, area = fold_plan(counts, arch).pe_totals
     # distinct write addresses, counted on a bitmap of the output region
     addresses = ofmap_writes.addresses
     region = counts.n_windows * counts.n_filters * word
@@ -136,8 +145,8 @@ def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | No
     for seg in segments(len(addresses)):
         written[addresses[seg] - arch.ofmap_offset] = True
     partial_reads = len(ofmap_writes) - int(np.count_nonzero(written))
-    dram_rd_bytes = len(dram_reads) * word
-    dram_wr_bytes = len(dram_writes) * word
+    dram_rd_bytes, peak_rd_bw = _dram_bytes(dram_reads, cycles, word)
+    dram_wr_bytes, peak_wr_bw = _dram_bytes(dram_writes, cycles, word)
     return LayerReport(
         name=layer.name,
         dataflow=arch.dataflow.value,
@@ -154,9 +163,9 @@ def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | No
         dram_read_bytes=dram_rd_bytes,
         dram_write_bytes=dram_wr_bytes,
         avg_read_bw=dram_rd_bytes / cycles,
-        peak_read_bw=_in_run_peak(dram_reads, cycles, word),
+        peak_read_bw=peak_rd_bw,
         avg_write_bw=dram_wr_bytes / cycles,
-        peak_write_bw=_in_run_peak(dram_writes, cycles, word),
+        peak_write_bw=peak_wr_bw,
         energy=energy(counts.macs_total, ifmap_reads + filter_reads + partial_reads,
                       len(ofmap_writes), dram_rd_bytes + dram_wr_bytes, table),
         active_pe_folds=active,

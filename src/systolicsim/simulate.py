@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .config import ArchConfig, LayerSpec
 from .engine import TraceSet, generate_traces
-from .mapping import sram_event_counts, workload_counts
+from .mapping import fold_plan, workload_counts
 from .memory import DramDemand, dram_demand
 from .metrics import (EnergyCostTable, LayerReport, NetworkReport,
                       layer_report, summarize_network)
@@ -46,14 +46,14 @@ def simulate_layer(layer: LayerSpec, arch: ArchConfig,
     dram = dram_demand(traces, arch)
     report = layer_report(layer, arch, table, len(traces.ifmap_reads),
                           len(traces.filter_reads), traces.ofmap_writes,
-                          dram.read_trace.cycles(), dram.write_trace.cycles())
+                          dram.read_trace.cycle_segments(), dram.write_trace.cycle_segments())
     return LayerResult(report, traces, dram)
 
 
 def layer_peak_bytes(layer: LayerSpec, arch: ArchConfig) -> int:
     """The most memory ``simulate_layer`` needs for this layer, from the
     closed-form SRAM event count."""
-    events = sum(sram_event_counts(workload_counts(layer), arch))
+    events = sum(fold_plan(workload_counts(layer), arch).sram_event_counts)
     return int(PEAK_TRACE_FACTOR * EVENT_BYTES * events) + EVENT_BYTES * SEGMENT_EVENTS
 
 

@@ -1,20 +1,21 @@
-"""Test-only reference for the SRAM trace engines: the builder that keeps
-every fold's pieces, concatenates them and sorts the whole trace with one
-global sort.  The engine proper writes folds into preallocated arrays and
-sorts them segment by segment, and it sums each fold's addresses from
-per-index vectors; ``test_engine_differential`` checks that the two give
-identical traces.  The address maps and fold loops here are the engine's
-as they were before that change.
+"""Test-only reference for the SRAM trace engines: the builder that walks
+the folds one by one (``helpers.fold_list``), keeps every fold's pieces,
+concatenates them and sorts the whole trace with one global sort.  The
+engine proper reads batches of folds off the fold grid in closed form,
+writes them into preallocated arrays in cycle order, and sums each fold's
+addresses from per-index vectors; ``test_engine_differential`` checks that
+the two give identical traces.  The address maps and fold loops here are
+the engine's as they were before those changes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from helpers import sorted_trace
+from helpers import fold_list, sorted_trace
 from systolicsim.config import ArchConfig, Dataflow, LayerSpec
 from systolicsim.engine import TraceSet, _check_regions
-from systolicsim.mapping import WorkloadCounts, fold_schedule, workload_counts
+from systolicsim.mapping import WorkloadCounts, fold_plan, workload_counts
 from systolicsim.trace import Trace
 
 
@@ -72,13 +73,12 @@ def _traces_os(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
     filter (col_start+j); PE(i,j) reduces in place and drains one value."""
     counts = workload_counts(layer)
     _check_regions(layer, arch, counts)
-    plan = fold_schedule(counts, arch)
     am = _AddressMaps(layer, arch, counts)
     ksz = counts.window_size
     k = np.arange(ksz, dtype=np.int64)
     ifm, fil, out = _Builder(), _Builder(), _Builder()
     base = 0
-    for fold in plan.folds:
+    for fold in fold_list(counts, arch):
         r = np.arange(fold.rows_used, dtype=np.int64)
         c = np.arange(fold.cols_used, dtype=np.int64)
         w_ids = fold.row_start + r
@@ -87,7 +87,7 @@ def _traces_os(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
         fil.add(base + c[:, None] + k[None, :], am.filter_addrs(f_ids, k))
         out.add(base + r[:, None] + c[None, :] + ksz - 1, am.ofmap_addrs(w_ids, f_ids))
         base += fold.rows_used + fold.cols_used + ksz - 2
-    return TraceSet(counts, plan, ifm.build(), fil.build(), out.build())
+    return TraceSet(counts, fold_plan(counts, arch), ifm.build(), fil.build(), out.build())
 
 
 def _traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
@@ -103,7 +103,6 @@ def _traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
     """
     counts = workload_counts(layer)
     _check_regions(layer, arch, counts)
-    plan = fold_schedule(counts, arch)
     am = _AddressMaps(layer, arch, counts)
     pin_windows = arch.dataflow is Dataflow.IS
     stream_total = counts.n_filters if pin_windows else counts.n_windows
@@ -111,7 +110,7 @@ def _traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
     ifm, fil, out = _Builder(), _Builder(), _Builder()
     fill_b, stream_b = (ifm, fil) if pin_windows else (fil, ifm)
     base = 0
-    for fold in plan.folds:
+    for fold in fold_list(counts, arch):
         rows, cols = fold.rows_used, fold.cols_used
         k_ids = fold.row_start + np.arange(rows, dtype=np.int64)
         col_ids = fold.col_start + np.arange(cols, dtype=np.int64)
@@ -138,7 +137,7 @@ def _traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
             wr_addrs = am.ofmap_addrs(s, col_ids)
         out.add(wr_cycles, wr_addrs)
         base += 2 * rows + stream_total + cols - 2
-    return TraceSet(counts, plan, ifm.build(), fil.build(), out.build())
+    return TraceSet(counts, fold_plan(counts, arch), ifm.build(), fil.build(), out.build())
 
 
 def generate_traces_reference(layer: LayerSpec, arch: ArchConfig) -> TraceSet:

@@ -129,6 +129,35 @@ def epilogue(writes):
     return len(addresses) * writes.word_bytes, span
 
 
+class Fold(NamedTuple):
+    """One mapping round: rows_used x cols_used PEs mapped to the slice of
+    the dataflow's (row, column) work that starts at (row_start, col_start),
+    with stream_len values streamed through them."""
+
+    rows_used: int
+    cols_used: int
+    stream_len: int
+    row_start: int
+    col_start: int
+
+
+def fold_list(counts, arch) -> list[Fold]:
+    """Every fold of the layer, fold by fold in execution order: row-major
+    over the fold grid, the row work outermost.  OS maps windows onto rows
+    and filters onto columns and streams the window elements; WS maps
+    window elements and filters and streams the windows; IS maps window
+    elements and windows and streams the filters.  Enumerated here on its
+    own, as the reference for the engine's closed-form fold batches."""
+    row_work, col_work, stream_len = {
+        Dataflow.OS: (counts.n_windows, counts.n_filters, counts.window_size),
+        Dataflow.WS: (counts.window_size, counts.n_filters, counts.n_windows),
+        Dataflow.IS: (counts.window_size, counts.n_windows, counts.n_filters),
+    }[arch.dataflow]
+    rows, cols = arch.array_rows, arch.array_cols
+    return [Fold(min(rows, row_work - r), min(cols, col_work - c), stream_len, r, c)
+            for r in range(0, row_work, rows) for c in range(0, col_work, cols)]
+
+
 # one operand element's byte address, by coordinates: the layout that the
 # engine's vectorised address maps implement
 

@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from helpers import (distinct_addresses, in_file_order, make_arch, pairs_to_trace,
-                     partial_reads, random_small_layer, write_config)
+from helpers import (distinct_addresses, fold_list, in_file_order, make_arch,
+                     pairs_to_trace, partial_reads, random_small_layer, write_config)
 from oracle import direct_convolution, simulate_grid
 from systolicsim.bundled import bundled_workloads, default_config_path
 from systolicsim.cli import EXIT_OK, main
@@ -74,7 +74,7 @@ def test_criterion_3_conservation():
         ts = generate_traces(layer, arch)
         counts = ts.counts
         assert sum(f.rows_used * f.cols_used * f.stream_len
-                   for f in ts.plan.folds) == counts.macs_total
+                   for f in fold_list(counts, arch)) == counts.macs_total
         addrs, n_writes = np.unique(ts.ofmap_writes.addresses, return_counts=True)
         footprint = arch.ofmap_offset + arch.word_bytes * np.arange(
             counts.n_windows * counts.n_filters, dtype=np.int64)

@@ -2,9 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import (addr_filter, addr_ifmap, addr_ofmap, in_file_order, make_arch,
-                     pairs_to_trace, partial_reads, per_cycle_counts, random_small_layer)
+from helpers import (addr_filter, addr_ifmap, addr_ofmap, fold_list, in_file_order,
+                     make_arch, pairs_to_trace, partial_reads, per_cycle_counts,
+                     random_small_layer)
 from oracle import simulate_grid
 from systolicsim.config import Dataflow, LayerSpec, lower_gemm
 from systolicsim.engine import generate_traces
@@ -61,6 +64,36 @@ def assert_matches_oracle(layer, arch):
     return ts, orc
 
 
+@st.composite
+def wide_word_archs(draw, layer):
+    """An array of at most 8x8 PEs at a word of 2 or 4 bytes, with the three
+    operand regions at random, non-overlapping, unaligned offsets in a
+    random order."""
+    word = draw(st.sampled_from([2, 4]))
+    counts = workload_counts(layer)
+    sizes = {"ifmap": layer.ifmap_h * layer.ifmap_w * layer.channels * word,
+             "filter": counts.n_filters * counts.window_size * word,
+             "ofmap": counts.n_windows * counts.n_filters * word}
+    offsets, at = {}, draw(st.integers(0, 10**6))
+    for region in draw(st.permutations(list(sizes))):
+        offsets[f"{region}_offset"] = at
+        at += sizes[region] + draw(st.integers(0, 3 * word))
+    arch = make_arch(draw(st.integers(1, 8)), draw(st.integers(1, 8)),
+                     draw(st.sampled_from(["os", "ws", "is"])), word_bytes=word)
+    return arch.with_overrides(**offsets)
+
+
+small_layer_strategy = st.builds(random_small_layer, st.builds(random.Random, st.integers()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), small_layer_strategy)
+def test_wide_words_and_random_offsets_match_oracle(data, layer):
+    # within the oracle's bounds (4096 PEs, 10**6 MACs): at most 64 PEs and
+    # 36 windows x 4 filters x 36 elements = 5184 MACs
+    assert_matches_oracle(layer, data.draw(wide_word_archs(layer)))
+
+
 def test_os_gemm4_cycle_count():
     ts, _ = assert_matches_oracle(lower_gemm(4, 4, 4), make_arch(4, 4, "os"))
     assert ts.total_cycles == 10
@@ -99,9 +132,10 @@ def test_ws_per_fold_read_counts():
     layer = LayerSpec("t", 8, 3, 3, 1, 1, 2, 1)
     counts = workload_counts(layer)
     assert (counts.window_size, counts.n_filters, counts.n_windows) == (3, 2, 18)
-    ts = generate_traces(layer, make_arch(4, 4, "ws"))
+    arch = make_arch(4, 4, "ws")
+    ts = generate_traces(layer, arch)
     assert ts.plan.num_folds == 1
-    fold = ts.plan.folds[0]
+    [fold] = fold_list(counts, arch)
     assert len(ts.filter_reads) == fold.rows_used * fold.cols_used
     assert len(ts.ifmap_reads) == fold.rows_used * counts.n_windows
 
@@ -110,9 +144,9 @@ def test_ws_read_counts_closed_form_multi_fold():
     layer = LayerSpec("t", 6, 6, 3, 3, 2, 5, 1)  # W_sz=18, M=5, N_w=16
     arch = make_arch(4, 2, "ws")
     ts = generate_traces(layer, arch)
-    counts = ts.counts
-    assert len(ts.filter_reads) == sum(f.rows_used * f.cols_used for f in ts.plan.folds)
-    assert len(ts.ifmap_reads) == sum(f.rows_used * counts.n_windows for f in ts.plan.folds)
+    counts, folds = ts.counts, fold_list(ts.counts, arch)
+    assert len(ts.filter_reads) == sum(f.rows_used * f.cols_used for f in folds)
+    assert len(ts.ifmap_reads) == sum(f.rows_used * counts.n_windows for f in folds)
     assert_matches_oracle(layer, arch)
 
 
@@ -150,10 +184,10 @@ EDGE_BOUNDS = {
 
 def _check_invariants(layer, arch):
     ts = generate_traces(layer, arch)
-    counts = ts.counts
-    # MAC conservation implied by the fold plan behind the traces
-    assert sum(f.rows_used * f.cols_used * f.stream_len
-               for f in ts.plan.folds) == counts.macs_total
+    counts, folds = ts.counts, fold_list(ts.counts, arch)
+    # MAC conservation implied by the folds behind the traces
+    assert ts.plan.num_folds == len(folds)
+    assert sum(f.rows_used * f.cols_used * f.stream_len for f in folds) == counts.macs_total
     # runtime defined by the output trace
     assert ts.total_cycles == ts.ofmap_writes.max_cycle + 1
     # OFMAP completeness: every output address written, finals exactly once
@@ -164,8 +198,8 @@ def _check_invariants(layer, arch):
     n_red = 1 if arch.dataflow is Dataflow.OS else -(-counts.window_size // arch.array_rows)
     assert np.all(write_counts == n_red)
     # stall-free edge contract: per-cycle demand within the active edge width
-    max_rows = max(f.rows_used for f in ts.plan.folds)
-    max_cols = max(f.cols_used for f in ts.plan.folds)
+    max_rows = max(f.rows_used for f in folds)
+    max_cols = max(f.cols_used for f in folds)
     ifmap_bound = max_rows if EDGE_BOUNDS[arch.dataflow.value][0] == "rows_used" else max_cols
     filter_bound = max_rows if EDGE_BOUNDS[arch.dataflow.value][1] == "rows_used" else max_cols
     if len(ts.ifmap_reads):
@@ -204,8 +238,8 @@ def test_transpose_symmetry_constructed_layers():
     for m, k in ((6, 5), (13, 20), (32, 9)):
         layer = lower_gemm(m, k, m)
         for rows, cols in ((4, 4), (8, 2), (3, 7)):
-            ws = generate_traces(layer, make_arch(rows, cols, "ws"))
-            is_ = generate_traces(layer, make_arch(rows, cols, "is"))
+            ws_arch, is_arch = make_arch(rows, cols, "ws"), make_arch(rows, cols, "is")
+            ws, is_ = generate_traces(layer, ws_arch), generate_traces(layer, is_arch)
             assert ws.total_cycles == is_.total_cycles
-            assert [(f.rows_used, f.cols_used) for f in ws.plan.folds] == \
-                   [(f.rows_used, f.cols_used) for f in is_.plan.folds]
+            assert [(f.rows_used, f.cols_used) for f in fold_list(ws.counts, ws_arch)] == \
+                   [(f.rows_used, f.cols_used) for f in fold_list(is_.counts, is_arch)]

@@ -1,11 +1,13 @@
 """The batched diagonal trace builder against the whole-trace reference.
 
-The engine writes each batch of same-shape folds straight into arrays of
-the closed-form length, diagonal by diagonal, in cycle order and without a
-sort; ``engine_reference`` keeps every fold's pieces and sorts the whole
-trace once.  Each engine trace must be in cycle order, and in (cycle,
-address) order it must equal the reference's, however the folds fall into
-batches, corner gathers and segments.
+The engine reads batches of same-shape folds off the fold grid in closed
+form and writes each straight into arrays of the closed-form length,
+diagonal by diagonal, in cycle order and without a sort;
+``engine_reference`` enumerates the folds one by one on its own, keeps
+every fold's pieces and sorts the whole trace once.  Each engine trace must
+be in cycle order, and in (cycle, address) order it must equal the
+reference's, however the folds fall into batches, corner gathers and
+segments.
 """
 
 from contextlib import contextmanager
@@ -17,12 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from engine_reference import generate_traces_reference
-from helpers import in_file_order, make_arch
+from helpers import fold_list, in_file_order, make_arch
 from systolicsim import engine, trace
 from systolicsim.bundled import default_config_path, workload_path
 from systolicsim.config import LayerSpec, load_config, load_topology
 from systolicsim.engine import generate_traces
-from systolicsim.mapping import FoldPlan, sram_event_counts, workload_counts
+from systolicsim.mapping import workload_counts
 from systolicsim.trace import Trace, sort_within_cycles
 
 KINDS = ("ifmap_reads", "filter_reads", "ofmap_writes")
@@ -38,11 +40,11 @@ def segment_events(n):
 def assert_matches_reference(layer, arch):
     got = generate_traces(layer, arch)
     want = generate_traces_reference(layer, arch)
-    assert got.plan == want.plan
+    assert got.plan.num_folds == len(fold_list(got.counts, arch))
     for kind in KINDS:
         assert in_file_order(getattr(got, kind)) == getattr(want, kind), kind
     assert tuple(len(getattr(got, kind)) for kind in KINDS) == \
-        sram_event_counts(got.counts, arch)
+        got.plan.sram_event_counts
     return got
 
 
@@ -70,7 +72,7 @@ def test_fold_larger_than_segment(dataflow):
     arch = make_arch(5, 3, dataflow, word_bytes=2)
     with segment_events(16):
         ts = assert_matches_reference(layer, arch)
-    assert max(f.rows_used * f.stream_len for f in ts.plan.folds) > 16
+    assert max(f.rows_used * f.stream_len for f in fold_list(ts.counts, arch)) > 16
 
 
 @pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
@@ -110,7 +112,7 @@ def test_corner_wider_than_a_gather(dataflow):
     arch = make_arch(40, 40, dataflow)
     with mock.patch.object(engine, "CHUNK_EVENTS", 64):
         ts = assert_matches_reference(layer, arch)
-    assert max(min(f.rows_used, f.cols_used) for f in ts.plan.folds) == 40
+    assert max(min(f.rows_used, f.cols_used) for f in fold_list(ts.counts, arch)) == 40
 
 
 @pytest.mark.parametrize("segment", [64, trace.SEGMENT_EVENTS])
@@ -136,14 +138,14 @@ def test_lexsort_fallback(dataflow, segment):
 
 
 def test_overlapping_folds_crash(monkeypatch):
-    # a mutated schedule: every fold starts about 1000 cycles before the
-    # fold before it ends
-    walk = engine._walk
+    # mutated batches: every fold starts about 1000 cycles before the fold
+    # before it ends
+    batches = engine._batches
 
-    def overlapping_walk(plan, span, *rest):
-        return walk(plan, lambda rows, cols: span(rows, cols) - 1000, *rest)
+    def overlapping_batches(plan, span, sizes):
+        return batches(plan, lambda rows, cols: span(rows, cols) - 1000, sizes)
 
-    monkeypatch.setattr(engine, "_walk", overlapping_walk)
+    monkeypatch.setattr(engine, "_batches", overlapping_batches)
     with segment_events(1), pytest.raises(AssertionError, match="overlap in time"):
         generate_traces(LayerSpec("t", 6, 6, 2, 2, 2, 4, 1), make_arch(2, 2, "os"))
 
@@ -159,33 +161,53 @@ def test_overlap_in_last_segment_crashes_build():
             engine._check_cycle_order(np.sort(cycles))
 
 
+def fold_by_fold(folds):
+    """A stand-in for ``engine._batches`` that makes each of ``folds``, in
+    the order given, a batch of its own, which starts where the fold before
+    it ends, in time and in every trace."""
+    def batches(plan, span, sizes):
+        out, state = [], (0, 0, 0, 0)
+        for f in folds:
+            out.append(engine._Batch(f.rows_used, f.cols_used, 1,
+                                     (f.row_start, f.col_start, *state), (0,) * 6))
+            cost = span(f.rows_used, f.cols_used), *sizes(f.rows_used, f.cols_used)
+            state = tuple(a + b for a, b in zip(state, cost))
+        return out
+    return batches
+
+
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_fold_by_fold_batches_match(monkeypatch, dataflow):
+    # the stand-in that the mutants below change writes the engine's traces
+    layer, arch = LayerSpec("t", 6, 5, 2, 2, 2, 5, 1), make_arch(3, 2, dataflow)
+    want = generate_traces(layer, arch)
+    monkeypatch.setattr(engine, "_batches", fold_by_fold(fold_list(want.counts, arch)))
+    got = generate_traces(layer, arch)
+    for kind in KINDS:
+        assert in_file_order(getattr(got, kind)) == in_file_order(getattr(want, kind)), kind
+
+
 def test_event_count_off_the_closed_form_crashes(monkeypatch):
-    # mutated plans with one fold fewer or one more than the fold grid
-    schedule = engine.fold_schedule
-    for change in (lambda folds: folds[:-1], lambda folds: folds[:1] + folds):
-        monkeypatch.setattr(engine, "fold_schedule", lambda counts, arch: FoldPlan(
-            arch.dataflow, change(schedule(counts, arch).folds)))
+    # mutated batches with one fold fewer or one more than the fold grid
+    layer, arch = LayerSpec("t", 6, 6, 2, 2, 2, 4, 1), make_arch(2, 2, "os")
+    folds = fold_list(workload_counts(layer), arch)
+    for mutant in (folds[:-1], folds[:1] + folds):
+        monkeypatch.setattr(engine, "_batches", fold_by_fold(mutant))
         with pytest.raises(AssertionError, match="closed form"):
-            generate_traces(LayerSpec("t", 6, 6, 2, 2, 2, 4, 1), make_arch(2, 2, "os"))
+            generate_traces(layer, arch)
 
 
 @pytest.mark.parametrize("dataflow", ["ws", "is"])
 def test_reduction_innermost_crashes(monkeypatch, dataflow):
     # a mutated fold order that runs the reduction chunks innermost: partial
     # sums then end the ofmap trace, so its last N_w*M events are not final
-    schedule = engine.fold_schedule
-
-    def reduction_innermost(counts, arch):
-        plan = schedule(counts, arch)
-        return FoldPlan(plan.dataflow, tuple(sorted(
-            plan.folds, key=lambda f: (f.col_start, f.row_start))))
-
-    monkeypatch.setattr(engine, "fold_schedule", reduction_innermost)
     layer = LayerSpec("t", 4, 4, 2, 2, 2, 3, 1)  # W_sz=8, M=3, N_w=9
     arch = make_arch(4, 2, dataflow)             # 2 reduction and >= 2 column chunks
-    plan = reduction_innermost(workload_counts(layer), arch)
-    assert len({f.row_start for f in plan.folds}) >= 2
-    assert len({f.col_start for f in plan.folds}) >= 2
+    folds = sorted(fold_list(workload_counts(layer), arch),
+                   key=lambda f: (f.col_start, f.row_start))
+    assert len({f.row_start for f in folds}) >= 2
+    assert len({f.col_start for f in folds}) >= 2
+    monkeypatch.setattr(engine, "_batches", fold_by_fold(folds))
     with pytest.raises(AssertionError, match="last reduction chunk"):
         generate_traces(layer, arch)
 

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_arch, random_medium_layer
+from helpers import fold_list, make_arch, random_medium_layer
 from systolicsim.config import LayerSpec, lower_gemm
-from systolicsim.mapping import (WorkloadCounts, fold_pe_totals, fold_schedule,
-                                sram_event_counts, workload_counts)
+from systolicsim.mapping import WorkloadCounts, fold_plan, workload_counts
 
 
 def test_counts_small_conv():
@@ -33,31 +32,36 @@ def test_counts_gemm_identity():
 def test_fold_schedule_os_ragged():
     # N_w=9, M=1, W_sz=9 on a 4x4 array
     counts = workload_counts(LayerSpec("t", 5, 5, 3, 3, 1, 1, 1))
-    plan = fold_schedule(counts, make_arch(4, 4, "os"))
-    assert [f.rows_used for f in plan.folds] == [4, 4, 1]
-    assert all(f.cols_used == 1 for f in plan.folds)
-    assert all(f.stream_len == 9 for f in plan.folds)
+    plan = fold_plan(counts, make_arch(4, 4, "os"))
+    assert (plan.row_runs, plan.col_runs, plan.stream_len) == ([(2, 4), (1, 1)], [(1, 1)], 9)
+    folds = fold_list(counts, make_arch(4, 4, "os"))
+    assert [f.rows_used for f in folds] == [4, 4, 1]
+    assert all(f.cols_used == 1 for f in folds)
+    assert all(f.stream_len == 9 for f in folds)
 
 
 def test_fold_schedule_ws_reduction_split():
     # W_sz=147, M=64 on 128x128: two reduction folds, one filter fold
     counts = workload_counts(LayerSpec("conv1", 230, 230, 7, 7, 3, 64, 2))
-    plan = fold_schedule(counts, make_arch(128, 128, "ws"))
-    assert [f.rows_used for f in plan.folds] == [128, 19]
-    assert all(f.cols_used == 64 for f in plan.folds)
-    assert all(f.stream_len == counts.n_windows for f in plan.folds)
+    plan = fold_plan(counts, make_arch(128, 128, "ws"))
+    assert (plan.row_runs, plan.col_runs) == ([(1, 128), (1, 19)], [(1, 64)])
+    folds = fold_list(counts, make_arch(128, 128, "ws"))
+    assert [f.rows_used for f in folds] == [128, 19]
+    assert all(f.cols_used == 64 for f in folds)
+    assert all(f.stream_len == counts.n_windows for f in folds)
 
 
 def test_fold_schedule_is_perfect_fit():
     counts = workload_counts(lower_gemm(4, 4, 4))
-    plan = fold_schedule(counts, make_arch(4, 4, "is"))
+    plan = fold_plan(counts, make_arch(4, 4, "is"))
     assert plan.num_folds == 1
-    fold = plan.folds[0]
+    assert (plan.row_runs, plan.col_runs) == ([(1, 4)], [(1, 4)])
+    [fold] = fold_list(counts, make_arch(4, 4, "is"))
     assert (fold.rows_used, fold.cols_used, fold.stream_len) == (4, 4, 4)
 
 
 def mapping_efficiency(counts, arch):
-    active, area = fold_pe_totals(counts, arch)
+    active, area = fold_plan(counts, arch).pe_totals
     return active / area
 
 
@@ -88,8 +92,7 @@ arch_strategy = st.builds(
 @given(layer_strategy, arch_strategy)
 def test_work_conservation(layer, arch):
     counts = workload_counts(layer)
-    plan = fold_schedule(counts, arch)
-    work = sum(f.rows_used * f.cols_used * f.stream_len for f in plan.folds)
+    work = sum(f.rows_used * f.cols_used * f.stream_len for f in fold_list(counts, arch))
     assert work == counts.macs_total
 
 
@@ -97,23 +100,23 @@ def test_work_conservation(layer, arch):
 @given(layer_strategy, arch_strategy)
 def test_fold_count_formulas(layer, arch):
     counts = workload_counts(layer)
-    plan = fold_schedule(counts, arch)
+    plan = fold_plan(counts, arch)
     rows, cols = arch.array_rows, arch.array_cols
     expected = {
         "os": math.ceil(counts.n_windows / rows) * math.ceil(counts.n_filters / cols),
         "ws": math.ceil(counts.window_size / rows) * math.ceil(counts.n_filters / cols),
         "is": math.ceil(counts.window_size / rows) * math.ceil(counts.n_windows / cols),
     }[arch.dataflow.value]
-    assert plan.num_folds == expected
+    assert plan.num_folds == len(fold_list(counts, arch)) == expected
 
 
 @settings(max_examples=150, deadline=None)
 @given(layer_strategy, arch_strategy)
 def test_efficiency_one_iff_divisible(layer, arch):
     counts = workload_counts(layer)
-    plan = fold_schedule(counts, arch)
-    eff = Fraction(sum(f.rows_used * f.cols_used for f in plan.folds),
-                   plan.num_folds * arch.array_rows * arch.array_cols)
+    folds = fold_list(counts, arch)
+    eff = Fraction(sum(f.rows_used * f.cols_used for f in folds),
+                   len(folds) * arch.array_rows * arch.array_cols)
     row_work = {"os": counts.n_windows, "ws": counts.window_size,
                 "is": counts.window_size}[arch.dataflow.value]
     col_work = {"os": counts.n_filters, "ws": counts.n_filters,
@@ -131,14 +134,14 @@ def grid_counts(draw):
     return WorkloadCounts(n_w, 1, n_w, w_sz, m, n_w * w_sz * m)
 
 
-def _fold_sums(plan):
+def _fold_sums(folds, dataflow):
     """(ifmap reads, filter reads, ofmap writes) summed fold by fold."""
-    mapped = sum(f.rows_used * f.cols_used for f in plan.folds)
-    through_rows = sum(f.rows_used * f.stream_len for f in plan.folds)
-    through_cols = sum(f.cols_used * f.stream_len for f in plan.folds)
+    mapped = sum(f.rows_used * f.cols_used for f in folds)
+    through_rows = sum(f.rows_used * f.stream_len for f in folds)
+    through_cols = sum(f.cols_used * f.stream_len for f in folds)
     return {"os": (through_rows, through_cols, mapped),
             "ws": (through_rows, mapped, through_cols),
-            "is": (mapped, through_rows, through_cols)}[plan.dataflow.value]
+            "is": (mapped, through_rows, through_cols)}[dataflow]
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,8 +149,8 @@ def _fold_sums(plan):
        st.integers(1, 17), st.integers(1, 17), st.sampled_from(["os", "ws", "is"]))
 def test_closed_forms_match_fold_sums(counts, rows, cols, dataflow):
     arch = make_arch(rows, cols, dataflow)
-    plan = fold_schedule(counts, arch)
-    assert fold_pe_totals(counts, arch) == (
-        sum(f.rows_used * f.cols_used for f in plan.folds),
-        plan.num_folds * rows * cols)
-    assert sram_event_counts(counts, arch) == _fold_sums(plan)
+    folds = fold_list(counts, arch)
+    plan = fold_plan(counts, arch)
+    assert plan.pe_totals == (
+        sum(f.rows_used * f.cols_used for f in folds), len(folds) * rows * cols)
+    assert plan.sram_event_counts == _fold_sums(folds, dataflow)

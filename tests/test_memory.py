@@ -256,10 +256,11 @@ def order_free_figures(layer, arch, ts):
         dram = dram_demand(ts, arch)
     except WorkingSetUnderflow as exc:
         return str(exc)
-    read, write = dram.read_trace.cycles(), dram.write_trace.cycles()
-    figures += [np.sort(read).tolist(), np.sort(write).tolist()]
+    reads, writes = dram.read_trace, dram.write_trace
+    figures += [reads.trace().cycles.tolist(), writes.trace().cycles.tolist()]
     figures.append(layer_report(layer, arch, None, len(ts.ifmap_reads),
-                                len(ts.filter_reads), ts.ofmap_writes, read, write))
+                                len(ts.filter_reads), ts.ofmap_writes,
+                                reads.cycle_segments(), writes.cycle_segments()))
     return figures
 
 

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import OFMAP_OFF, make_arch, random_small_layer
 from systolicsim.bundled import workload_path
 from systolicsim.config import LayerSpec, load_topology, lower_gemm
 from systolicsim.engine import generate_traces
-from systolicsim.errors import SimulationError
-from systolicsim.metrics import (EnergyCostTable, energy, layer_report,
+from systolicsim.errors import SimulationError, WorkingSetUnderflow
+from systolicsim.metrics import (EnergyCostTable, energy, layer_report, report_row,
                                  summarize_network, summary_csv)
 from systolicsim.simulate import simulate_layer
 from systolicsim.trace import Trace
@@ -37,7 +39,7 @@ def test_layer_report_rejects_bad_ofmap_writes(cycles, addresses, error):
     writes = Trace(np.array(cycles), np.array(addresses))
     with pytest.raises(SimulationError, match=error):
         layer_report(lower_gemm(2, 1, 1), make_arch(1, 1, "os"), None, 2, 2,
-                     writes, np.empty(0, np.int64), np.empty(0, np.int64))
+                     writes, [], [])
 
 
 def test_layer_report_dram_bytes_and_bandwidths():
@@ -47,7 +49,7 @@ def test_layer_report_dram_bytes_and_bandwidths():
     dram_rd = np.array([-2, -1, 0, 3, 3, 7])
     dram_wr = np.array([5, 10, 11])
     rep = layer_report(lower_gemm(5, 1, 1), make_arch(1, 1, "os", word_bytes=2),
-                       None, 5, 5, writes, dram_rd, dram_wr)
+                       None, 5, 5, writes, [dram_rd[:4], dram_rd[4:]], [dram_wr])
     assert rep.total_cycles == 10
     assert (rep.dram_read_bytes, rep.dram_write_bytes) == (12, 6)
     assert (rep.avg_read_bw, rep.avg_write_bw) == (1.2, 0.6)
@@ -143,3 +145,34 @@ def test_summary_csv_shape():
     assert header.split(",")[0] == "layer"
     assert len(row.split(",")) == len(header.split(","))
     assert row.split(",")[1] == "os"
+
+
+@st.composite
+def overflowing_layers(draw):
+    """Layers whose operands outgrow a 1 KB buffer in most draws."""
+    ih, iw = draw(st.integers(6, 20)), draw(st.integers(6, 20))
+    return LayerSpec("t", ih, iw, draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                     draw(st.integers(2, 16)), draw(st.integers(1, 16)),
+                     draw(st.integers(1, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(overflowing_layers(), st.integers(1, 12), st.integers(1, 12),
+       st.sampled_from(["os", "ws", "is"]), st.sampled_from([1, 2, 4]),
+       st.sampled_from([1, 64]), st.integers(1, 10**7))
+def test_summary_row_ignores_a_whole_word_shift_of_the_offsets(layer, rows, cols, dataflow,
+                                                               word, kb, shift):
+    # every address moves by the same whole number of words; at 1 KB most
+    # of these layers' traces take several epochs
+    arch = make_arch(rows, cols, dataflow, ifmap_kb=kb, filter_kb=kb, ofmap_kb=kb,
+                     word_bytes=word)
+    moved = arch.with_overrides(**{f"{part}_offset": getattr(arch, f"{part}_offset")
+                                   + shift * word for part in ("ifmap", "filter", "ofmap")})
+
+    def summary(arch):
+        try:
+            return report_row(simulate_layer(layer, arch).report)
+        except WorkingSetUnderflow as exc:
+            return str(exc)
+
+    assert summary(moved) == summary(arch)

@@ -1,8 +1,11 @@
+import random
 from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import make_arch, write_topology
+from helpers import fold_list, make_arch, random_medium_layer, write_topology
 from systolicsim import sweeps
 from systolicsim.config import LayerSpec
 from systolicsim.errors import TopologyError
@@ -224,3 +227,24 @@ def test_sweep_spec_validation(tiny_workload):
         SweepSpec(study="dataflow", workloads=[])
     with pytest.raises(ValueError):
         SweepSpec(study="dataflow", workloads=[tiny_workload], dataflows=())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(random_medium_layer, st.builds(random.Random, st.integers())),
+       st.integers(1, 9), st.integers(1, 8), st.integers(1, 8),
+       st.sampled_from(["os", "ws", "is"]))
+def test_partition_conserves_macs(layer, nodes, rows, cols, dataflow):
+    # the MACs that the shards' folds map, and that their reports count,
+    # add up to the layer's
+    assume(nodes <= layer.num_filters)
+    arch = make_arch(rows, cols, dataflow)
+    shards = partition_output_channels(layer, nodes)
+    assert len(shards) == nodes
+
+    def mapped_macs(layer):
+        return sum(f.rows_used * f.cols_used * f.stream_len
+                   for f in fold_list(workload_counts(layer), arch))
+
+    macs = workload_counts(layer).macs_total
+    assert sum(mapped_macs(s) for s in shards) == mapped_macs(layer) == macs
+    assert sum(simulate_layer(s, arch).report.macs_total for s in shards) == macs
