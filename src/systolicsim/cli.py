@@ -109,12 +109,11 @@ def mem_available(meminfo: str = "/proc/meminfo") -> int | None:
 def _run_one_layer(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable,
                    run_dir: str, stem: str, write_traces: bool) -> LayerReport:
     """Simulate one layer and, with ``write_traces``, write its five trace
-    files in ``TRACE_KINDS`` order; the SRAM traces are then put in (cycle,
-    address) order in place before the memory model runs.  The three SRAM
-    traces are written and dropped first; only then is each DRAM trace
-    built from its bursts, sorted and written, one at a time.  So no SRAM
-    trace is held while a sorted DRAM trace is built."""
-    res = simulate_layer(layer, arch, table, file_order=write_traces)
+    files in ``TRACE_KINDS`` order.  The three SRAM traces are written and
+    dropped first; only then is each DRAM trace built from its bursts,
+    sorted and written, one at a time.  So no SRAM trace is held while a
+    sorted DRAM trace is built."""
+    res = simulate_layer(layer, arch, table)
     report, dram = res.report, res.dram
     if write_traces:
         ifmap, filt, writes, dram_rd, dram_wr = (Path(run_dir) / f"{stem}_{kind}.csv"
@@ -228,7 +227,7 @@ def cmd_report(args) -> int:
         raise SimulationError(f"manifest {manifest_path} is not JSON: {exc}") from None
     except KeyError as exc:
         raise SimulationError(f"manifest {manifest_path} has no {exc} entry") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise SimulationError(f"manifest {manifest_path} is malformed: {exc}") from None
     if not layers:
         raise SimulationError(f"manifest {manifest_path} lists no layers")

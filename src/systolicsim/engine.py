@@ -19,14 +19,15 @@ one trace are a block: event (i, j) reads or writes ``a[i] + b[j]``.  Its
 cycle is ``c0 + i + j`` (a diagonal block: both streams and every drain)
 or ``c0 + i`` (the WS/IS fill).
 
-SRAM traces are in cycle order; the order of the events within one cycle
-is left unspecified, and the engine never sorts.  A diagonal block is
-written straight into its slice of the trace diagonal by diagonal, each
-diagonal by ascending i: the full diagonals in one add over a sliding
-window of the longer side, and the two corner triangles, whose sides are
-at most the array's, through a small index of their (i, j) pairs.  A fill block's rows
-are already in cycle order.  (cycle, address) order, which the trace files
-need, is made on that path only, by ``trace.sort_within_cycles``.
+SRAM traces are in cycle order, and the engine never sorts.  A diagonal
+block is written straight into its slice of the trace diagonal by
+diagonal, each diagonal by ascending i: the full diagonals in one add over
+a sliding window of the longer side, and the two corner triangles, whose
+sides are at most the array's, through a small index of their (i, j)
+pairs.  A fill block's rows are already in cycle order.  The order of a
+read trace's events within a cycle is left unspecified; the ofmap trace,
+whose final writes the drain takes in trace order, is in (cycle, address)
+order.
 
 Folds of one shape are written in batches read off the fold grid,
 ``mapping.FoldPlan``, in closed form.  Every grid row of one run emits the
@@ -40,8 +41,8 @@ of the fold before it, in every trace.  Each trace's arrays are allocated
 once, at the closed-form length ``FoldPlan.sram_event_counts``; the batches
 are checked to emit exactly that many events before any is written, and
 each finished trace to be in cycle order one chunk at a time (an O(n)
-check), so folds that overlap in time crash instead of leaving a trace
-out of order.
+check; the ofmap trace's in (cycle, address) order), so folds that
+overlap in time crash instead of leaving a trace out of order.
 
 The fold grid says which output writes are final: ``TraceSet.final_writes``
 is the ofmap trace's last N_w*M events, as views.  Under OS every write is
@@ -62,9 +63,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .config import ArchConfig, Dataflow, LayerSpec
 from .errors import ConfigError
 from .mapping import FoldPlan, WorkloadCounts, fold_plan, workload_counts
-from .trace import SEGMENT_EVENTS, Trace
+from .trace import SEGMENT_EVENTS, Trace, first_out_of_order
 
-# events per corner gather, and per pass of the cycle-order check (or
+# events per corner gather, and per pass of the order check (or
 # SEGMENT_EVENTS, if fewer), so that no temporary exceeds 128 KB: freeing a
 # larger one raises malloc's mmap threshold, which kept the memory model's
 # later temporaries on the heap and raised peak RSS
@@ -73,10 +74,10 @@ CHUNK_EVENTS = 1 << 14
 
 @dataclass
 class TraceSet:
-    """Per-layer SRAM traffic, each trace in cycle order.  ofmap_writes
-    includes WS/IS partial-sum writes; each write to an address after its
-    first also re-reads the partial sum it accumulates onto, at the same
-    cycle."""
+    """Per-layer SRAM traffic, each trace in cycle order, ofmap_writes in
+    (cycle, address) order.  ofmap_writes includes WS/IS partial-sum
+    writes; each write to an address after its first also re-reads the
+    partial sum it accumulates onto, at the same cycle."""
 
     counts: WorkloadCounts
     plan: FoldPlan
@@ -90,9 +91,8 @@ class TraceSet:
 
     @property
     def final_writes(self) -> Trace:
-        """The last write of every output address, in cycle order: the
-        ofmap trace's last N_w*M events, as views, so they are in (cycle,
-        address) order once that trace is."""
+        """The last write of every output address, in (cycle, address)
+        order: the ofmap trace's last N_w*M events, as views."""
         writes = self.ofmap_writes
         first = len(writes) - self.counts.n_windows * self.counts.n_filters
         return Trace(writes.cycles[first:], writes.addresses[first:])
@@ -318,15 +318,14 @@ def _write_rows(cycles: np.ndarray, addrs: np.ndarray, c0: np.ndarray,
     np.add(a[:, :, None], b[:, None, :], out=_split(addrs, la, lb))
 
 
-def _check_cycle_order(cycles: np.ndarray) -> None:
-    """Assert that the cycles never decrease, one chunk at a time, each
-    with the last event before it."""
-    step = min(CHUNK_EVENTS, SEGMENT_EVENTS)
-    for start in range(0, len(cycles), step):
-        seg = cycles[max(start - 1, 0):start + step]
-        back = seg[1:] < seg[:-1]
-        assert not back.any(), (f"folds overlap in time: cycle {seg[back.argmax() + 1]} "
-                                f"follows cycle {seg[back.argmax()]}")
+def _check_cycle_order(cycles: np.ndarray, addresses: np.ndarray | None = None) -> None:
+    """Assert cycle order, or (cycle, address) order given the addresses,
+    one chunk at a time."""
+    row = first_out_of_order(cycles, addresses, min(CHUNK_EVENTS, SEGMENT_EVENTS))
+    assert row is None or cycles[row] >= cycles[row - 1], (
+        f"folds overlap in time: cycle {cycles[row]} follows cycle {cycles[row - 1]}")
+    assert row is None, (f"ofmap writes out of address order in cycle {cycles[row]}: "
+                         f"address {addresses[row]} follows {addresses[row - 1]}")
 
 
 def _build(layer: LayerSpec, arch: ArchConfig, blocks, span) -> TraceSet:
@@ -366,8 +365,9 @@ def _build(layer: LayerSpec, arch: ArchConfig, blocks, span) -> TraceSet:
                              for arr in traces[t])
             write = _write_diagonal if blk.diagonal else _write_rows
             write(cycles, addrs, base + blk.delay, a, b)
-    for cycles, _ in traces:
-        _check_cycle_order(cycles)
+    _check_cycle_order(traces[0][0])
+    _check_cycle_order(traces[1][0])
+    _check_cycle_order(*traces[2])      # the drain takes the final writes in this order
     return TraceSet(counts, plan, *(Trace(c, a) for c, a in traces))
 
 

@@ -8,7 +8,8 @@ overflow the buffer.  Re-reads within an epoch are free; words reused
 across an epoch boundary are fetched again.  ``epochize`` finds these
 boundaries in one scan over windows of whole cycles instead of a walk over
 cycles: a stamp per word, the last epoch that admitted it, tells whether an
-event is new to the open epoch.
+event is new to the open epoch.  Nothing here depends on the order of a
+cycle's events, the DRAM traces included.
 
 Epoch k+1's data is prefetched uniformly across epoch k's use span, which is
 the minimum bandwidth that keeps the array stall-free.  The first epoch is
@@ -23,8 +24,8 @@ asserts are the last reduction chunk's drains.
 
 Each partition's DRAM traffic is a list of bursts (addresses, start cycle,
 span), never a sorted trace: the report needs only the bursts' cycles, for
-bytes and per-cycle peaks.  The sorted (cycle, address) DRAM trace is built
-once, by ``Bursts.trace``, when ``run`` writes it, and sorted in place.
+bytes and per-cycle peaks.  The (cycle, address) DRAM trace is built once,
+by ``Bursts.trace``, when ``run`` writes it, and sorted in place.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ import numpy as np
 from . import trace as trace_module
 from .config import ArchConfig
 from .errors import ConfigError, WorkingSetUnderflow
-from .trace import Trace, segments, sort_pairs
+from .trace import Trace, cycle_end, segments, sort_pairs
 
 
 @dataclass
 class Epoch:
-    addresses: np.ndarray      # distinct byte addresses, first-use order
+    addresses: np.ndarray      # distinct byte addresses, (first-use cycle, address) order
     first_use_cycle: int
     last_use_cycle: int
     word_bytes: int
@@ -71,8 +72,8 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
     WorkingSetUnderflow.  So the boundaries and each epoch's set of words
     depend only on which words each cycle touches, not on the order of a
     cycle's events.  An epoch lists the first byte of each of its words,
-    counted from the lowest address, in first-use order; that order, and
-    so the DRAM trace files, does follow the order within a cycle.
+    counted from the lowest address, in (first-use cycle, address) order,
+    which does not depend on it either.
 
     One scan walks windows of whole cycles.  ``stamp[word]`` is the last
     epoch that admitted the word, so an event is new to the open epoch when
@@ -100,17 +101,13 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
     first = np.empty(n_words, dtype=np.int32)
 
     epochs: list[Epoch] = []
-    parts: list[np.ndarray] = []     # the open epoch's words, in first-use order
+    parts: list[np.ndarray] = []     # the open epoch's words, by (first-use cycle, word)
     admitted = 0
     start = pos = 0                  # the open epoch's and the window's first event
     full = window = min(WINDOW_EVENTS, trace_module.SEGMENT_EVENTS)
     while pos < n:
-        stop = int(np.searchsorted(cycles, cycles[min(pos + window, n) - 1], "right"))
+        stop = cycle_end(cycles, pos, window)
         in_window = cycles[pos:stop]
-        # out of cycle order, the search above can stall or skip events
-        assert (stop > pos and (pos == 0 or cycles[pos - 1] < in_window[0])
-                and (in_window[1:] >= in_window[:-1]).all()), (
-            f"trace is not in cycle order at or after event {pos}")
         words = addresses[pos:stop] - lo
         if word_bytes > 1:
             words //= word_bytes
@@ -121,6 +118,11 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
         np.minimum.at(first, words, at)
         is_new = first[words] == at
         words, at = words[is_new], at[is_new]
+        # the rare window out of (cycle, word) order is sorted within its
+        # cycles, which leaves each position's cycle, and so ``at``, as is
+        new_cycles = in_window[at]
+        if ((words[1:] < words[:-1]) & (new_cycles[1:] == new_cycles[:-1])).any():
+            sort_pairs(new_cycles, words)
         if admitted + len(words) <= cap_words:
             stamp[words] = len(epochs)
             parts.append(words)

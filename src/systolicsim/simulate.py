@@ -1,10 +1,9 @@
 """One-call pipeline: layer -> traces -> DRAM demand -> report.
 
 The report comes from ``metrics.layer_report``, the only per-layer reducer,
-which ``report`` also calls on trace files read back from disk.  It does
-not depend on the order of a trace's events within a cycle, so the engine's
-cycle-ordered traces feed it as they are; only ``run`` with trace files asks
-for (cycle, address) order, which also fixes the order of the DRAM traces.
+which ``report`` also calls on trace files read back from disk.  Neither it
+nor the memory model depends on the order of a trace's events within a
+cycle, so the engine's cycle-ordered traces feed both as they are.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from .mapping import fold_plan, workload_counts
 from .memory import DramDemand, dram_demand
 from .metrics import (EnergyCostTable, LayerReport, NetworkReport,
                       layer_report, summarize_network)
-from .trace import SEGMENT_EVENTS, sort_within_cycles
+from .trace import SEGMENT_EVENTS
 
 # an SRAM trace event is an int64 cycle and an int64 address
 EVENT_BYTES = 16
@@ -34,15 +33,8 @@ class LayerResult:
 
 
 def simulate_layer(layer: LayerSpec, arch: ArchConfig,
-                   table: EnergyCostTable | None = None,
-                   file_order: bool = False) -> LayerResult:
-    """With ``file_order``, the SRAM traces are put in (cycle, address)
-    order in place before the memory model runs, so they and the DRAM
-    traces built from them are in the order their files hold."""
+                   table: EnergyCostTable | None = None) -> LayerResult:
     traces = generate_traces(layer, arch)
-    if file_order:
-        for trace in (traces.ifmap_reads, traces.filter_reads, traces.ofmap_writes):
-            sort_within_cycles(trace.cycles, trace.addresses)
     dram = dram_demand(traces, arch)
     report = layer_report(layer, arch, table, len(traces.ifmap_reads),
                           len(traces.filter_reads), traces.ofmap_writes,

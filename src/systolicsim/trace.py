@@ -1,21 +1,17 @@
 """Cycle-stamped address streams.
 
-A trace is a pair of parallel int64 arrays in cycle order.  SRAM traces in
-memory are in cycle order only: the engine leaves the order of the events
-within a cycle unspecified, and no summary depends on it.  Trace files and
-DRAM traces are in (cycle, address) order: ``run`` puts each SRAM trace in
-that order in place with ``sort_within_cycles`` before it writes the trace
-or builds the DRAM traces from it, and ``memory.Bursts.trace`` sorts in
-place with ``sort_pairs``.  ``Trace`` itself does not sort.  DRAM traces
-may carry negative cycles for the cold-fill prologue.
+A trace is a pair of parallel int64 arrays in cycle order.  The order of
+the events within a cycle is left open, and only the trace file depends on
+it: ``Trace.write_csv`` writes the rows in (cycle, address) order, and
+``Trace.read_csv`` rejects a file whose rows are not.  DRAM traces may
+carry negative cycles for the cold-fill prologue.
 
 The CSV form is exact text: the line ``cycle,address``, then one line
-``<cycle>,<address>`` per pair in trace order.  Both numbers are plain
-decimal with no padding and no ``+``; a negative one starts with ``-``.
-Every line, the last included, ends in ``\n``, and nothing follows the
-last row.  An empty trace is the header line alone.  ``Trace.read_csv`` rejects a file
-that breaks this form, or whose rows are out of (cycle, address) order,
-with a ``SimulationError``.
+``<cycle>,<address>`` per pair.  Both numbers are plain decimal with no
+padding and no ``+``; a negative one starts with ``-``.  Every line, the
+last included, ends in ``\n``, and nothing follows the last row.  An empty
+trace is the header line alone.  ``Trace.read_csv`` rejects a file that
+breaks this form with a ``SimulationError``.
 """
 
 from __future__ import annotations
@@ -31,12 +27,11 @@ from .errors import SimulationError
 
 CSV_HEADER = "cycle,address"
 
-# rows formatted per pass of Trace.write_csv; its temporaries are a few MB
+# rows per pass of Trace.write_csv, to a whole cycle; its temporaries are a few MB
 CSV_CHUNK_ROWS = 1 << 16
 
-# events per in-place sort of a trace's slice, and per pass of the
-# whole-trace scans in the memory model and the report; their temporaries
-# are O(SEGMENT_EVENTS), not O(trace)
+# events per pass of the whole-trace scans in the memory model, the report
+# and the order checks; their temporaries are O(SEGMENT_EVENTS), not O(trace)
 SEGMENT_EVENTS = 1 << 20
 
 
@@ -73,22 +68,16 @@ def sort_pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.nda
     return major, minor
 
 
-def sort_within_cycles(cycles: np.ndarray, addresses: np.ndarray) -> None:
-    """Put a cycle-ordered trace's pairs in (cycle, address) order, in place.
-
-    The trace is taken one slice of about ``SEGMENT_EVENTS`` events at a
-    time, each ending with a whole cycle, so sorting each slice on its own
-    sorts the trace.  A slice already in order, which an O(n) check finds,
-    is left as it is; the others go through ``sort_pairs``.
-    """
-    start, n = 0, len(cycles)
-    while start < n:
-        stop = min(start + SEGMENT_EVENTS, n)
-        stop = int(np.searchsorted(cycles, cycles[stop - 1], "right"))
-        assert stop > start, f"trace is not in cycle order at or after event {start}"
-        if _first_out_of_order(cycles[start:stop], addresses[start:stop]) is not None:
-            sort_pairs(cycles[start:stop], addresses[start:stop])
-        start = stop
+def cycle_end(cycles: np.ndarray, start: int, events: int) -> int:
+    """The end of the whole cycles from event ``start`` that hold at least
+    ``events`` events, or of the trace.  Asserts that they are in cycle
+    order and start a cycle, so that a walk over them cannot stall."""
+    stop = int(np.searchsorted(cycles, cycles[min(start + events, len(cycles)) - 1], "right"))
+    run = cycles[start:stop]
+    assert (stop > start and (start == 0 or cycles[start - 1] < run[0])
+            and (run[1:] >= run[:-1]).all()), (
+        f"trace is not in cycle order at or after event {start}")
+    return stop
 
 
 class Trace:
@@ -121,11 +110,19 @@ class Trace:
         return int(self.cycles[-1])
 
     def write_csv(self, path: str | Path) -> None:
+        """Write a cycle-ordered trace in (cycle, address) order, one chunk
+        of whole cycles at a time; a chunk out of that order is written
+        from a sorted copy."""
+        start, n = 0, len(self)
         with open(path, "wb") as fh:
             fh.write(CSV_HEADER.encode() + b"\n")
-            for start in range(0, len(self), CSV_CHUNK_ROWS):
-                stop = start + CSV_CHUNK_ROWS
-                fh.write(_csv_rows(self.cycles[start:stop], self.addresses[start:stop]))
+            while start < n:
+                stop = cycle_end(self.cycles, start, CSV_CHUNK_ROWS)
+                cycles, addresses = self.cycles[start:stop], self.addresses[start:stop]
+                if first_out_of_order(cycles, addresses) is not None:
+                    cycles, addresses = sort_pairs(cycles.copy(), addresses.copy())
+                fh.write(_csv_rows(cycles, addresses))
+                start = stop
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "Trace":
@@ -147,23 +144,28 @@ class Trace:
             raise SimulationError(f"trace {path}: {exc}") from None
         if data.shape[1] != 2:
             raise SimulationError(f"trace {path}: rows have {data.shape[1]} fields, not 2")
-        row = _first_out_of_order(data[:, 0], data[:, 1])
+        row = first_out_of_order(data[:, 0], data[:, 1])
         if row is not None:
             raise SimulationError(f"trace {path}: line {row + 2} is out of (cycle, address) "
                                   "order")
         return cls(data[:, 0], data[:, 1])
 
 
-def _first_out_of_order(cycles: np.ndarray, addresses: np.ndarray) -> int | None:
-    """The first row that sorts before the row above it by (cycle, address),
-    or None.  Each segment is checked with the last row of the one before,
-    so the temporaries are O(SEGMENT_EVENTS)."""
-    for seg in segments(len(cycles)):
-        rows = slice(max(seg.start - 1, 0), seg.stop)
-        c, a = cycles[rows], addresses[rows]
-        down = a[1:] < a[:-1]
-        down &= c[1:] == c[:-1]
-        down |= c[1:] < c[:-1]
+def first_out_of_order(cycles: np.ndarray, addresses: np.ndarray | None = None,
+                       step: int | None = None) -> int | None:
+    """The first row that sorts before the row above it by (cycle,
+    address), or by cycle alone without ``addresses``; None if there is
+    none.  The rows are checked ``step`` at a time (``SEGMENT_EVENTS`` by
+    default), each chunk with the last row before it, so the temporaries
+    are O(step)."""
+    step = step or SEGMENT_EVENTS
+    for start in range(0, len(cycles), step):
+        rows = slice(max(start - 1, 0), start + step)
+        c = cycles[rows]
+        down = c[1:] < c[:-1]
+        if addresses is not None:
+            a = addresses[rows]
+            down |= (a[1:] < a[:-1]) & (c[1:] == c[:-1])
         if down.any():
             return rows.start + 1 + int(np.argmax(down))
     return None

@@ -11,7 +11,7 @@ import numpy as np
 
 from systolicsim.config import TOPOLOGY_HEADER, ArchConfig, Dataflow, LayerSpec
 from systolicsim.mapping import workload_counts
-from systolicsim.trace import Trace, sort_pairs, sort_within_cycles
+from systolicsim.trace import Trace, sort_pairs
 
 # offsets far enough apart for any desk-scale layer
 IFMAP_OFF = 0
@@ -42,14 +42,6 @@ def in_file_order(trace):
     asserts."""
     assert (trace.cycles[1:] >= trace.cycles[:-1]).all(), "trace is not in cycle order"
     return sorted_trace(trace.cycles, trace.addresses)
-
-
-def file_ordered(ts):
-    """The TraceSet with its three traces put in (cycle, address) order in
-    place, as ``run`` does before its memory model runs."""
-    for trace in (ts.ifmap_reads, ts.filter_reads, ts.ofmap_writes):
-        sort_within_cycles(trace.cycles, trace.addresses)
-    return ts
 
 
 def pairs_to_trace(pairs):

@@ -9,6 +9,7 @@ from systolicsim import cli, engine, trace
 from systolicsim.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SIM, EXIT_TOPOLOGY,
                              TRACE_KINDS, default_jobs, main, mem_available)
 from systolicsim.config import LayerSpec, load_config, load_topology
+from systolicsim.simulate import simulate_layer
 
 
 @pytest.fixture
@@ -67,7 +68,7 @@ def test_no_traces_writes_summaries_only(workdir):
 def test_run_trace_files_are_in_file_order(workdir, monkeypatch, dataflow):
     # under OS and WS the engine leaves some cycles' ifmap reads out of
     # address order (under IS this layer's traces come out in file order);
-    # run sorts them one slice at a time, here 7-event slices
+    # the trace writer sorts them one chunk at a time, here 7-row chunks
     write_config(workdir / "arch.cfg", rows=4, cols=4, dataflow=dataflow)
     layer = load_topology(workdir / "topo.csv")[0]
     ifmap = engine.generate_traces(layer, load_config(workdir / "arch.cfg")).ifmap_reads
@@ -76,6 +77,7 @@ def test_run_trace_files_are_in_file_order(workdir, monkeypatch, dataflow):
             "--run-id", "whole", "--jobs", "1")
     monkeypatch.setattr(engine, "SEGMENT_EVENTS", 7)
     monkeypatch.setattr(trace, "SEGMENT_EVENTS", 7)
+    monkeypatch.setattr(trace, "CSV_CHUNK_ROWS", 7)
     run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
             "--run-id", "sliced", "--jobs", "1")
     for kind in TRACE_KINDS:
@@ -83,6 +85,23 @@ def test_run_trace_files_are_in_file_order(workdir, monkeypatch, dataflow):
                          for rid in ("whole", "sliced"))
         trace.Trace.read_csv(sliced)     # rejects rows out of (cycle, address) order
         assert sliced.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_run_dram_traces_are_the_api_s(workdir, dataflow):
+    # small buffers, so that reads and drains split into several bursts;
+    # the ifmap reads of some cycles are out of address order under OS and
+    # WS (previous test), which must not move an address to another cycle
+    write_config(workdir / "arch.cfg", rows=4, cols=4, dataflow=dataflow, ifmap_kb=1,
+                 filter_kb=1, ofmap_kb=1, word_bytes=16)
+    run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
+            "--run-id", "r1", "--jobs", "1")
+    layer = load_topology(workdir / "topo.csv")[0]
+    dram = simulate_layer(layer, load_config(workdir / "arch.cfg")).dram
+    for kind, bursts in (("dram_read", dram.read_trace), ("dram_write", dram.write_trace)):
+        bursts.trace().write_csv(workdir / "api.csv")
+        run_file = workdir / "out" / "r1" / f"layer0_{kind}.csv"
+        assert run_file.read_bytes() == (workdir / "api.csv").read_bytes(), kind
 
 
 @pytest.mark.parametrize("word_bytes", [1, 2])
@@ -192,6 +211,7 @@ def _two_layers(stems):
     pytest.param(lambda text: b"[]", id="not-an-object"),
     pytest.param(_manifest_entry("layer_stems"), id="no-layer-stems"),
     pytest.param(_manifest_entry("arch"), id="no-arch"),
+    pytest.param(_manifest_entry("arch", ["abc"]), id="arch-not-an-object"),
     pytest.param(_manifest_entry("layers", []), id="empty-layers"),
     pytest.param(_two_layers(["layer0"]), id="stems-short"),
     pytest.param(_two_layers(["layer0", "layer0"]), id="stems-duplicate"),

@@ -25,7 +25,7 @@ from systolicsim.bundled import default_config_path, workload_path
 from systolicsim.config import LayerSpec, load_config, load_topology
 from systolicsim.engine import generate_traces
 from systolicsim.mapping import workload_counts
-from systolicsim.trace import Trace, sort_within_cycles
+from systolicsim.trace import Trace
 
 KINDS = ("ifmap_reads", "filter_reads", "ofmap_writes")
 
@@ -117,24 +117,25 @@ def test_corner_wider_than_a_gather(dataflow):
 
 @pytest.mark.parametrize("segment", [64, trace.SEGMENT_EVENTS])
 @pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
-def test_lexsort_fallback(dataflow, segment):
-    # words of 2**55 bytes: a slice's cycle range times its address range
-    # overflows int64, so the file-order sort falls back to np.lexsort.
+def test_lexsort_fallback(dataflow, segment, tmp_path):
+    # words of 2**55 bytes: a chunk's cycle range times its address range
+    # overflows int64, so the trace file's sort falls back to np.lexsort.
     # Each cycle's events are put in descending address order first, an
-    # order the engine may give, so that every slice needs the sort
+    # order a read trace may have, so that every chunk of ``segment`` rows
+    # needs the sort
     layer = LayerSpec("t", 5, 5, 2, 2, 2, 3, 1)
     arch = make_arch(2, 2, dataflow, word_bytes=2**55).with_overrides(
         ifmap_offset=0, filter_offset=2**61, ofmap_offset=3 * 2**60)
     got, want = generate_traces(layer, arch), generate_traces_reference(layer, arch)
+    path = tmp_path / "t.csv"
     for kind in KINDS:
         cycles, addresses = getattr(got, kind).cycles, getattr(got, kind).addresses
         down = np.lexsort((-addresses, cycles))
-        cycles, addresses = cycles[down], addresses[down]
-        with segment_events(segment), mock.patch.object(
+        with mock.patch.object(trace, "CSV_CHUNK_ROWS", segment), mock.patch.object(
                 trace.np, "lexsort", wraps=np.lexsort) as lexsort:
-            sort_within_cycles(cycles, addresses)
+            Trace(cycles[down], addresses[down]).write_csv(path)
         assert lexsort.called
-        assert Trace(cycles, addresses) == getattr(want, kind), kind
+        assert Trace.read_csv(path) == getattr(want, kind), kind
 
 
 def test_overlapping_folds_crash(monkeypatch):
@@ -159,6 +160,25 @@ def test_overlap_in_last_segment_crashes_build():
             engine._check_cycle_order(cycles)
         with segment_events(2):
             engine._check_cycle_order(np.sort(cycles))
+
+
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_ofmap_out_of_address_order_crashes(monkeypatch, dataflow):
+    # mutated blocks: the drain block's sides swapped, which leaves every
+    # event's cycle and address as it is but lists each cycle's drains by
+    # descending address
+    build = engine._build
+
+    def swapped_drain(layer, arch, blocks, span):
+        def mutant(parts, rows):
+            *operands, drain = blocks(parts, rows)
+            return (*operands, drain._replace(a=drain.b, b=drain.a))
+        return build(layer, arch, mutant, span)
+
+    layer, arch = LayerSpec("t", 6, 6, 2, 2, 2, 4, 1), make_arch(3, 3, dataflow)
+    monkeypatch.setattr(engine, "_build", swapped_drain)
+    with pytest.raises(AssertionError, match="ofmap writes out of address order"):
+        generate_traces(layer, arch)
 
 
 def fold_by_fold(folds):

@@ -3,10 +3,11 @@
 Every epoch list, final-write selection and underflow message must be
 identical to what ``memory_reference`` computes on the same trace.  The
 engine's final writes (``TraceSet.final_writes``, taken from the fold grid)
-must be the reference's last write of every address.  The references list
-a cycle's words by ascending address, so the traces here are in (cycle,
-address) order, as on ``run``'s trace-file path; that the model's figures
-do not depend on the order within a cycle is ``test_memory``'s concern.
+must be the reference's last write of every address.  The model takes the
+engine's traces as they are.  The reference lists a single epoch's words
+in trace order, so it gets a (cycle, address)-ordered copy, the order of
+the trace files; with several epochs it lists each cycle's new words by
+ascending address whatever the order.
 """
 
 from unittest import mock
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (distinct_addresses, epilogue, file_ordered, make_arch, n_drains,
+from helpers import (distinct_addresses, epilogue, in_file_order, make_arch, n_drains,
                      partial_reads, sorted_trace)
 from memory_reference import epochize_reference, final_writes_reference
 from systolicsim.bundled import default_config_path, workload_path
@@ -44,7 +45,7 @@ def traced_layers(draw):
     arch = make_arch(draw(st.integers(1, 6)), draw(st.integers(1, 6)),
                      draw(st.sampled_from(["os", "ws", "is"])),
                      word_bytes=draw(st.sampled_from([1, 2, 4])))
-    return file_ordered(generate_traces(draw(small_layers()), arch)), arch.word_bytes
+    return generate_traces(draw(small_layers()), arch), arch.word_bytes
 
 
 def _outcome(fn, trace, capacity, word):
@@ -57,7 +58,7 @@ def _outcome(fn, trace, capacity, word):
 
 def assert_same_epochs(trace, capacity, word):
     got = _outcome(epochize, trace, capacity, word)
-    assert got == _outcome(epochize_reference, trace, capacity, word)
+    assert got == _outcome(epochize_reference, in_file_order(trace), capacity, word)
     if isinstance(got, list):
         # no epoch holds more bytes than the buffer's whole words
         assert all(len(addresses) * word <= capacity // word * word
@@ -106,12 +107,22 @@ def test_underflow_message_matches_reference():
                                     "distinct words but the buffer holds 3")
 
 
+def test_a_larger_buffer_can_fetch_more():
+    # greedy epochs: the 3-word buffer admits word 2 into the first epoch,
+    # so word 0 opens a second one, and word 2 is fetched again in it
+    trace = Trace(np.array([1, 1, 2, 3, 4, 5, 6, 7, 7, 9]),
+                  np.array([3, 1, 1, 3, 1, 2, 0, 2, 2, 0]))
+    fetched = [sum(len(addresses) for addresses, _, _, _ in assert_same_epochs(trace, cap, 1))
+               for cap in (2, 3)]
+    assert fetched == [4, 5]
+
+
 @pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
 def test_bundled_layers_ladder_matches_reference(dataflow):
     # conv1 fits every buffer in one epoch; conv2 overflows the 32 KB rung
     base = load_config(default_config_path())
     for layer in load_topology(workload_path("w2_deepspeech2"))[:2]:
-        ts = file_ordered(generate_traces(layer, base.with_overrides(dataflow=dataflow)))
+        ts = generate_traces(layer, base.with_overrides(dataflow=dataflow))
         for kb in LADDER_KB:
             for trace in (ts.ifmap_reads, ts.filter_reads):
                 assert_same_epochs(trace, kb * 1024, base.word_bytes)
@@ -127,7 +138,7 @@ def test_segmented_scans_match_reference(layer, rows, cols, dataflow, word, segm
     # epochize's windows and the report's bitmap count walk the trace in
     # segments; tiny segments must not matter
     arch = make_arch(rows, cols, dataflow, word_bytes=word)
-    ts = file_ordered(generate_traces(layer, arch))
+    ts = generate_traces(layer, arch)
     with mock.patch("systolicsim.trace.SEGMENT_EVENTS", segment):
         for reads in (ts.ifmap_reads, ts.filter_reads):
             footprint = len(distinct_addresses(reads))

@@ -6,7 +6,8 @@ from unittest import mock
 from helpers import distinct_addresses, events, per_cycle_counts, sorted_trace
 from systolicsim import trace as trace_module
 from systolicsim.errors import SimulationError
-from systolicsim.trace import Trace, sort_pairs, sort_within_cycles
+from systolicsim.trace import Trace, sort_pairs
+from trace_reference import write_csv_reference
 
 
 def _lexsorted(cycles, addresses):
@@ -43,9 +44,10 @@ def test_trace_csv_round_trip(tmp_path):
 ])
 def test_read_csv_rejects_rows_out_of_order(tmp_path, monkeypatch, segment, cycles,
                                             addresses, line):
-    # checked a segment at a time; the bad row may start a segment
+    # checked a segment at a time; the bad row may start a segment.
+    # Trace.write_csv would sort the rows, or refuse them
     path = tmp_path / "t.csv"
-    Trace(np.array(cycles), np.array(addresses)).write_csv(path)
+    write_csv_reference(Trace(np.array(cycles), np.array(addresses)), path)
     monkeypatch.setattr(trace_module, "SEGMENT_EVENTS", segment)
     with pytest.raises(SimulationError, match=f"line {line} is out of"):
         Trace.read_csv(path)
@@ -125,47 +127,53 @@ def test_sort_pairs_into_given_arrays():
     assert c.tolist() == [3, 1, 1] and a.tolist() == [5, 9, 2]
 
 
-def test_sort_within_cycles_slices_end_with_whole_cycles(monkeypatch):
-    # 4-event slices: cycle 1 straddles the first boundary, cycle 2 the
-    # second, so a slice cut mid-cycle would leave them out of order
+def written(trace, path):
+    """The trace that ``Trace.write_csv`` writes to ``path``, read back."""
+    trace.write_csv(path)
+    return Trace.read_csv(path)
+
+
+def test_write_csv_chunks_end_with_whole_cycles(monkeypatch, tmp_path):
+    # 4-row chunks: cycle 1 straddles the first boundary, cycle 2 the
+    # second, so a chunk cut mid-cycle would leave them out of order
     cycles = np.array([0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 3], dtype=np.int64)
     addresses = np.array([5, 4, 9, 8, 7, 1, 0, 6, 3, 2, 0], dtype=np.int64)
-    want = sorted_trace(cycles, addresses)
-    monkeypatch.setattr(trace_module, "SEGMENT_EVENTS", 4)
-    sort_within_cycles(cycles, addresses)
-    assert Trace(cycles, addresses) == want
+    monkeypatch.setattr(trace_module, "CSV_CHUNK_ROWS", 4)
+    assert written(Trace(cycles, addresses), tmp_path / "t.csv") == \
+        sorted_trace(cycles, addresses)
 
 
-def test_sort_within_cycles_skips_slices_in_order(monkeypatch):
-    # three 3-event slices; only the middle one is out of address order
+def test_write_csv_sorts_only_chunks_out_of_order(monkeypatch, tmp_path):
+    # three 3-row chunks; only the middle one is out of address order, and
+    # it is sorted as a copy
     cycles = np.array([0, 1, 1, 2, 2, 3, 4, 4, 5], dtype=np.int64)
     addresses = np.array([0, 1, 2, 9, 3, 0, 1, 2, 0], dtype=np.int64)
+    given = Trace(cycles.copy(), addresses.copy())
     want = sorted_trace(cycles, addresses)
-    monkeypatch.setattr(trace_module, "SEGMENT_EVENTS", 3)
+    monkeypatch.setattr(trace_module, "CSV_CHUNK_ROWS", 3)
     with mock.patch.object(trace_module, "sort_pairs", wraps=sort_pairs) as sort:
-        sort_within_cycles(cycles, addresses)
+        assert written(given, tmp_path / "t.csv") == want
     assert [call.args[0].tolist() for call in sort.call_args_list] == [[2, 2, 3]]
-    assert Trace(cycles, addresses) == want
+    assert given == Trace(cycles, addresses)
     with mock.patch.object(trace_module, "sort_pairs", wraps=sort_pairs) as sort:
-        sort_within_cycles(cycles, addresses)
+        assert written(want, tmp_path / "t.csv") == want
     assert not sort.called
 
 
-@pytest.mark.parametrize("segment", [1, 2, 5, trace_module.SEGMENT_EVENTS])
-def test_sort_within_cycles_matches_a_full_sort(monkeypatch, segment):
-    rng = np.random.default_rng(segment)
+@pytest.mark.parametrize("chunk", [1, 2, 5, trace_module.CSV_CHUNK_ROWS])
+def test_write_csv_matches_a_full_sort(monkeypatch, tmp_path, chunk):
+    rng = np.random.default_rng(chunk)
     cycles = np.sort(rng.integers(-3, 40, 300))
     addresses = rng.integers(-50, 50, 300)
-    want = sorted_trace(cycles, addresses)
-    monkeypatch.setattr(trace_module, "SEGMENT_EVENTS", segment)
-    sort_within_cycles(cycles, addresses)
-    assert Trace(cycles, addresses) == want
+    monkeypatch.setattr(trace_module, "CSV_CHUNK_ROWS", chunk)
+    assert written(Trace(cycles, addresses), tmp_path / "t.csv") == \
+        sorted_trace(cycles, addresses)
 
 
-def test_sort_within_cycles_crashes_out_of_cycle_order():
-    # the second slice's search for the end of its last cycle lands before
-    # the slice, which would stall the walk
+def test_write_csv_crashes_out_of_cycle_order(tmp_path):
+    # the second chunk's search for the end of its last cycle lands before
+    # the chunk, which would stall the walk
     cycles = np.array([0, 5, 6, 1, 2], dtype=np.int64)
-    with mock.patch.object(trace_module, "SEGMENT_EVENTS", 2), \
+    with mock.patch.object(trace_module, "CSV_CHUNK_ROWS", 2), \
             pytest.raises(AssertionError, match="not in cycle order"):
-        sort_within_cycles(cycles, np.arange(5))
+        Trace(cycles, np.arange(5)).write_csv(tmp_path / "t.csv")

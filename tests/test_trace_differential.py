@@ -1,9 +1,10 @@
 """The vectorised trace CSV writer against its loop-based reference.
 
 Every file ``Trace.write_csv`` writes must be byte-identical to what
-``trace_reference.write_csv_reference`` writes for the same trace, and
-``Trace.read_csv`` must give the trace back.  The traces are in (cycle,
-address) order, the only order ``read_csv`` accepts.
+``trace_reference.write_csv_reference`` writes for the same trace in
+(cycle, address) order, the only order ``read_csv`` accepts, and
+``Trace.read_csv`` must give that trace back.  The traces given to
+``write_csv`` are in cycle order, with each cycle's events in any order.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import sorted_trace
+from helpers import in_file_order, sorted_trace
 from systolicsim.bundled import default_config_path, workload_path
 from systolicsim.config import load_config, load_topology
 from systolicsim.simulate import simulate_layer
@@ -31,9 +32,10 @@ int64s = st.one_of(
 def assert_matches_reference(trace, tmp_path):
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     trace.write_csv(got)
-    write_csv_reference(trace, want)
+    ordered = in_file_order(trace)
+    write_csv_reference(ordered, want)
     assert got.read_bytes() == want.read_bytes()
-    assert Trace.read_csv(got) == trace
+    assert Trace.read_csv(got) == ordered
 
 
 @settings(max_examples=200, deadline=None,
@@ -42,7 +44,8 @@ def assert_matches_reference(trace, tmp_path):
 def test_write_csv_matches_reference(pairs, tmp_path):
     cycles = np.array([c for c, _ in pairs], dtype=np.int64)
     addresses = np.array([a for _, a in pairs], dtype=np.int64)
-    assert_matches_reference(sorted_trace(cycles, addresses), tmp_path)
+    by_cycle = np.argsort(cycles, kind="stable")     # addresses in drawn order
+    assert_matches_reference(Trace(cycles[by_cycle], addresses[by_cycle]), tmp_path)
 
 
 def test_write_csv_digit_count_changes_within_chunk(tmp_path):
@@ -67,7 +70,7 @@ def test_write_csv_chunk_edges_match_reference(rows, tmp_path):
 def test_bundled_layer_traces_match_reference(dataflow, tmp_path):
     arch = load_config(default_config_path()).with_overrides(dataflow=dataflow)
     layer = load_topology(workload_path("w4_ncf"))[2]  # mlp_fc3
-    res = simulate_layer(layer, arch, file_order=True)
+    res = simulate_layer(layer, arch)
     traces = [res.traces.ifmap_reads, res.traces.filter_reads,
               res.traces.ofmap_writes, res.dram.read_trace.trace(),
               res.dram.write_trace.trace()]
