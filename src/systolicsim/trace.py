@@ -27,12 +27,16 @@ from .errors import SimulationError
 
 CSV_HEADER = "cycle,address"
 
-# rows per pass of Trace.write_csv, to a whole cycle; its temporaries are a few MB
-CSV_CHUNK_ROWS = 1 << 16
+# rows per pass of Trace.write_csv, to a whole cycle; its temporaries, about
+# 160 bytes a row, stay in cache
+CSV_CHUNK_ROWS = 1 << 14
 
 # events per pass of the whole-trace scans in the memory model, the report
 # and the order checks; their temporaries are O(SEGMENT_EVENTS), not O(trace)
 SEGMENT_EVENTS = 1 << 20
+
+# 10, 100, ..., 10**18: the powers of ten within int64
+POWERS_OF_TEN = [10 ** k for k in range(1, 19)]
 
 
 def segments(n: int) -> Iterator[slice]:
@@ -126,10 +130,12 @@ class Trace:
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "Trace":
+        header = CSV_HEADER.encode() + b"\n"
         with open(path, "rb") as fh:
-            if fh.readline() != CSV_HEADER.encode() + b"\n":
+            if fh.readline() != header:
                 raise SimulationError(f"trace {path}: first line is not {CSV_HEADER!r}")
-            if fh.tell() == fh.seek(0, os.SEEK_END):
+            size = fh.seek(0, os.SEEK_END)
+            if size == len(header):
                 return cls.empty()
             fh.seek(-1, os.SEEK_END)
             if fh.read(1) != b"\n":
@@ -144,11 +150,18 @@ class Trace:
             raise SimulationError(f"trace {path}: {exc}") from None
         if data.shape[1] != 2:
             raise SimulationError(f"trace {path}: rows have {data.shape[1]} fields, not 2")
-        row = first_out_of_order(data[:, 0], data[:, 1])
+        cycles, addresses = data[:, 0], data[:, 1]
+        row = first_out_of_order(cycles, addresses)
         if row is not None:
             raise SimulationError(f"trace {path}: line {row + 2} is out of (cycle, address) "
                                   "order")
-        return cls(data[:, 0], data[:, 1])
+        # np.loadtxt also takes "+5", "05", " 5", "-0", "\r\n", "#..." and a bare
+        # "\r" as a line end.  Each but the last is longer than the canonical
+        # text, and the canonical text has no "\r" at all.
+        if size != len(header) + _text_bytes(cycles, addresses) or _holds(path, b"\r"):
+            line = _first_non_canonical_line(path, cycles, addresses)
+            raise SimulationError(f"trace {path}: line {line} is not in canonical form")
+        return cls(cycles, addresses)
 
 
 def first_out_of_order(cycles: np.ndarray, addresses: np.ndarray | None = None,
@@ -175,31 +188,37 @@ def _csv_rows(cycles: np.ndarray, addresses: np.ndarray) -> np.ndarray:
     """The CSV bytes of ``len(cycles)`` rows, built without a Python loop
     over rows.
 
-    Each field gets a fixed slot: a sign byte, then as many digits as the
-    chunk's largest magnitude has, least significant last.  The slots are
-    filled a whole column at a time (row ``i`` of ``text`` is byte ``i`` of
-    every line), and one boolean mask then drops each field's unused sign
-    and leading zeros.
+    Each field gets a fixed slot: a sign byte when the chunk holds a
+    negative value in that field, then as many digits as the chunk's
+    largest magnitude has, least significant last.  The slots are filled a
+    whole column at a time (row ``i`` of ``text`` is byte ``i`` of every
+    line), and one boolean mask then drops each field's unused sign and
+    leading zeros.
     """
     fields = [_magnitude(x) for x in (cycles, addresses)]
-    width = sum(digits + 2 for _, _, digits in fields)
+    signed = [bool(negative.any()) for negative, _, _ in fields]
+    width = sum(digits + sign + 1 for (_, _, digits), sign in zip(fields, signed))
     text = np.empty((width, len(cycles)), np.uint8)
     keep = np.empty((width, len(cycles)), bool)
     pos = 0
-    for (negative, mag, digits), end in zip(fields, b",\n"):
-        text[pos] = ord("-")
-        keep[pos] = negative
-        for row in range(pos + digits, pos, -1):
+    for (negative, mag, digits), sign, end in zip(fields, signed, b",\n"):
+        if sign:
+            text[pos] = ord("-")
+            keep[pos] = negative
+            pos += 1
+        for row in range(pos + digits - 1, pos - 1, -1):
             high = mag // 10
             np.subtract(mag, high * 10, out=text[row], casting="unsafe")
             np.greater(mag, 0, out=keep[row])
             mag = high
-        text[pos + 1:pos + digits + 1] += ord("0")
-        keep[pos + digits] = True  # the units digit, even of 0
-        text[pos + digits + 1] = end
-        keep[pos + digits + 1] = True
-        pos += digits + 2
-    return text.T[keep.T]
+        text[pos:pos + digits] += ord("0")
+        keep[pos + digits - 1] = True  # the units digit, even of 0
+        text[pos + digits] = end
+        keep[pos + digits] = True
+        pos += digits + 1
+    # most chunks drop nothing (each field of one sign and one digit count),
+    # and a plain copy is far cheaper than the masked one
+    return text.T.ravel() if keep.all() else text.T[keep.T]
 
 
 def _magnitude(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -212,3 +231,49 @@ def _magnitude(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     if top <= np.iinfo(np.uint32).max:
         mag = mag.astype(np.uint32)
     return negative, mag, len(str(top))
+
+
+def _text_bytes(cycles: np.ndarray, addresses: np.ndarray) -> int:
+    """The size of the canonical CSV rows of these pairs, given cycles in
+    order: per row a comma and a line end, plus every digit and minus
+    sign.  The sorted cycles count their digits with two searches per power
+    of ten; the addresses are counted one cache-sized chunk at a time."""
+    n = len(cycles)
+    size = 3 * n + int(np.searchsorted(cycles, 0))  # ",", "\n", units digit, "-"
+    for p in POWERS_OF_TEN:
+        more = n - int(np.searchsorted(cycles, p)) + int(np.searchsorted(cycles, -p, "right"))
+        if not more:
+            break
+        size += more
+    for start in range(0, n, CSV_CHUNK_ROWS):
+        negative, mag, digits = _magnitude(addresses[start:start + CSV_CHUNK_ROWS])
+        size += len(mag) + int(np.count_nonzero(negative))
+        size += sum(int(np.count_nonzero(mag >= p)) for p in POWERS_OF_TEN[:digits - 1])
+    return size
+
+
+def _holds(path: str | Path, byte: bytes) -> bool:
+    """Whether the file holds ``byte``, read 1 MB at a time."""
+    block = bytearray(1 << 20)
+    with open(path, "rb", buffering=0) as fh:
+        while size := fh.readinto(block):
+            if block.find(byte, 0, size) >= 0:
+                return True
+    return False
+
+
+def _first_non_canonical_line(path: str | Path, cycles: np.ndarray,
+                              addresses: np.ndarray) -> int:
+    """The number of the first line of a trace file that differs from the
+    canonical text of the rows it parsed to."""
+    with open(path, "rb") as fh:
+        fh.readline()
+        for start in range(0, len(cycles), CSV_CHUNK_ROWS):
+            rows = slice(start, start + CSV_CHUNK_ROWS)
+            want = _csv_rows(cycles[rows], addresses[rows])
+            got = np.frombuffer(fh.read(len(want)), np.uint8)
+            differ = got != want[:len(got)]
+            if differ.any() or len(got) < len(want):
+                same = int(np.argmax(differ)) if differ.any() else len(got)
+                return start + 2 + int(np.count_nonzero(want[:same] == ord("\n")))
+    return len(cycles) + 2

@@ -1,12 +1,14 @@
 import csv
 import hashlib
 import json
+import multiprocessing
+import time
 
 import pytest
 
 from helpers import format_topology, in_file_order, write_config, write_topology
 from systolicsim import cli, engine, trace
-from systolicsim.cli import (EXIT_CONFIG, EXIT_OK, EXIT_SIM, EXIT_TOPOLOGY,
+from systolicsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIM, EXIT_TOPOLOGY,
                              TRACE_KINDS, default_jobs, main, mem_available)
 from systolicsim.config import LayerSpec, load_config, load_topology
 from systolicsim.simulate import simulate_layer
@@ -160,20 +162,63 @@ def _last_row_first(text):
     return b"".join([header, rows[-1], *rows[:-1]])
 
 
+def _first_row(edit):
+    """Damage that rewrites the first row, given its two fields, as
+    ``edit(cycle, address)``; each edit below still parses to the same
+    numbers, so only the check of the canonical form can catch it."""
+    def damage(text):
+        header, row, rest = text.split(b"\n", 2)
+        return header + b"\n" + edit(*row.split(b",")) + rest
+    return damage
+
+
+def _minus_zero(cycle, address):
+    assert cycle == b"0"    # every layer's first ifmap read is at cycle 0
+    return b"-0," + address + b"\n"
+
+
+# a run of three layers, so that a damaged later layer meets the pool
+THREE_LAYERS = [("a", 6, 6, 3, 3, 2, 4, 1), ("b", 8, 8, 3, 3, 1, 2, 2),
+                ("c", 5, 1, 1, 1, 7, 3, 1)]
+
+
 @pytest.mark.parametrize("damage", [
     pytest.param(lambda text: text[:text.rindex(b",") + 2], id="truncated-mid-row"),
     pytest.param(lambda text: text + b"foo,3\n", id="non-integer-row"),
     pytest.param(lambda text: text[text.index(b"\n") + 1:], id="missing-header"),
     pytest.param(_last_row_first, id="moved-last-row"),
+    pytest.param(_first_row(lambda c, a: b"+" + c + b"," + a + b"\n"), id="plus-sign"),
+    pytest.param(_first_row(lambda c, a: b"0" + c + b"," + a + b"\n"), id="leading-zero"),
+    pytest.param(_first_row(lambda c, a: b" " + c + b"," + a + b"\n"), id="leading-space"),
+    pytest.param(_first_row(lambda c, a: c + b", " + a + b"\n"), id="space-after-comma"),
+    pytest.param(_first_row(_minus_zero), id="minus-zero"),
+    pytest.param(_first_row(lambda c, a: c + b"," + a + b"\r\n"), id="crlf"),
+    pytest.param(_first_row(lambda c, a: c + b"," + a + b"#x\n"), id="comment"),
+    # as long as the canonical row, but np.loadtxt ends a line at a bare CR
+    pytest.param(_first_row(lambda c, a: c + b"," + a + b"\r"), id="bare-cr"),
 ])
 def test_report_rejects_damaged_trace(workdir, damage, capsys):
+    write_topology(workdir / "topo.csv", THREE_LAYERS)
     run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
             "--run-id", "r1", "--jobs", "1")
-    trace = workdir / "out" / "r1" / "layer0_ifmap_sram_read.csv"
-    trace.write_bytes(damage(trace.read_bytes()))
-    capsys.readouterr()
-    assert run_cli("report", workdir / "out" / "r1") == EXIT_SIM
-    assert str(trace) in capsys.readouterr().err
+    run_dir = workdir / "out" / "r1"
+    # the first layer, a later one, and both: the first in manifest order
+    # is named, with or without the pool
+    for stems in (["a"], ["c"], ["a", "c"]):
+        traces = [run_dir / f"{stem}_ifmap_sram_read.csv" for stem in stems]
+        intact = [trace.read_bytes() for trace in traces]
+        for trace, text in zip(traces, intact):
+            trace.write_bytes(damage(text))
+        errors = []
+        for jobs in ("1", "2"):
+            capsys.readouterr()
+            assert run_cli("report", run_dir, "--jobs", jobs) == EXIT_SIM
+            errors.append(capsys.readouterr().err)
+        assert str(traces[0]) in errors[0]
+        assert errors[0] == errors[1]
+        for trace, text in zip(traces, intact):
+            trace.write_bytes(text)
+    assert not multiprocessing.active_children()
 
 
 def test_word_larger_than_a_buffer_exits_config(workdir, capsys):
@@ -270,6 +315,72 @@ def test_jobs_below_one_is_a_config_error(workdir, jobs, capsys):
                    "--run-id", "r1", "--jobs", jobs) == EXIT_CONFIG
     assert "--jobs" in capsys.readouterr().err
     assert not (workdir / "out" / "r1").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_report_jobs_below_one_is_a_config_error(workdir, jobs, capsys):
+    run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
+            "--run-id", "r1", "--jobs", "1")
+    (workdir / "out" / "r1" / "summary.csv").unlink()
+    capsys.readouterr()
+    assert run_cli("report", workdir / "out" / "r1", "--jobs", jobs) == EXIT_CONFIG
+    assert "--jobs" in capsys.readouterr().err
+    assert not (workdir / "out" / "r1" / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_report_jobs_match_serial(workdir, dataflow):
+    write_topology(workdir / "topo.csv", THREE_LAYERS)
+    write_config(workdir / "arch.cfg", rows=4, cols=4, dataflow=dataflow)
+    run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
+            "--run-id", "r1", "--jobs", "1")
+    run_dir = workdir / "out" / "r1"
+    files = ("summary.csv", "network.csv")
+    written = {n: (run_dir / n).read_bytes() for n in files}
+    for jobs in ("1", "2"):
+        for n in files:
+            (run_dir / n).unlink()
+        assert run_cli("report", run_dir, "--jobs", jobs) == EXIT_OK
+        assert {n: (run_dir / n).read_bytes() for n in files} == written, jobs
+    assert not multiprocessing.active_children()
+
+
+def test_report_checks_every_trace_file_before_it_starts(workdir, monkeypatch, capsys):
+    write_topology(workdir / "topo.csv", THREE_LAYERS)
+    run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
+            "--run-id", "r1", "--jobs", "1")
+    run_dir = workdir / "out" / "r1"
+    first, later = run_dir / "b_dram_write.csv", run_dir / "c_ifmap_sram_read.csv"
+    later.unlink()
+    first.unlink()
+
+    def no_pool(*_args, **_kwargs):
+        raise AssertionError("a trace file is missing, so no pool may start")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "_report_layer", no_pool)
+    capsys.readouterr()
+    assert run_cli("report", run_dir, "--jobs", "2") == EXIT_IO
+    err = capsys.readouterr().err
+    assert str(first) in err and str(later) not in err
+
+
+def _fail_first(n, seen):
+    if n == 0:
+        raise ValueError("layer 0 fails")
+    time.sleep(0.05)
+    (seen / str(n)).touch()
+    return n
+
+
+def test_first_failure_cancels_pending_layers(tmp_path):
+    # the pool queues at most a few layers ahead of the failed one
+    work = [(n, tmp_path) for n in range(40)]
+    with pytest.raises(ValueError, match="layer 0 fails"):
+        cli._map_layers(_fail_first, work, 2)
+    assert len(list(tmp_path.iterdir())) < 10
+    assert not multiprocessing.active_children()
+    assert cli._map_layers(_fail_first, work[1:4], 2) == [1, 2, 3]
 
 
 GB = 1 << 30

@@ -11,7 +11,9 @@ which does the same for the report's bitmap count.  Segments are cut to
 
 Writing a layer's trace files must not add a trace-sized copy on top of
 that: ``cli._run_one_layer`` peaks at most the CSV writer's per-chunk
-temporaries above ``simulate_layer``'s own peak.
+temporaries above ``simulate_layer``'s own peak.  Reading them back,
+``cli._report_layer`` keeps within the same bound, which the default
+``report --jobs`` counts on.
 """
 
 import contextlib
@@ -56,7 +58,7 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("dataflow,rows,cols,input_kb", [
+LAYER_CASES = [
     # DeepSpeech2 conv1 on 64x8: ~2.5 M SRAM events, 2.2 M of them ifmap
     pytest.param("os", 64, 8, None, id="os"), pytest.param("ws", 64, 8, None, id="ws"),
     # on 8x64 under WS: 2.79 M events, 80% of them ofmap writes (one per
@@ -70,12 +72,20 @@ def traced_peak(fn):
     # 2.25 M SRAM events, so an array of every DRAM read's cycle, built for
     # the report, breaks the bound
     pytest.param("os", 16, 16, 4, id="os-16x16-overflow"),
-])
-def test_peak_memory_bound(dataflow, rows, cols, input_kb):
+]
+
+
+def deepspeech2_conv1(dataflow, rows, cols, input_kb):
     layer = load_topology(workload_path("w2_deepspeech2"))[0]
     arch = load_config(default_config_path()).with_overrides(
         array_rows=rows, array_cols=cols, dataflow=dataflow,
         ifmap_sram_kb=input_kb, filter_sram_kb=input_kb)
+    return layer, arch
+
+
+@pytest.mark.parametrize("dataflow,rows,cols,input_kb", LAYER_CASES)
+def test_peak_memory_bound(dataflow, rows, cols, input_kb):
+    layer, arch = deepspeech2_conv1(dataflow, rows, cols, input_kb)
     with small_segments():
         res, peak = traced_peak(lambda: simulate_layer(layer, arch))
         bound = layer_peak_bytes(layer, arch)
@@ -96,10 +106,7 @@ def test_peak_memory_bound(dataflow, rows, cols, input_kb):
     pytest.param("ws", 8, 64, None, id="ws-8x64"),
 ])
 def test_writing_traces_adds_no_trace_copy(tmp_path, dataflow, rows, cols, input_kb):
-    layer = load_topology(workload_path("w2_deepspeech2"))[0]
-    arch = load_config(default_config_path()).with_overrides(
-        array_rows=rows, array_cols=cols, dataflow=dataflow,
-        ifmap_sram_kb=input_kb, filter_sram_kb=input_kb)
+    layer, arch = deepspeech2_conv1(dataflow, rows, cols, input_kb)
     with small_segments():
         res, simulate_peak = traced_peak(lambda: simulate_layer(layer, arch))
         _, run_peak = traced_peak(lambda: cli._run_one_layer(
@@ -114,3 +121,16 @@ def test_writing_traces_adds_no_trace_copy(tmp_path, dataflow, rows, cols, input
     with small_segments():
         _, sort_peak = traced_peak(bursts.trace)
     assert sort_peak <= EVENT_BYTES * (len(bursts) + SEGMENT_EVENTS)
+
+
+@pytest.mark.parametrize("dataflow,rows,cols,input_kb", LAYER_CASES)
+def test_reporting_a_layer_keeps_its_bound(tmp_path, dataflow, rows, cols, input_kb):
+    layer, arch = deepspeech2_conv1(dataflow, rows, cols, input_kb)
+    with small_segments():
+        written = cli._run_one_layer(layer, arch, EnergyCostTable(), str(tmp_path),
+                                     "layer", True)
+        report, peak = traced_peak(lambda: cli._report_layer(
+            layer, arch, EnergyCostTable(), tmp_path, "layer"))
+        bound = layer_peak_bytes(layer, arch)
+    assert report == written
+    assert peak <= bound

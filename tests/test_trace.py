@@ -3,6 +3,9 @@ import pytest
 
 from unittest import mock
 
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
 from helpers import distinct_addresses, events, per_cycle_counts, sorted_trace
 from systolicsim import trace as trace_module
 from systolicsim.errors import SimulationError
@@ -177,3 +180,71 @@ def test_write_csv_crashes_out_of_cycle_order(tmp_path):
     with mock.patch.object(trace_module, "CSV_CHUNK_ROWS", 2), \
             pytest.raises(AssertionError, match="not in cycle order"):
         Trace(cycles, np.arange(5)).write_csv(tmp_path / "t.csv")
+
+
+def test_write_csv_cycle_longer_than_a_chunk(tmp_path):
+    # one cycle of more than CSV_CHUNK_ROWS rows, out of address order, is
+    # one chunk of its own, sorted whole
+    rows = trace_module.CSV_CHUNK_ROWS + 3
+    cycles = np.repeat([0, 1, 2], [2, rows, 2])
+    addresses = np.random.default_rng(1).permutation(len(cycles))
+    path = tmp_path / "t.csv"
+    Trace(cycles, addresses).write_csv(path)
+    want = sorted_trace(cycles, addresses)
+    write_csv_reference(want, tmp_path / "want.csv")
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert Trace.read_csv(path) == want
+
+
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+
+# whole int64 range, and each digit count's edges: 10**k - 1, 10**k, and
+# their negatives
+int64s = st.one_of(
+    st.integers(INT64_MIN, INT64_MAX),
+    st.sampled_from([0, -1, INT64_MIN, INT64_MAX]),
+    st.builds(lambda k, less, sign: sign * (10 ** k - less), st.integers(0, 18),
+              st.integers(0, 1), st.sampled_from([1, -1])),
+)
+
+
+def _plus_sign(row):
+    """A "+" before the first field that is not negative, if there is one."""
+    cycle, address = row[:-1].split(b",")
+    if cycle[:1] != b"-":
+        return b"+" + row
+    return None if address[:1] == b"-" else cycle + b",+" + address + b"\n"
+
+
+# one-row damages that np.loadtxt parses to the same numbers: a row's bytes
+# -> the damaged row, or None where the damage does not apply
+SAME_NUMBERS = {
+    "plus-sign": _plus_sign,
+    "leading-zero": lambda row: row.replace(b"-", b"-0", 1) if row[:1] == b"-" else b"0" + row,
+    "minus-zero": lambda row: b"-" + row if row[:2] == b"0," else None,
+    "space-after-comma": lambda row: row.replace(b",", b", "),
+    "crlf": lambda row: row[:-1] + b"\r\n",
+    "comment": lambda row: row[:-1] + b"#x\n",
+    "bare-cr": lambda row: row[:-1] + b"\r",
+}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pairs=st.lists(st.tuples(int64s, int64s), min_size=1, max_size=30),
+       damage=st.sampled_from(sorted(SAME_NUMBERS)), at=st.integers(0))
+def test_csv_round_trip_and_non_canonical_rows(pairs, damage, at, tmp_path):
+    # read_csv takes back exactly what write_csv writes, and rejects the
+    # first row that differs from it, naming the row's line
+    t = sorted_trace([c for c, _ in pairs], [a for _, a in pairs])
+    path = tmp_path / "t.csv"
+    assert written(t, path) == t
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    row = at % len(rows)
+    damaged = SAME_NUMBERS[damage](rows[row])
+    # a bare CR at the very end cuts the last row off instead
+    assume(damaged is not None and not (damage == "bare-cr" and row == len(rows) - 1))
+    rows[row] = damaged
+    path.write_bytes(b"".join([header, *rows]))
+    with pytest.raises(SimulationError, match=f"line {row + 2} is not in canonical form"):
+        Trace.read_csv(path)

@@ -54,8 +54,9 @@ def test_write_csv_digit_count_changes_within_chunk(tmp_path):
     assert_matches_reference(Trace(cycles, addresses), tmp_path)
 
 
-@pytest.mark.parametrize("rows", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS,
-                                  CSV_CHUNK_ROWS + 1])
+# the edges of the first chunk and of the fourth
+@pytest.mark.parametrize("rows", [0, 1] + [k * CSV_CHUNK_ROWS + d for k in (1, 4)
+                                           for d in (-1, 0, 1)])
 def test_write_csv_chunk_edges_match_reference(rows, tmp_path):
     rng = np.random.default_rng(rows)
     cycles = np.sort(rng.integers(-50, 10 * rows + 1, rows))
