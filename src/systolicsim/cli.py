@@ -167,20 +167,25 @@ def _run_one_layer(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable,
     return report
 
 
-def cmd_run(args) -> int:
-    _check_jobs(args.jobs)
-    arch = load_config(args.config)
-    arch = arch.with_overrides(
+def _arch_and_table(args, **overrides) -> tuple[ArchConfig, EnergyCostTable]:
+    """The config with the architecture flags applied, and the energy table."""
+    arch = load_config(args.config).with_overrides(
         array_rows=args.rows, array_cols=args.cols, dataflow=args.dataflow,
         ifmap_sram_kb=args.sram_ifmap, filter_sram_kb=args.sram_filter,
-        ofmap_sram_kb=args.sram_ofmap,
-        topology_path=str(args.topology) if args.topology else None)
+        ofmap_sram_kb=args.sram_ofmap, **overrides)
+    table = load_energy_table(args.energy_table) if args.energy_table else EnergyCostTable()
+    return arch, table
+
+
+def cmd_run(args) -> int:
+    _check_jobs(args.jobs)
+    arch, table = _arch_and_table(
+        args, topology_path=str(args.topology) if args.topology else None)
     if not arch.topology_path:
         raise ConfigError("no topology: set Topology in the config or pass --topology")
     layers = load_topology(arch.topology_path)
     if not layers:
         raise TopologyError(f"topology {arch.topology_path} has no layers")
-    table = load_energy_table(args.energy_table) if args.energy_table else EnergyCostTable()
 
     config_text = Path(args.config).read_text() + Path(arch.topology_path).read_text()
     digest = hashlib.sha256(config_text.encode()).hexdigest()[:8]
@@ -278,11 +283,7 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def cmd_sweep(args) -> int:
-    base = load_config(args.config)
-    base = base.with_overrides(
-        array_rows=args.rows, array_cols=args.cols, dataflow=args.dataflow,
-        ifmap_sram_kb=args.sram_ifmap, filter_sram_kb=args.sram_filter,
-        ofmap_sram_kb=args.sram_ofmap)
+    base, table = _arch_and_table(args)
     workloads = args.workloads or [str(p) for p in bundled_workloads().values()]
     axes = {}
     if args.dataflows:
@@ -296,7 +297,6 @@ def cmd_sweep(args) -> int:
     if args.pe_ladder:
         axes["pe_ladder"] = _int_list(args.pe_ladder, "--pe-ladder")
     spec = SweepSpec(study=args.study, workloads=workloads, **axes)
-    table = load_energy_table(args.energy_table) if args.energy_table else EnergyCostTable()
 
     rows = run_sweep(spec, base, table)
     out_dir = Path(args.out)

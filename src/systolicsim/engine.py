@@ -60,16 +60,11 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import trace
 from .config import ArchConfig, Dataflow, LayerSpec
 from .errors import ConfigError
 from .mapping import FoldPlan, WorkloadCounts, fold_plan, workload_counts
-from .trace import SEGMENT_EVENTS, Trace, first_out_of_order
-
-# events per corner gather, and per pass of the order check (or
-# SEGMENT_EVENTS, if fewer), so that no temporary exceeds 128 KB: freeing a
-# larger one raises malloc's mmap threshold, which kept the memory model's
-# later temporaries on the heap and raised peak RSS
-CHUNK_EVENTS = 1 << 14
+from .trace import Trace, first_out_of_order
 
 
 @dataclass
@@ -257,10 +252,10 @@ def _triangle(count: int) -> int:
 
 def _corner_chunks(r: int):
     """Ranges [first, stop) of the diagonals 0..r-2 of an r-wide corner,
-    each of at most CHUNK_EVENTS events (or one diagonal)."""
+    each of at most ``trace.CHUNK_EVENTS`` events (or one diagonal)."""
     first = 0
     while first < r - 1:
-        most = (math.isqrt(8 * (CHUNK_EVENTS + _triangle(first)) + 1) - 1) // 2
+        most = (math.isqrt(8 * (trace.CHUNK_EVENTS + _triangle(first)) + 1) - 1) // 2
         stop = min(max(most, first + 1), r - 1)
         yield first, stop
         first = stop
@@ -300,7 +295,7 @@ def _write_diagonal(cycles: np.ndarray, addrs: np.ndarray, c0: np.ndarray,
         i, j, diag = _corner(first, stop)
         ti, tj = la - 1 - i[::-1], lb - 1 - j[::-1]
         lo, hi = _triangle(first), _triangle(stop)
-        per = max(1, CHUNK_EVENTS // (hi - lo))
+        per = max(1, trace.CHUNK_EVENTS // (hi - lo))
         for f in range(0, n, per):
             fs = slice(f, f + per)
             np.add(c0[fs, None], diag, out=cycles[fs, lo:hi])
@@ -321,7 +316,7 @@ def _write_rows(cycles: np.ndarray, addrs: np.ndarray, c0: np.ndarray,
 def _check_cycle_order(cycles: np.ndarray, addresses: np.ndarray | None = None) -> None:
     """Assert cycle order, or (cycle, address) order given the addresses,
     one chunk at a time."""
-    row = first_out_of_order(cycles, addresses, min(CHUNK_EVENTS, SEGMENT_EVENTS))
+    row = first_out_of_order(cycles, addresses)
     assert row is None or cycles[row] >= cycles[row - 1], (
         f"folds overlap in time: cycle {cycles[row]} follows cycle {cycles[row - 1]}")
     assert row is None, (f"ofmap writes out of address order in cycle {cycles[row]}: "

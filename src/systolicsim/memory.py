@@ -57,11 +57,6 @@ class Epoch:
         return self.last_use_cycle - self.first_use_cycle + 1
 
 
-# events in a full window of epochize's scan.  Short windows stamp a word
-# soon after its first read, so that fewer of its re-reads are tested again
-WINDOW_EVENTS = 1 << 16
-
-
 def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epoch]:
     """Split a cycle-ordered SRAM read trace into working-set epochs.
 
@@ -80,12 +75,14 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
     its word's stamp is older and it is the word's first event in the
     window.  When a window's new words overflow the buffer, the epoch
     closes before the cycle of its first word past capacity and the scan
-    resumes at that cycle.  A window holds ``WINDOW_EVENTS`` events, or
-    ``trace.SEGMENT_EVENTS`` if fewer, rounded up to a whole cycle; after
-    an epoch closes it restarts at that epoch's length and doubles while
-    the next one stays open, so the scan's work stays O(trace).  Each window
-    is checked to be in cycle order, and to start a cycle, so a trace out
-    of order crashes with an AssertionError instead of stalling the scan.
+    resumes at that cycle.  A window holds ``trace.CHUNK_EVENTS`` events,
+    rounded up to a whole cycle; short windows stamp a word soon after its
+    first read, so that fewer of its re-reads are tested again.  After an
+    epoch closes the window restarts at that epoch's length and doubles
+    while the next one stays open, so the scan's work stays O(trace).
+    Each window is checked to be in cycle order, and to start a cycle, so
+    a trace out of order crashes with an AssertionError instead of
+    stalling the scan.
     """
     if capacity_bytes < word_bytes:
         raise ValueError("capacity must hold at least one word")
@@ -104,7 +101,7 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
     parts: list[np.ndarray] = []     # the open epoch's words, by (first-use cycle, word)
     admitted = 0
     start = pos = 0                  # the open epoch's and the window's first event
-    full = window = min(WINDOW_EVENTS, trace_module.SEGMENT_EVENTS)
+    full = window = trace_module.CHUNK_EVENTS
     while pos < n:
         stop = cycle_end(cycles, pos, window)
         in_window = cycles[pos:stop]

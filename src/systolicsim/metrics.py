@@ -10,6 +10,7 @@ repeats the per-layer rows and appends an aggregate "total" row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -42,14 +43,16 @@ class EnergyCostTable:
 
     def __post_init__(self):
         for f in ("e_mac", "e_sram_read", "e_sram_write", "e_dram_access"):
-            if getattr(self, f) < 0:
-                raise ConfigError(f"energy cost {f} must be non-negative")
+            cost = getattr(self, f)
+            if not math.isfinite(cost) or cost < 0:
+                raise ConfigError(f"energy cost {f} must be finite and non-negative, "
+                                  f"not {cost}")
 
 
 def load_energy_table(path: str | Path) -> EnergyCostTable:
     """key = value lines; keys e_mac, e_sram_read, e_sram_write, e_dram_access."""
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -58,7 +61,11 @@ def load_energy_table(path: str | Path) -> EnergyCostTable:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in ("e_mac", "e_sram_read", "e_sram_write", "e_dram_access"):
             raise ConfigError(f"unknown energy table key {key!r}")
-        values[key] = float(val)
+        try:
+            values[key] = float(val)
+        except ValueError:
+            raise ConfigError(f"energy table {path}, line {number}: {key} = {val!r} "
+                              "is not a number") from None
     return EnergyCostTable(**values)
 
 

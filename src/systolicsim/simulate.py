@@ -10,18 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import trace
 from .config import ArchConfig, LayerSpec
 from .engine import TraceSet, generate_traces
 from .mapping import fold_plan, workload_counts
 from .memory import DramDemand, dram_demand
 from .metrics import (EnergyCostTable, LayerReport, NetworkReport,
                       layer_report, summarize_network)
-from .trace import SEGMENT_EVENTS
 
 # an SRAM trace event is an int64 cycle and an int64 address
 EVENT_BYTES = 16
 # simulate_layer holds at most this many times its SRAM traces' bytes, plus
-# SEGMENT_EVENTS events of temporaries; tests/test_memory_bound.py checks it
+# trace.CHUNK_EVENTS events of temporaries; tests/test_memory_bound.py checks it
 PEAK_TRACE_FACTOR = 1.3
 
 
@@ -46,7 +46,7 @@ def layer_peak_bytes(layer: LayerSpec, arch: ArchConfig) -> int:
     """The most memory ``simulate_layer`` needs for this layer, from the
     closed-form SRAM event count."""
     events = sum(fold_plan(workload_counts(layer), arch).sram_event_counts)
-    return int(PEAK_TRACE_FACTOR * EVENT_BYTES * events) + EVENT_BYTES * SEGMENT_EVENTS
+    return int(PEAK_TRACE_FACTOR * EVENT_BYTES * events) + EVENT_BYTES * trace.CHUNK_EVENTS
 
 
 def simulate_network(layers: list[LayerSpec], arch: ArchConfig,

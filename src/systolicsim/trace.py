@@ -27,22 +27,21 @@ from .errors import SimulationError
 
 CSV_HEADER = "cycle,address"
 
-# rows per pass of Trace.write_csv, to a whole cycle; its temporaries, about
-# 160 bytes a row, stay in cache
-CSV_CHUNK_ROWS = 1 << 14
-
-# events per pass of the whole-trace scans in the memory model, the report
-# and the order checks; their temporaries are O(SEGMENT_EVENTS), not O(trace)
-SEGMENT_EVENTS = 1 << 20
+# events per pass of every bounded walk over a trace (engine, memory model,
+# report, CSV I/O), read here or through segments() so one patch reaches all.
+# A chunk's int64 field is 128 KB, malloc's default mmap threshold: freeing a
+# larger temporary raises the threshold, which kept the memory model's later
+# temporaries on the heap and raised peak RSS
+CHUNK_EVENTS = 1 << 14
 
 # 10, 100, ..., 10**18: the powers of ten within int64
 POWERS_OF_TEN = [10 ** k for k in range(1, 19)]
 
 
 def segments(n: int) -> Iterator[slice]:
-    """Consecutive slices of at most ``SEGMENT_EVENTS`` covering ``range(n)``."""
-    for start in range(0, n, SEGMENT_EVENTS):
-        yield slice(start, min(start + SEGMENT_EVENTS, n))
+    """Consecutive slices of at most ``CHUNK_EVENTS`` covering ``range(n)``."""
+    for start in range(0, n, CHUNK_EVENTS):
+        yield slice(start, min(start + CHUNK_EVENTS, n))
 
 
 def sort_pairs(major: np.ndarray, minor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +120,7 @@ class Trace:
         with open(path, "wb") as fh:
             fh.write(CSV_HEADER.encode() + b"\n")
             while start < n:
-                stop = cycle_end(self.cycles, start, CSV_CHUNK_ROWS)
+                stop = cycle_end(self.cycles, start, CHUNK_EVENTS)
                 cycles, addresses = self.cycles[start:stop], self.addresses[start:stop]
                 if first_out_of_order(cycles, addresses) is not None:
                     cycles, addresses = sort_pairs(cycles.copy(), addresses.copy())
@@ -164,16 +163,14 @@ class Trace:
         return cls(cycles, addresses)
 
 
-def first_out_of_order(cycles: np.ndarray, addresses: np.ndarray | None = None,
-                       step: int | None = None) -> int | None:
+def first_out_of_order(cycles: np.ndarray,
+                       addresses: np.ndarray | None = None) -> int | None:
     """The first row that sorts before the row above it by (cycle,
     address), or by cycle alone without ``addresses``; None if there is
-    none.  The rows are checked ``step`` at a time (``SEGMENT_EVENTS`` by
-    default), each chunk with the last row before it, so the temporaries
-    are O(step)."""
-    step = step or SEGMENT_EVENTS
-    for start in range(0, len(cycles), step):
-        rows = slice(max(start - 1, 0), start + step)
+    none.  The rows are checked one segment at a time, each with the last
+    row before it, so the temporaries are O(CHUNK_EVENTS)."""
+    for seg in segments(len(cycles)):
+        rows = slice(max(seg.start - 1, 0), seg.stop)
         c = cycles[rows]
         down = c[1:] < c[:-1]
         if addresses is not None:
@@ -237,7 +234,7 @@ def _text_bytes(cycles: np.ndarray, addresses: np.ndarray) -> int:
     """The size of the canonical CSV rows of these pairs, given cycles in
     order: per row a comma and a line end, plus every digit and minus
     sign.  The sorted cycles count their digits with two searches per power
-    of ten; the addresses are counted one cache-sized chunk at a time."""
+    of ten; the addresses are counted one segment at a time."""
     n = len(cycles)
     size = 3 * n + int(np.searchsorted(cycles, 0))  # ",", "\n", units digit, "-"
     for p in POWERS_OF_TEN:
@@ -245,8 +242,8 @@ def _text_bytes(cycles: np.ndarray, addresses: np.ndarray) -> int:
         if not more:
             break
         size += more
-    for start in range(0, n, CSV_CHUNK_ROWS):
-        negative, mag, digits = _magnitude(addresses[start:start + CSV_CHUNK_ROWS])
+    for seg in segments(n):
+        negative, mag, digits = _magnitude(addresses[seg])
         size += len(mag) + int(np.count_nonzero(negative))
         size += sum(int(np.count_nonzero(mag >= p)) for p in POWERS_OF_TEN[:digits - 1])
     return size
@@ -268,12 +265,11 @@ def _first_non_canonical_line(path: str | Path, cycles: np.ndarray,
     canonical text of the rows it parsed to."""
     with open(path, "rb") as fh:
         fh.readline()
-        for start in range(0, len(cycles), CSV_CHUNK_ROWS):
-            rows = slice(start, start + CSV_CHUNK_ROWS)
-            want = _csv_rows(cycles[rows], addresses[rows])
+        for seg in segments(len(cycles)):
+            want = _csv_rows(cycles[seg], addresses[seg])
             got = np.frombuffer(fh.read(len(want)), np.uint8)
             differ = got != want[:len(got)]
             if differ.any() or len(got) < len(want):
                 same = int(np.argmax(differ)) if differ.any() else len(got)
-                return start + 2 + int(np.count_nonzero(want[:same] == ord("\n")))
+                return seg.start + 2 + int(np.count_nonzero(want[:same] == ord("\n")))
     return len(cycles) + 2

@@ -70,23 +70,37 @@ def test_no_traces_writes_summaries_only(workdir):
 def test_run_trace_files_are_in_file_order(workdir, monkeypatch, dataflow):
     # under OS and WS the engine leaves some cycles' ifmap reads out of
     # address order (under IS this layer's traces come out in file order);
-    # the trace writer sorts them one chunk at a time, here 7-row chunks
-    write_config(workdir / "arch.cfg", rows=4, cols=4, dataflow=dataflow)
+    # the trace writer sorts them one chunk at a time.  Every bounded walk
+    # (engine, epochize, report, CSV writer and reader) is cut to 7-event
+    # chunks here, and the 1 KB buffers of 16-byte words close several
+    # ifmap and filter epochs, so that epochize's windows cross epoch edges
+    write_config(workdir / "arch.cfg", rows=4, cols=4, dataflow=dataflow, ifmap_kb=1,
+                 filter_kb=1, ofmap_kb=1, word_bytes=16)
     layer = load_topology(workdir / "topo.csv")[0]
-    ifmap = engine.generate_traces(layer, load_config(workdir / "arch.cfg")).ifmap_reads
+    arch = load_config(workdir / "arch.cfg")
+    ifmap = engine.generate_traces(layer, arch).ifmap_reads
     assert (in_file_order(ifmap) == ifmap) == (dataflow == "is")
+    dram = simulate_layer(layer, arch).dram
+    assert len(dram.ifmap.bursts) > 1 and len(dram.filter.bursts) > 1
     run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
             "--run-id", "whole", "--jobs", "1")
-    monkeypatch.setattr(engine, "SEGMENT_EVENTS", 7)
-    monkeypatch.setattr(trace, "SEGMENT_EVENTS", 7)
-    monkeypatch.setattr(trace, "CSV_CHUNK_ROWS", 7)
+    monkeypatch.setattr(trace, "CHUNK_EVENTS", 7)
     run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
             "--run-id", "sliced", "--jobs", "1")
-    for kind in TRACE_KINDS:
-        whole, sliced = (workdir / "out" / rid / f"layer0_{kind}.csv"
-                         for rid in ("whole", "sliced"))
-        trace.Trace.read_csv(sliced)     # rejects rows out of (cycle, address) order
-        assert sliced.read_bytes() == whole.read_bytes()
+    whole_dir, sliced_dir = workdir / "out" / "whole", workdir / "out" / "sliced"
+    traces = [f"layer0_{kind}.csv" for kind in TRACE_KINDS]
+    summaries = ["summary.csv", "network.csv"]
+    for name in traces + summaries:
+        assert (sliced_dir / name).read_bytes() == (whole_dir / name).read_bytes(), name
+    for name in traces:
+        trace.Trace.read_csv(sliced_dir / name)  # rejects rows out of (cycle, address) order
+    # report rebuilds the summaries from the 7-event run's traces, also in
+    # 7-event chunks
+    for name in summaries:
+        (sliced_dir / name).unlink()
+    assert run_cli("report", sliced_dir, "--jobs", "1") == EXIT_OK
+    for name in summaries:
+        assert (sliced_dir / name).read_bytes() == (whole_dir / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
@@ -282,6 +296,44 @@ def test_exit_code_topology_error(workdir):
     (workdir / "topo.csv").write_text("Layer Name,IFMAP Height\nx,1\n")
     assert run_cli("run", "--config", workdir / "arch.cfg",
                    "--out", workdir / "out") == EXIT_TOPOLOGY
+
+
+# each ends in the flag that takes the topology file
+ENERGY_COMMANDS = {
+    "run": ("run", "--run-id", "r1", "--jobs", "1", "--topology"),
+    "sweep": ("sweep", "dataflow", "--sizes", "4", "--dataflows", "os", "--workloads"),
+}
+
+
+@pytest.mark.parametrize("command", list(ENERGY_COMMANDS))
+@pytest.mark.parametrize("value, message", [
+    pytest.param("abc", "line 2: e_mac = 'abc' is not a number", id="not-a-number"),
+    pytest.param("nan", "e_mac must be finite and non-negative, not nan", id="nan"),
+    pytest.param("inf", "e_mac must be finite and non-negative, not inf", id="inf"),
+    pytest.param("-1", "e_mac must be finite and non-negative, not -1.0", id="negative"),
+])
+def test_bad_energy_cost_is_a_config_error(workdir, capsys, command, value, message):
+    table = workdir / "energy.txt"
+    table.write_text(f"# costs\ne_mac = {value}\n")
+    assert run_cli(*ENERGY_COMMANDS[command], workdir / "topo.csv", "--config",
+                   workdir / "arch.cfg", "--energy-table", table,
+                   "--out", workdir / "out") == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("command", list(ENERGY_COMMANDS))
+def test_energy_table_reaches_the_summaries(workdir, command):
+    table = workdir / "energy.txt"
+    table.write_text("e_mac = 0\ne_sram_read = 0\ne_sram_write = 0\ne_dram_access = 0\n")
+    energies = []
+    for out, extra in (("default", ()), ("free", ("--energy-table", table))):
+        assert run_cli(*ENERGY_COMMANDS[command], workdir / "topo.csv", "--config",
+                       workdir / "arch.cfg", *extra, "--out", workdir / out) == EXIT_OK
+        path = workdir / out / ("r1/network.csv" if command == "run" else "sweep_dataflow.csv")
+        rows = list(csv.DictReader(path.read_text().splitlines()))
+        energies.append(float(rows[-1]["energy"]))
+    assert energies[0] > 0 and energies[1] == 0
 
 
 def test_exit_code_missing_config(tmp_path):

@@ -7,10 +7,9 @@ diagonal by diagonal, in cycle order and without a sort;
 every fold's pieces and sorts the whole trace once.  Each engine trace must
 be in cycle order, and in (cycle, address) order it must equal the
 reference's, however the folds fall into batches, corner gathers and
-segments.
+chunks.
 """
 
-from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -30,11 +29,8 @@ from systolicsim.trace import Trace
 KINDS = ("ifmap_reads", "filter_reads", "ofmap_writes")
 
 
-@contextmanager
-def segment_events(n):
-    with mock.patch.object(engine, "SEGMENT_EVENTS", n), \
-            mock.patch.object(trace, "SEGMENT_EVENTS", n):
-        yield
+def chunk_events(n):
+    return mock.patch.object(trace, "CHUNK_EVENTS", n)
 
 
 def assert_matches_reference(layer, arch):
@@ -60,9 +56,9 @@ def small_layers(draw):
 @settings(max_examples=200, deadline=None)
 @given(small_layers(), st.integers(1, 7), st.integers(1, 7),
        st.sampled_from(["os", "ws", "is"]), st.sampled_from([1, 2, 4]),
-       st.sampled_from([1, 2, 5, 40, trace.SEGMENT_EVENTS]))
-def test_builder_matches_reference(layer, rows, cols, dataflow, word, segment):
-    with segment_events(segment):
+       st.sampled_from([1, 2, 5, 40, trace.CHUNK_EVENTS]))
+def test_builder_matches_reference(layer, rows, cols, dataflow, word, chunk):
+    with chunk_events(chunk):
         assert_matches_reference(layer, make_arch(rows, cols, dataflow, word_bytes=word))
 
 
@@ -70,7 +66,7 @@ def test_builder_matches_reference(layer, rows, cols, dataflow, word, segment):
 def test_fold_larger_than_segment(dataflow):
     layer = LayerSpec("t", 9, 8, 3, 3, 4, 6, 1)
     arch = make_arch(5, 3, dataflow, word_bytes=2)
-    with segment_events(16):
+    with chunk_events(16):
         ts = assert_matches_reference(layer, arch)
     assert max(f.rows_used * f.stream_len for f in fold_list(ts.counts, arch)) > 16
 
@@ -79,21 +75,21 @@ def test_fold_larger_than_segment(dataflow):
 def test_many_folds_per_segment(dataflow):
     layer = LayerSpec("t", 6, 6, 2, 2, 6, 9, 1)
     arch = make_arch(2, 3, dataflow)
-    with segment_events(400):
+    with chunk_events(400):
         ts = assert_matches_reference(layer, arch)
     longest = max(len(getattr(ts, kind)) for kind in KINDS)
-    segments = -(-longest // 400)
-    assert segments > 1 and ts.plan.num_folds >= 4 * segments
+    chunks = -(-longest // 400)
+    assert chunks > 1 and ts.plan.num_folds >= 4 * chunks
 
 
 @pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
 def test_bundled_layer_spans_segments(dataflow):
-    # ~1.1 M events in each trace: two segments at the default size
+    # ~1.1 M events in each trace: many chunks at the default size
     layer = load_topology(workload_path("w2_deepspeech2"))[0]
     arch = load_config(default_config_path()).with_overrides(
         array_rows=16, array_cols=16, dataflow=dataflow)
     ts = assert_matches_reference(layer, arch)
-    assert max(len(getattr(ts, kind)) for kind in KINDS) > trace.SEGMENT_EVENTS
+    assert max(len(getattr(ts, kind)) for kind in KINDS) > trace.CHUNK_EVENTS
 
 
 @settings(max_examples=100, deadline=None)
@@ -101,7 +97,7 @@ def test_bundled_layer_spans_segments(dataflow):
        st.sampled_from(["os", "ws", "is"]), st.sampled_from([1, 3, 10]))
 def test_corner_gathers_in_chunks_match_reference(layer, rows, cols, dataflow, gather):
     # gathers of a few events split every corner over diagonals and folds
-    with mock.patch.object(engine, "CHUNK_EVENTS", gather):
+    with chunk_events(gather):
         assert_matches_reference(layer, make_arch(rows, cols, dataflow))
 
 
@@ -110,19 +106,19 @@ def test_corner_wider_than_a_gather(dataflow):
     # 40x40 corners hold 780 events each: one gather cannot hold one
     layer = LayerSpec("t", 12, 12, 3, 3, 8, 50, 1)
     arch = make_arch(40, 40, dataflow)
-    with mock.patch.object(engine, "CHUNK_EVENTS", 64):
+    with chunk_events(64):
         ts = assert_matches_reference(layer, arch)
     assert max(min(f.rows_used, f.cols_used) for f in fold_list(ts.counts, arch)) == 40
 
 
-@pytest.mark.parametrize("segment", [64, trace.SEGMENT_EVENTS])
+@pytest.mark.parametrize("chunk", [64, 1 << 20])
 @pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
-def test_lexsort_fallback(dataflow, segment, tmp_path):
+def test_lexsort_fallback(dataflow, chunk, tmp_path):
     # words of 2**55 bytes: a chunk's cycle range times its address range
     # overflows int64, so the trace file's sort falls back to np.lexsort.
     # Each cycle's events are put in descending address order first, an
-    # order a read trace may have, so that every chunk of ``segment`` rows
-    # needs the sort
+    # order a read trace may have, so that every chunk of ``chunk`` rows
+    # (1 M: the whole trace) needs the sort
     layer = LayerSpec("t", 5, 5, 2, 2, 2, 3, 1)
     arch = make_arch(2, 2, dataflow, word_bytes=2**55).with_overrides(
         ifmap_offset=0, filter_offset=2**61, ofmap_offset=3 * 2**60)
@@ -131,7 +127,7 @@ def test_lexsort_fallback(dataflow, segment, tmp_path):
     for kind in KINDS:
         cycles, addresses = getattr(got, kind).cycles, getattr(got, kind).addresses
         down = np.lexsort((-addresses, cycles))
-        with mock.patch.object(trace, "CSV_CHUNK_ROWS", segment), mock.patch.object(
+        with chunk_events(chunk), mock.patch.object(
                 trace.np, "lexsort", wraps=np.lexsort) as lexsort:
             Trace(cycles[down], addresses[down]).write_csv(path)
         assert lexsort.called
@@ -147,7 +143,7 @@ def test_overlapping_folds_crash(monkeypatch):
         return batches(plan, lambda rows, cols: span(rows, cols) - 1000, sizes)
 
     monkeypatch.setattr(engine, "_batches", overlapping_batches)
-    with segment_events(1), pytest.raises(AssertionError, match="overlap in time"):
+    with chunk_events(1), pytest.raises(AssertionError, match="overlap in time"):
         generate_traces(LayerSpec("t", 6, 6, 2, 2, 2, 4, 1), make_arch(2, 2, "os"))
 
 
@@ -156,9 +152,9 @@ def test_overlap_in_last_segment_crashes_build():
     # boundary into it
     for cycles in ([5, 6, 4], [5, 6, 7, 4], [5, 5, 6, 7, 7, 6]):
         cycles = np.array(cycles, dtype=np.int64)
-        with segment_events(2), pytest.raises(AssertionError, match="overlap in time"):
+        with chunk_events(2), pytest.raises(AssertionError, match="overlap in time"):
             engine._check_cycle_order(cycles)
-        with segment_events(2):
+        with chunk_events(2):
             engine._check_cycle_order(np.sort(cycles))
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (distinct_addresses, in_file_order, make_arch, n_drains, prologue,
                      random_small_layer, sorted_trace, steady_peak_bw, time_limit)
-from systolicsim import memory
+from systolicsim import trace as trace_module
 from systolicsim.config import LayerSpec
 from systolicsim.engine import TraceSet, generate_traces
 from systolicsim.metrics import layer_report
@@ -56,9 +56,9 @@ def _late_disorder():
 
 
 @pytest.mark.parametrize("cycles, addresses, capacity, window", [
-    pytest.param([3, 1, 2, 0], [0, 1, 2, 3], 1, memory.WINDOW_EVENTS, id="stalled-scan"),
-    pytest.param([3, 2], [5, 2], 1, memory.WINDOW_EVENTS, id="false-underflow"),
-    pytest.param([0, 2, 1, 3], [0, 1, 2, 3], 4, memory.WINDOW_EVENTS,
+    pytest.param([3, 1, 2, 0], [0, 1, 2, 3], 1, trace_module.CHUNK_EVENTS, id="stalled-scan"),
+    pytest.param([3, 2], [5, 2], 1, trace_module.CHUNK_EVENTS, id="false-underflow"),
+    pytest.param([0, 2, 1, 3], [0, 1, 2, 3], 4, trace_module.CHUNK_EVENTS,
                  id="inside-one-window"),
     pytest.param(*_late_disorder(), 1000, 16, id="late-disorder"),
 ])
@@ -67,7 +67,7 @@ def test_epochize_crashes_on_trace_out_of_cycle_order(cycles, addresses, capacit
     # out of order, the scan once stalled for good, reported an underflow
     # that the sorted trace does not have, or went on past the disorder
     # within a window or across windows
-    with time_limit(5), mock.patch.object(memory, "WINDOW_EVENTS", window), \
+    with time_limit(5), mock.patch.object(trace_module, "CHUNK_EVENTS", window), \
             pytest.raises(AssertionError, match="not in cycle order"):
         epochize(Trace(cycles, addresses), capacity)
 

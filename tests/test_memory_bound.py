@@ -5,9 +5,9 @@ covers every trace and temporary.  On a tall, narrow array the ifmap trace
 holds ~87% of the events, so one int64 temporary as long as that trace
 (say, in the engine or in epochize) adds ~0.4x the trace bytes and breaks
 the bound.  On a short, wide WS array the ofmap trace holds ~80% of them,
-which does the same for the report's bitmap count.  Segments are cut to
-64 K events here, so that the bound's allowance for segment temporaries
-(1 MB) is far smaller than any trace-length temporary.
+which does the same for the report's bitmap count.  The bound's
+allowance for chunk temporaries, ``trace.CHUNK_EVENTS`` events (256 KB),
+is far smaller than any trace-length temporary.
 
 Writing a layer's trace files must not add a trace-sized copy on top of
 that: ``cli._run_one_layer`` peaks at most the CSV writer's per-chunk
@@ -16,19 +16,15 @@ temporaries above ``simulate_layer``'s own peak.  Reading them back,
 ``report --jobs`` counts on.
 """
 
-import contextlib
 import tracemalloc
-from unittest import mock
 
 import pytest
 
-from systolicsim import cli, engine, simulate, trace
+from systolicsim import cli, trace
 from systolicsim.bundled import default_config_path, workload_path
 from systolicsim.config import load_config, load_topology
 from systolicsim.metrics import EnergyCostTable
 from systolicsim.simulate import EVENT_BYTES, layer_peak_bytes, simulate_layer
-
-SEGMENT_EVENTS = 1 << 16
 
 # Trace.write_csv's temporaries per row of a chunk.  A row is at most 42
 # bytes of text: two fields of up to 19 digits, each with a sign slot and a
@@ -38,14 +34,6 @@ SEGMENT_EVENTS = 1 << 16
 # product (16 bytes): 3 * 42 + 2 * 9 + 16 = 160.  Under tracemalloc, one
 # chunk of 19-digit rows peaks at 151 bytes a row.
 CSV_ROW_TEMP_BYTES = 160
-
-
-@contextlib.contextmanager
-def small_segments():
-    with mock.patch.object(engine, "SEGMENT_EVENTS", SEGMENT_EVENTS), \
-            mock.patch.object(trace, "SEGMENT_EVENTS", SEGMENT_EVENTS), \
-            mock.patch.object(simulate, "SEGMENT_EVENTS", SEGMENT_EVENTS):
-        yield
 
 
 def traced_peak(fn):
@@ -86,9 +74,8 @@ def deepspeech2_conv1(dataflow, rows, cols, input_kb):
 @pytest.mark.parametrize("dataflow,rows,cols,input_kb", LAYER_CASES)
 def test_peak_memory_bound(dataflow, rows, cols, input_kb):
     layer, arch = deepspeech2_conv1(dataflow, rows, cols, input_kb)
-    with small_segments():
-        res, peak = traced_peak(lambda: simulate_layer(layer, arch))
-        bound = layer_peak_bytes(layer, arch)
+    res, peak = traced_peak(lambda: simulate_layer(layer, arch))
+    bound = layer_peak_bytes(layer, arch)
     ts = res.traces
     events = len(ts.ifmap_reads) + len(ts.filter_reads) + len(ts.ofmap_writes)
     assert events > 2_000_000
@@ -107,30 +94,27 @@ def test_peak_memory_bound(dataflow, rows, cols, input_kb):
 ])
 def test_writing_traces_adds_no_trace_copy(tmp_path, dataflow, rows, cols, input_kb):
     layer, arch = deepspeech2_conv1(dataflow, rows, cols, input_kb)
-    with small_segments():
-        res, simulate_peak = traced_peak(lambda: simulate_layer(layer, arch))
-        _, run_peak = traced_peak(lambda: cli._run_one_layer(
-            layer, arch, EnergyCostTable(), str(tmp_path), "layer", True))
+    res, simulate_peak = traced_peak(lambda: simulate_layer(layer, arch))
+    _, run_peak = traced_peak(lambda: cli._run_one_layer(
+        layer, arch, EnergyCostTable(), str(tmp_path), "layer", True))
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         f"layer_{kind}.csv" for kind in cli.TRACE_KINDS)
     if input_kb:
         assert len(res.dram.read_trace) > 1_000_000
-    assert run_peak <= simulate_peak + CSV_ROW_TEMP_BYTES * trace.CSV_CHUNK_ROWS
+    assert run_peak <= simulate_peak + CSV_ROW_TEMP_BYTES * trace.CHUNK_EVENTS
     # the sorted DRAM trace is built in the arrays it returns
     bursts = res.dram.read_trace
-    with small_segments():
-        _, sort_peak = traced_peak(bursts.trace)
-    assert sort_peak <= EVENT_BYTES * (len(bursts) + SEGMENT_EVENTS)
+    _, sort_peak = traced_peak(bursts.trace)
+    assert sort_peak <= EVENT_BYTES * (len(bursts) + trace.CHUNK_EVENTS)
 
 
 @pytest.mark.parametrize("dataflow,rows,cols,input_kb", LAYER_CASES)
 def test_reporting_a_layer_keeps_its_bound(tmp_path, dataflow, rows, cols, input_kb):
     layer, arch = deepspeech2_conv1(dataflow, rows, cols, input_kb)
-    with small_segments():
-        written = cli._run_one_layer(layer, arch, EnergyCostTable(), str(tmp_path),
-                                     "layer", True)
-        report, peak = traced_peak(lambda: cli._report_layer(
-            layer, arch, EnergyCostTable(), tmp_path, "layer"))
-        bound = layer_peak_bytes(layer, arch)
+    written = cli._run_one_layer(layer, arch, EnergyCostTable(), str(tmp_path),
+                                 "layer", True)
+    report, peak = traced_peak(lambda: cli._report_layer(
+        layer, arch, EnergyCostTable(), tmp_path, "layer"))
+    bound = layer_peak_bytes(layer, arch)
     assert report == written
     assert peak <= bound

@@ -133,13 +133,13 @@ def test_bundled_layers_ladder_matches_reference(dataflow):
 @given(small_layers(), st.integers(1, 6), st.integers(1, 6),
        st.sampled_from(["os", "ws", "is"]), st.sampled_from([1, 2, 4]),
        st.sampled_from([1, 3, 16]), st.data())
-def test_segmented_scans_match_reference(layer, rows, cols, dataflow, word, segment,
+def test_segmented_scans_match_reference(layer, rows, cols, dataflow, word, chunk,
                                          data):
     # epochize's windows and the report's bitmap count walk the trace in
-    # segments; tiny segments must not matter
+    # chunks; tiny chunks must not matter
     arch = make_arch(rows, cols, dataflow, word_bytes=word)
     ts = generate_traces(layer, arch)
-    with mock.patch("systolicsim.trace.SEGMENT_EVENTS", segment):
+    with mock.patch("systolicsim.trace.CHUNK_EVENTS", chunk):
         for reads in (ts.ifmap_reads, ts.filter_reads):
             footprint = len(distinct_addresses(reads))
             assert_same_epochs(reads, data.draw(st.integers(word, (footprint + 2) * word)),

@@ -40,18 +40,19 @@ def test_trace_csv_round_trip(tmp_path):
     assert Trace.read_csv(path) == t
 
 
-@pytest.mark.parametrize("segment", [2, 3, trace_module.SEGMENT_EVENTS])
+@pytest.mark.parametrize("chunk", [2, 3, 1 << 20])
 @pytest.mark.parametrize("cycles, addresses, line", [
     pytest.param([0, 1, 1, 2], [5, 4, 3, 9], 4, id="address-order"),
     pytest.param([0, 1, 2, 1], [5, 4, 3, 9], 5, id="cycle-order"),
 ])
-def test_read_csv_rejects_rows_out_of_order(tmp_path, monkeypatch, segment, cycles,
+def test_read_csv_rejects_rows_out_of_order(tmp_path, monkeypatch, chunk, cycles,
                                             addresses, line):
-    # checked a segment at a time; the bad row may start a segment.
-    # Trace.write_csv would sort the rows, or refuse them
+    # checked a chunk at a time; the bad row may start a chunk, or the
+    # whole file may be one.  Trace.write_csv would sort the rows, or
+    # refuse them
     path = tmp_path / "t.csv"
     write_csv_reference(Trace(np.array(cycles), np.array(addresses)), path)
-    monkeypatch.setattr(trace_module, "SEGMENT_EVENTS", segment)
+    monkeypatch.setattr(trace_module, "CHUNK_EVENTS", chunk)
     with pytest.raises(SimulationError, match=f"line {line} is out of"):
         Trace.read_csv(path)
 
@@ -141,7 +142,7 @@ def test_write_csv_chunks_end_with_whole_cycles(monkeypatch, tmp_path):
     # second, so a chunk cut mid-cycle would leave them out of order
     cycles = np.array([0, 0, 1, 1, 1, 1, 1, 2, 2, 2, 3], dtype=np.int64)
     addresses = np.array([5, 4, 9, 8, 7, 1, 0, 6, 3, 2, 0], dtype=np.int64)
-    monkeypatch.setattr(trace_module, "CSV_CHUNK_ROWS", 4)
+    monkeypatch.setattr(trace_module, "CHUNK_EVENTS", 4)
     assert written(Trace(cycles, addresses), tmp_path / "t.csv") == \
         sorted_trace(cycles, addresses)
 
@@ -153,7 +154,7 @@ def test_write_csv_sorts_only_chunks_out_of_order(monkeypatch, tmp_path):
     addresses = np.array([0, 1, 2, 9, 3, 0, 1, 2, 0], dtype=np.int64)
     given = Trace(cycles.copy(), addresses.copy())
     want = sorted_trace(cycles, addresses)
-    monkeypatch.setattr(trace_module, "CSV_CHUNK_ROWS", 3)
+    monkeypatch.setattr(trace_module, "CHUNK_EVENTS", 3)
     with mock.patch.object(trace_module, "sort_pairs", wraps=sort_pairs) as sort:
         assert written(given, tmp_path / "t.csv") == want
     assert [call.args[0].tolist() for call in sort.call_args_list] == [[2, 2, 3]]
@@ -163,12 +164,12 @@ def test_write_csv_sorts_only_chunks_out_of_order(monkeypatch, tmp_path):
     assert not sort.called
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 5, trace_module.CSV_CHUNK_ROWS])
+@pytest.mark.parametrize("chunk", [1, 2, 5, trace_module.CHUNK_EVENTS])
 def test_write_csv_matches_a_full_sort(monkeypatch, tmp_path, chunk):
     rng = np.random.default_rng(chunk)
     cycles = np.sort(rng.integers(-3, 40, 300))
     addresses = rng.integers(-50, 50, 300)
-    monkeypatch.setattr(trace_module, "CSV_CHUNK_ROWS", chunk)
+    monkeypatch.setattr(trace_module, "CHUNK_EVENTS", chunk)
     assert written(Trace(cycles, addresses), tmp_path / "t.csv") == \
         sorted_trace(cycles, addresses)
 
@@ -177,15 +178,15 @@ def test_write_csv_crashes_out_of_cycle_order(tmp_path):
     # the second chunk's search for the end of its last cycle lands before
     # the chunk, which would stall the walk
     cycles = np.array([0, 5, 6, 1, 2], dtype=np.int64)
-    with mock.patch.object(trace_module, "CSV_CHUNK_ROWS", 2), \
+    with mock.patch.object(trace_module, "CHUNK_EVENTS", 2), \
             pytest.raises(AssertionError, match="not in cycle order"):
         Trace(cycles, np.arange(5)).write_csv(tmp_path / "t.csv")
 
 
 def test_write_csv_cycle_longer_than_a_chunk(tmp_path):
-    # one cycle of more than CSV_CHUNK_ROWS rows, out of address order, is
+    # one cycle of more than CHUNK_EVENTS rows, out of address order, is
     # one chunk of its own, sorted whole
-    rows = trace_module.CSV_CHUNK_ROWS + 3
+    rows = trace_module.CHUNK_EVENTS + 3
     cycles = np.repeat([0, 1, 2], [2, rows, 2])
     addresses = np.random.default_rng(1).permutation(len(cycles))
     path = tmp_path / "t.csv"

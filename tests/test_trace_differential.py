@@ -16,7 +16,7 @@ from helpers import in_file_order, sorted_trace
 from systolicsim.bundled import default_config_path, workload_path
 from systolicsim.config import load_config, load_topology
 from systolicsim.simulate import simulate_layer
-from systolicsim.trace import CSV_CHUNK_ROWS, Trace
+from systolicsim.trace import CHUNK_EVENTS, Trace
 from trace_reference import write_csv_reference
 
 INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
@@ -49,13 +49,13 @@ def test_write_csv_matches_reference(pairs, tmp_path):
 
 
 def test_write_csv_digit_count_changes_within_chunk(tmp_path):
-    cycles = np.arange(-1005, CSV_CHUNK_ROWS - 1005, dtype=np.int64)
+    cycles = np.arange(-1005, CHUNK_EVENTS - 1005, dtype=np.int64)
     addresses = 10 ** (np.arange(len(cycles)) % 19) - np.arange(len(cycles)) % 2
     assert_matches_reference(Trace(cycles, addresses), tmp_path)
 
 
 # the edges of the first chunk and of the fourth
-@pytest.mark.parametrize("rows", [0, 1] + [k * CSV_CHUNK_ROWS + d for k in (1, 4)
+@pytest.mark.parametrize("rows", [0, 1] + [k * CHUNK_EVENTS + d for k in (1, 4)
                                            for d in (-1, 0, 1)])
 def test_write_csv_chunk_edges_match_reference(rows, tmp_path):
     rng = np.random.default_rng(rows)
