@@ -45,6 +45,15 @@ OUT_ENV_VAR = "SYSTOLICSIM_OUT"
 TRACE_KINDS = ("ifmap_sram_read", "filter_sram_read", "ofmap_sram_write",
                "dram_read", "dram_write")
 
+# per study, the sweep flag that replaces the architecture flags its cells all
+# override; --dataflows replaces --dataflow in every study
+SWEEP_AXIS_FLAGS = {
+    "dataflow": ("--sizes", ("--rows", "--cols")),
+    "memory": ("--sram-sizes", ("--sram-ifmap", "--sram-filter")),
+    "aspect": ("--total-pes", ("--rows", "--cols")),
+    "scale": ("--pe-ladder", ("--rows", "--cols")),
+}
+
 MAX_DEFAULT_JOBS = 8
 # what a worker holds besides its layer's data: interpreter, numpy, package
 WORKER_BASE_BYTES = 64 << 20
@@ -283,6 +292,11 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def cmd_sweep(args) -> int:
+    axis, flags = SWEEP_AXIS_FLAGS[args.study]
+    for flag, use in (("--dataflow", "--dataflows"), *((f, axis) for f in flags)):
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise ConfigError(f"sweep {args.study} sets {flag} in every cell; "
+                              f"use {use} instead")
     base, table = _arch_and_table(args)
     workloads = args.workloads or [str(p) for p in bundled_workloads().values()]
     axes = {}
@@ -352,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run a design-space study")
     sweep.add_argument("study", choices=STUDIES)
     add_arch_flags(sweep)
-    sweep.add_argument("--workloads", nargs="*", default=None,
+    sweep.add_argument("--workloads", nargs="+", default=None,
                        help="topology CSVs (default: all bundled workloads)")
     sweep.add_argument("--dataflows", default=None, help="comma list, e.g. os,ws")
     sweep.add_argument("--sizes", default=None, help="square array sizes, comma list")

@@ -2,7 +2,8 @@
 
 ``layer_report`` is the only function that builds a layer's report, from
 its traces alone, so ``run`` and ``report`` cannot disagree;
-``summarize_network`` adds the layer reports into the network total.
+``summarize_network`` adds the layer reports into the network total, whose
+ratios then follow from its summed counts as a layer's do from its own.
 
 The summary CSV column order is a stable external contract; network.csv
 repeats the per-layer rows and appends an aggregate "total" row.
@@ -11,7 +12,7 @@ repeats the per-layer rows and appends an aggregate "total" row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable
 
@@ -22,12 +23,18 @@ from .errors import ConfigError, SimulationError
 from .mapping import fold_plan, workload_counts
 from .trace import Trace, segments
 
-SUMMARY_COLUMNS = (
-    "layer", "dataflow", "rows", "cols", "total_cycles", "mapping_eff",
-    "compute_util", "sram_rd_ifmap", "sram_rd_filter", "sram_wr_ofmap",
-    "dram_rd_bytes", "dram_wr_bytes", "avg_rd_bw", "peak_rd_bw",
-    "avg_wr_bw", "peak_wr_bw", "energy",
-)
+# summary CSV column -> LayerReport attribute, in column order; the sweep
+# studies fill their columns of the same names through this table
+SUMMARY_FIELDS = {
+    "layer": "name", "dataflow": "dataflow", "rows": "rows", "cols": "cols",
+    "total_cycles": "total_cycles", "mapping_eff": "mapping_efficiency",
+    "compute_util": "compute_utilization", "sram_rd_ifmap": "sram_reads_ifmap",
+    "sram_rd_filter": "sram_reads_filter", "sram_wr_ofmap": "sram_writes_ofmap",
+    "dram_rd_bytes": "dram_read_bytes", "dram_wr_bytes": "dram_write_bytes",
+    "avg_rd_bw": "avg_read_bw", "peak_rd_bw": "peak_read_bw",
+    "avg_wr_bw": "avg_write_bw", "peak_wr_bw": "peak_write_bw", "energy": "energy",
+}
+SUMMARY_COLUMNS = tuple(SUMMARY_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -77,28 +84,42 @@ def energy(macs: int, sram_reads: int, sram_writes: int, dram_bytes: int,
 
 @dataclass
 class LayerReport:
+    """What a layer's traces measure: counts, the two DRAM bandwidth peaks
+    and energy.  The four ratios are properties over the counts."""
     name: str
     dataflow: str
     rows: int
     cols: int
     total_cycles: int
     macs_total: int
-    mapping_efficiency: float
-    compute_utilization: float
     sram_reads_ifmap: int
     sram_reads_filter: int
     sram_writes_ofmap: int
     sram_reads_ofmap_partials: int
     dram_read_bytes: int
     dram_write_bytes: int
-    avg_read_bw: float
     peak_read_bw: int
-    avg_write_bw: float
     peak_write_bw: int
     energy: float
     # fold bookkeeping so network mapping efficiency aggregates exactly
-    active_pe_folds: int = 0
-    fold_pe_area: int = 0
+    active_pe_folds: int
+    fold_pe_area: int
+
+    @property
+    def mapping_efficiency(self) -> float:
+        return self.active_pe_folds / self.fold_pe_area
+
+    @property
+    def compute_utilization(self) -> float:
+        return self.macs_total / (self.total_cycles * self.rows * self.cols)
+
+    @property
+    def avg_read_bw(self) -> float:
+        return self.dram_read_bytes / self.total_cycles
+
+    @property
+    def avg_write_bw(self) -> float:
+        return self.dram_write_bytes / self.total_cycles
 
 
 def _dram_bytes(cycle_arrays: Iterable[np.ndarray], total_cycles: int,
@@ -131,8 +152,8 @@ def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | No
     counts and each DRAM partition as its events' cycles, in arrays read
     once each, one at a time, in any order.  Runtime is one past the last
     output write; every write to an address after its first is a partial
-    sum that the next reduction fold re-reads; DRAM bytes and bandwidths
-    come from the DRAM cycles."""
+    sum that the next reduction fold re-reads; DRAM bytes and peak
+    bandwidths come from the DRAM cycles."""
     table = table or EnergyCostTable()
     if not len(ofmap_writes) or ofmap_writes.max_cycle < 0:
         raise SimulationError(f"layer {layer.name!r}: ofmap write trace has no "
@@ -161,17 +182,13 @@ def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | No
         cols=arch.array_cols,
         total_cycles=cycles,
         macs_total=counts.macs_total,
-        mapping_efficiency=active / area,
-        compute_utilization=counts.macs_total / (cycles * arch.array_rows * arch.array_cols),
         sram_reads_ifmap=ifmap_reads,
         sram_reads_filter=filter_reads,
         sram_writes_ofmap=len(ofmap_writes),
         sram_reads_ofmap_partials=partial_reads,
         dram_read_bytes=dram_rd_bytes,
         dram_write_bytes=dram_wr_bytes,
-        avg_read_bw=dram_rd_bytes / cycles,
         peak_read_bw=peak_rd_bw,
-        avg_write_bw=dram_wr_bytes / cycles,
         peak_write_bw=peak_wr_bw,
         energy=energy(counts.macs_total, ifmap_reads + filter_reads + partial_reads,
                       len(ofmap_writes), dram_rd_bytes + dram_wr_bytes, table),
@@ -187,41 +204,17 @@ class NetworkReport:
 
 
 def summarize_network(layers: list[LayerReport]) -> NetworkReport:
-    """Serialized execution: cycles, accesses, and energy add across layers;
-    utilizations aggregate from the summed integers; peaks take the max."""
+    """Serialized execution: every count and energy add across layers, in
+    layer order; the peaks take the max; dataflow and shape are the first
+    layer's; the ratios follow from the summed counts."""
     if not layers:
         raise ValueError("network has no layers")
-    rows, cols = layers[0].rows, layers[0].cols
-    cycles = sum(l.total_cycles for l in layers)
-    macs = sum(l.macs_total for l in layers)
-    dram_rd = sum(l.dram_read_bytes for l in layers)
-    dram_wr = sum(l.dram_write_bytes for l in layers)
-    active = sum(l.active_pe_folds for l in layers)
-    area = sum(l.fold_pe_area for l in layers)
-    total = LayerReport(
-        name="total",
-        dataflow=layers[0].dataflow,
-        rows=rows,
-        cols=cols,
-        total_cycles=cycles,
-        macs_total=macs,
-        mapping_efficiency=active / area,
-        compute_utilization=macs / (cycles * rows * cols),
-        sram_reads_ifmap=sum(l.sram_reads_ifmap for l in layers),
-        sram_reads_filter=sum(l.sram_reads_filter for l in layers),
-        sram_writes_ofmap=sum(l.sram_writes_ofmap for l in layers),
-        sram_reads_ofmap_partials=sum(l.sram_reads_ofmap_partials for l in layers),
-        dram_read_bytes=dram_rd,
-        dram_write_bytes=dram_wr,
-        avg_read_bw=dram_rd / cycles,
-        peak_read_bw=max(l.peak_read_bw for l in layers),
-        avg_write_bw=dram_wr / cycles,
-        peak_write_bw=max(l.peak_write_bw for l in layers),
-        energy=sum(l.energy for l in layers),
-        active_pe_folds=active,
-        fold_pe_area=area,
-    )
-    return NetworkReport(list(layers), total)
+    shared, peaks = ("dataflow", "rows", "cols"), ("peak_read_bw", "peak_write_bw")
+    total = {f.name: sum(getattr(l, f.name) for l in layers)
+             for f in fields(LayerReport) if f.name not in ("name", *shared, *peaks)}
+    total.update({f: getattr(layers[0], f) for f in shared})
+    total.update({f: max(getattr(l, f) for l in layers) for f in peaks})
+    return NetworkReport(list(layers), LayerReport(name="total", **total))
 
 
 def _csv_cell(value) -> str:
@@ -242,11 +235,7 @@ def csv_line(values) -> str:
 
 
 def report_row(r: LayerReport) -> str:
-    return csv_line((
-        r.name, r.dataflow, r.rows, r.cols, r.total_cycles, r.mapping_efficiency,
-        r.compute_utilization, r.sram_reads_ifmap, r.sram_reads_filter,
-        r.sram_writes_ofmap, r.dram_read_bytes, r.dram_write_bytes,
-        r.avg_read_bw, r.peak_read_bw, r.avg_write_bw, r.peak_write_bw, r.energy))
+    return csv_line(getattr(r, attr) for attr in SUMMARY_FIELDS.values())
 
 
 def summary_csv(layers: list[LayerReport]) -> str:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .config import ALL_DATAFLOWS, ArchConfig, LayerSpec, load_topology
 from .errors import ConfigError, SimulationError, TopologyError
-from .metrics import EnergyCostTable, LayerReport, csv_line
+from .metrics import SUMMARY_FIELDS, EnergyCostTable, csv_line
 from .simulate import simulate_layer, simulate_network
 
 DEFAULT_ARRAY_SIZES = (8, 16, 32, 64, 128)
@@ -90,8 +90,7 @@ def aspect_shapes(total_pes: int) -> list[tuple[int, int]]:
 
 
 # Each study other than scale is a list of cells, every cell one network
-# simulation: a cell's key columns, the arch overrides that make it, and
-# the columns it fills from the network total.
+# simulation: a cell's key columns and the arch overrides that make it.
 
 def _dataflow_cells(spec: SweepSpec, base: ArchConfig):
     """Runtime and energy per (square array size, dataflow)."""
@@ -119,19 +118,12 @@ def _aspect_cells(spec: SweepSpec, base: ArchConfig):
                    dict(array_rows=r, array_cols=c, dataflow=df))
 
 
-def _runtime_energy(total: LayerReport) -> dict:
-    return dict(total_cycles=total.total_cycles, energy=total.energy)
-
-
-def _read_traffic(total: LayerReport) -> dict:
-    return dict(total_cycles=total.total_cycles, dram_rd_bytes=total.dram_read_bytes,
-                avg_rd_bw=total.avg_read_bw)
-
-
+# per study, its cells and the summary columns each cell fills from the
+# network total
 _CELL_STUDIES = {
-    "dataflow": (_dataflow_cells, _runtime_energy),
-    "memory": (_memory_cells, _read_traffic),
-    "aspect": (_aspect_cells, _runtime_energy),
+    "dataflow": (_dataflow_cells, ("total_cycles", "energy")),
+    "memory": (_memory_cells, ("total_cycles", "dram_rd_bytes", "avg_rd_bw")),
+    "aspect": (_aspect_cells, ("total_cycles", "energy")),
 }
 
 
@@ -153,13 +145,13 @@ def run_sweep(spec: SweepSpec, base_arch: ArchConfig,
         if spec.study == "scale":
             rows += _scale_rows(name, layers, spec, base_arch, table)
             continue
-        cells, fill = _CELL_STUDIES[spec.study]
+        cells, columns = _CELL_STUDIES[spec.study]
         for key, overrides in cells(spec, base_arch):
             row = _row(spec.study, name, **key)
             try:
                 net = simulate_network(layers, base_arch.with_overrides(**overrides),
                                        table)
-                row.update(fill(net.total))
+                row.update({c: getattr(net.total, SUMMARY_FIELDS[c]) for c in columns})
             except CELL_ERRORS as exc:
                 row["status"] = f"error: {exc}"
             rows.append(row)

@@ -13,11 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import make_arch
+from helpers import make_arch, write_topology
 from systolicsim.config import LayerSpec
 from systolicsim.engine import generate_traces
 from systolicsim.memory import dram_demand, epochize
 from systolicsim.simulate import simulate_layer
+from systolicsim.sweeps import SweepSpec, run_sweep
+from systolicsim.trace import Trace
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -45,7 +47,7 @@ def test_boundary_resolves(name, module_name, attr):
 
 
 @pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
-def test_hooks_count_the_pipeline(dataflow):
+def test_hooks_count_the_pipeline(dataflow, tmp_path):
     # 1 KB buffers hold 256 words; the ifmap (1024), filter (288) and ofmap
     # (1568 words) footprints all overflow them
     layer = LayerSpec("t", 16, 16, 3, 3, 4, 8, 1)
@@ -63,3 +65,19 @@ def test_hooks_count_the_pipeline(dataflow):
     report = simulate_layer(layer, arch).report
     assert (tracer.counts["memory.dram_events"] * arch.word_bytes
             == report.dram_read_bytes + report.dram_write_bytes)
+    # the tracer's wrapper passes a method's own arguments after its result:
+    # the trace, or the class of the classmethod, then the path
+    path = tmp_path / "writes.csv"
+    tracer.after_csv(ts.ofmap_writes.write_csv(path), ts.ofmap_writes, path)
+    tracer.after_csv(Trace.read_csv(path), Trace, path)
+    assert tracer.counts["trace.csv_bytes"] == 2 * path.stat().st_size > 0
+
+
+def test_sweep_hook_counts_flagged_cells(tmp_path):
+    write_topology(tmp_path / "topo.csv", [("l0", 6, 6, 3, 3, 2, 4, 1)])
+    spec = SweepSpec("memory", [str(tmp_path / "topo.csv"), str(tmp_path / "none.csv")],
+                     sram_sizes_kb=(64,), dataflows=("os", "ws"))
+    rows = run_sweep(spec, make_arch(4, 4))
+    tracer = TRACER.Tracer("test")
+    tracer.after_run_sweep(rows, spec, make_arch(4, 4))
+    assert tracer.counts == {"sweeps.cells": 3, "sweeps.flagged_cells": 1}

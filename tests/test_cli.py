@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from helpers import format_topology, in_file_order, write_config, write_topology
+from helpers import (format_topology, in_file_order, time_limit, write_config,
+                     write_topology)
 from systolicsim import cli, engine, trace
 from systolicsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIM, EXIT_TOPOLOGY,
                              TRACE_KINDS, default_jobs, main, mem_available)
@@ -562,6 +563,45 @@ def test_sweep_rejects_bad_axis(workdir, study, flag, value):
     assert run_cli("sweep", study, "--config", workdir / "arch.cfg",
                    "--workloads", workdir / "topo.csv", flag, value,
                    "--out", workdir / "out") == EXIT_CONFIG
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("study,flag,axis", [
+    *((study, "--dataflow", "--dataflows") for study in ("dataflow", "memory", "aspect",
+                                                         "scale")),
+    ("dataflow", "--rows", "--sizes"), ("dataflow", "--cols", "--sizes"),
+    ("memory", "--sram-ifmap", "--sram-sizes"), ("memory", "--sram-filter", "--sram-sizes"),
+    ("aspect", "--rows", "--total-pes"), ("aspect", "--cols", "--total-pes"),
+    ("scale", "--rows", "--pe-ladder"), ("scale", "--cols", "--pe-ladder"),
+])
+def test_sweep_rejects_a_flag_its_study_overrides(workdir, capsys, study, flag, axis):
+    value = "ws" if flag == "--dataflow" else "8"
+    assert run_cli("sweep", study, "--config", workdir / "arch.cfg",
+                   "--workloads", workdir / "topo.csv", flag, value,
+                   "--out", workdir / "out") == EXIT_CONFIG
+    assert f"sweep {study} sets {flag} in every cell; use {axis} instead" \
+        in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+def test_sweep_memory_takes_the_flags_it_does_not_override(workdir):
+    table = workdir / "energy.txt"
+    table.write_text("e_mac = 0.5\n")
+    assert run_cli("sweep", "memory", "--config", workdir / "arch.cfg",
+                   "--workloads", workdir / "topo.csv", "--rows", "2", "--cols", "3",
+                   "--sram-ofmap", "1", "--energy-table", table, "--sram-sizes", "64",
+                   "--dataflows", "os", "--out", workdir / "out") == EXIT_OK
+    with open(workdir / "out" / "sweep_memory.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["rows"], row["cols"], row["status"]) == ("2", "3", "ok")
+
+
+def test_sweep_workloads_flag_needs_a_path(workdir, capsys):
+    with time_limit(30), pytest.raises(SystemExit) as exc:
+        run_cli("sweep", "memory", "--workloads", "--sram-sizes", "64",
+                "--out", workdir / "out")
+    assert exc.value.code == 2    # argparse's usage error
+    assert "--workloads: expected at least one argument" in capsys.readouterr().err
     assert not (workdir / "out").exists()
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,8 @@ from systolicsim.bundled import workload_path
 from systolicsim.config import LayerSpec, load_topology, lower_gemm
 from systolicsim.engine import generate_traces
 from systolicsim.errors import SimulationError, WorkingSetUnderflow
-from systolicsim.metrics import (EnergyCostTable, energy, layer_report, report_row,
-                                 summarize_network, summary_csv)
+from systolicsim.metrics import (EnergyCostTable, LayerReport, energy, layer_report,
+                                 report_row, summarize_network, summary_csv)
 from systolicsim.simulate import simulate_layer
 from systolicsim.trace import Trace
 
@@ -136,6 +137,35 @@ def test_network_totals_are_layer_sums_alphagozero():
     assert net.total.total_cycles == sum(r.total_cycles for r in reports)
     assert net.total.energy == sum(r.energy for r in reports)
     assert [r.name for r in net.layers] == [l.name for l in layers]
+
+
+def test_network_total_with_a_non_integer_energy_table():
+    # costs with no exact binary value: this order of these layers gives a
+    # left-to-right energy sum that differs from the reversed one
+    table = EnergyCostTable(e_mac=0.3, e_sram_read=6.1, e_sram_write=5.7,
+                            e_dram_access=199.9)
+    arch = make_arch(4, 4, "ws", ifmap_kb=1, filter_kb=1, ofmap_kb=1, word_bytes=4)
+    layers = [lower_gemm(7, 5, 3), LayerSpec("d", 20, 20, 3, 3, 8, 4, 1),
+              LayerSpec("c", 12, 8, 2, 2, 4, 6, 2), LayerSpec("a", 16, 16, 3, 3, 4, 8, 1)]
+    reports = [simulate_layer(l, arch, table).report for l in layers]
+    energies = [r.energy for r in reports]
+    assert sum(energies) != sum(reversed(energies))
+    total = summarize_network(reports).total
+    peaks = ("peak_read_bw", "peak_write_bw")
+    counts = [f.name for f in fields(LayerReport)
+              if f.name not in ("name", "dataflow", "rows", "cols", "energy", *peaks)]
+    assert len(counts) == 10
+    for name in counts:
+        assert getattr(total, name) == sum(getattr(r, name) for r in reports), name
+    for name in peaks:
+        assert getattr(total, name) == max(getattr(r, name) for r in reports), name
+    assert max(total.peak_read_bw, total.peak_write_bw) > 0
+    assert total.energy == sum(energies)
+    assert (total.name, total.dataflow, total.rows, total.cols) == ("total", "ws", 4, 4)
+    assert total.mapping_efficiency == total.active_pe_folds / total.fold_pe_area
+    assert total.compute_utilization == total.macs_total / (total.total_cycles * 4 * 4)
+    assert total.avg_read_bw == total.dram_read_bytes / total.total_cycles
+    assert total.avg_write_bw == total.dram_write_bytes / total.total_cycles
 
 
 def test_summary_csv_shape():
