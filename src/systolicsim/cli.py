@@ -23,14 +23,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
+from . import trace
 from .bundled import bundled_workloads, default_config_path
 from .config import (ALL_DATAFLOWS, ArchConfig, Dataflow, LayerSpec,
                      load_config, load_topology)
 from .errors import ConfigError, SimulationError, TopologyError
+from .mapping import fold_plan, workload_counts
 from .metrics import (EnergyCostTable, LayerReport, layer_report,
                       load_energy_table, network_csv, summarize_network,
                       summary_csv)
-from .simulate import layer_peak_bytes, simulate_layer
+from .simulate import EVENT_BYTES, layer_peak_bytes, simulate_layer
 from .sweeps import STUDIES, SweepSpec, run_sweep, trend_lines, write_sweep_csv
 from .trace import Trace
 
@@ -57,6 +59,10 @@ SWEEP_AXIS_FLAGS = {
 MAX_DEFAULT_JOBS = 8
 # what a worker holds besides its layer's data: interpreter, numpy, package
 WORKER_BASE_BYTES = 64 << 20
+# _report_layer holds at most this many times the bytes of a layer's SRAM
+# traces, plus trace.CHUNK_EVENTS events of temporaries;
+# tests/test_memory_bound.py checks it
+REPORT_TRACE_FACTOR = 1.3
 
 
 def _default_out_root() -> Path:
@@ -122,13 +128,23 @@ def _check_jobs(jobs: int | None) -> None:
         raise ConfigError(f"--jobs must be at least 1, not {jobs}")
 
 
-def _jobs(jobs: int | None, layers: list[LayerSpec], arch: ArchConfig) -> int:
+def _jobs(jobs: int | None, layers: list[LayerSpec], arch: ArchConfig,
+          peak_bytes=layer_peak_bytes) -> int:
     """``--jobs`` if given, else ``default_jobs`` for a worker that holds the
-    largest of these layers."""
+    largest of these layers, at ``peak_bytes(layer, arch)`` each."""
     if jobs is not None:
         return jobs
-    per_worker = WORKER_BASE_BYTES + max(layer_peak_bytes(l, arch) for l in layers)
+    per_worker = WORKER_BASE_BYTES + max(peak_bytes(l, arch) for l in layers)
     return default_jobs(os.cpu_count(), mem_available(), per_worker)
+
+
+def report_peak_bytes(layer: LayerSpec, arch: ArchConfig) -> int:
+    """The most memory ``_report_layer`` needs for this layer: it parses
+    whole trace files, one at a time, so this is a margin over the SRAM
+    traces' bytes, from their closed-form event count."""
+    events = sum(fold_plan(workload_counts(layer), arch).sram_event_counts)
+    return (int(REPORT_TRACE_FACTOR * EVENT_BYTES * events)
+            + EVENT_BYTES * trace.CHUNK_EVENTS)
 
 
 def _map_layers(fn, work: list[tuple], jobs: int) -> list:
@@ -158,22 +174,15 @@ def _trace_paths(run_dir: str | Path, stem: str) -> list[Path]:
 def _run_one_layer(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable,
                    run_dir: str, stem: str, write_traces: bool) -> LayerReport:
     """Simulate one layer and, with ``write_traces``, write its five trace
-    files in ``TRACE_KINDS`` order.  The three SRAM traces are written and
-    dropped first; only then is each DRAM trace built from its bursts,
-    sorted and written, one at a time.  So no SRAM trace is held while a
-    sorted DRAM trace is built."""
-    res = simulate_layer(layer, arch, table)
-    report, dram = res.report, res.dram
+    files in ``TRACE_KINDS`` order: each SRAM trace as the simulation reads
+    it, then each DRAM trace, built from its bursts, sorted and written,
+    one at a time."""
+    paths = _trace_paths(run_dir, stem)
+    res = simulate_layer(layer, arch, table, paths[:3] if write_traces else None)
     if write_traces:
-        ifmap, filt, writes, dram_rd, dram_wr = _trace_paths(run_dir, stem)
-        ts = res.traces
-        ts.ifmap_reads.write_csv(ifmap)
-        ts.filter_reads.write_csv(filt)
-        ts.ofmap_writes.write_csv(writes)
-        del res, ts
-        dram.read_trace.trace().write_csv(dram_rd)
-        dram.write_trace.trace().write_csv(dram_wr)
-    return report
+        res.dram.read_trace.trace().write_csv(paths[3])
+        res.dram.write_trace.trace().write_csv(paths[4])
+    return res.report
 
 
 def _arch_and_table(args, **overrides) -> tuple[ArchConfig, EnergyCostTable]:
@@ -279,7 +288,7 @@ def cmd_report(args) -> int:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
     work = [(layer, arch, table, run_dir, stem) for layer, stem in zip(layers, stems)]
     _write_summaries(run_dir, _map_layers(_report_layer, work,
-                                          _jobs(args.jobs, layers, arch)))
+                                          _jobs(args.jobs, layers, arch, report_peak_bytes)))
     print(run_dir / "summary.csv")
     return EXIT_OK
 
@@ -291,6 +300,13 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
         raise ConfigError(f"{flag} takes a comma list of integers, not {text!r}") from None
 
 
+def _name_list(text: str, flag: str) -> tuple[str, ...]:
+    names = tuple(text.split(","))
+    if not all(names):
+        raise ConfigError(f"{flag} takes a comma list of names, not {text!r}")
+    return names
+
+
 def cmd_sweep(args) -> int:
     axis, flags = SWEEP_AXIS_FLAGS[args.study]
     for flag, use in (("--dataflow", "--dataflows"), *((f, axis) for f in flags)):
@@ -300,15 +316,15 @@ def cmd_sweep(args) -> int:
     base, table = _arch_and_table(args)
     workloads = args.workloads or [str(p) for p in bundled_workloads().values()]
     axes = {}
-    if args.dataflows:
-        axes["dataflows"] = tuple(args.dataflows.split(","))
-    if args.sizes:
+    if args.dataflows is not None:
+        axes["dataflows"] = _name_list(args.dataflows, "--dataflows")
+    if args.sizes is not None:
         axes["array_sizes"] = _int_list(args.sizes, "--sizes")
-    if args.sram_sizes:
+    if args.sram_sizes is not None:
         axes["sram_sizes_kb"] = _int_list(args.sram_sizes, "--sram-sizes")
     if args.total_pes is not None:
         axes["total_pes"] = args.total_pes
-    if args.pe_ladder:
+    if args.pe_ladder is not None:
         axes["pe_ladder"] = _int_list(args.pe_ladder, "--pe-ladder")
     spec = SweepSpec(study=args.study, workloads=workloads, **axes)
 

@@ -34,63 +34,75 @@ Folds of one shape are written in batches read off the fold grid,
 same events per trace and spans the same cycles, so the folds of one grid
 column (or row, when the grid is wider than tall) sit at equal strides in
 every trace and in time.  One pass writes a batch through strided views of
-the traces: the Python loop runs per batch, never per fold.
+a trace: the Python loop runs per batch, never per fold.
 
+No trace is held whole.  ``generate_traces`` returns each trace as a
+``trace.TraceStream``, written when it is read, one segment at a time,
+into two arrays allocated once per read and reused.  A segment is whole
+folds that follow each other in time, of at most ``SEGMENT_EVENTS`` events
+or one fold; it is the sub-ranges of the batches that hold those folds.
 Folds are disjoint in time: each fold's base cycle comes after every event
-of the fold before it, in every trace.  Each trace's arrays are allocated
-once, at the closed-form length ``FoldPlan.sram_event_counts``; the batches
-are checked to emit exactly that many events before any is written, and
-each finished trace to be in cycle order one chunk at a time (an O(n)
-check; the ofmap trace's in (cycle, address) order), so folds that
-overlap in time crash instead of leaving a trace out of order.
+of the fold before it, in every trace, so a segment ends on a whole cycle.
+The batches are checked to emit exactly the closed-form event counts,
+``FoldPlan.sram_event_counts``, before any event is written; each segment
+to start where the one before it ended, in the trace and strictly later in
+time; and each to be in cycle order one chunk at a time (the ofmap
+trace's in (cycle, address) order).  So folds that overlap in time crash
+instead of leaving a trace out of order.
 
 The fold grid says which output writes are final: ``TraceSet.final_writes``
-is the ofmap trace's last N_w*M events, as views.  Under OS every write is
-final.  Under WS and IS the reduction is the grid's outermost loop, so the
-last reduction chunk's folds end the trace and write each output once;
-the batches are checked to put exactly that chunk's folds in those events.
+is the ofmap trace's last N_w*M events, written from the segments that hold
+them.  Under OS every write is final.  Under WS and IS the reduction is the
+grid's outermost loop, so the last reduction chunk's folds end the trace
+and write each output once; the batches are checked to put exactly that
+chunk's folds in those events.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
+from itertools import accumulate
+from typing import Iterator, NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import trace
 from .config import ArchConfig, Dataflow, LayerSpec
 from .errors import ConfigError
 from .mapping import FoldPlan, WorkloadCounts, fold_plan, workload_counts
-from .trace import Trace, first_out_of_order
+from .trace import Trace, TraceStream, first_out_of_order
+
+# events per segment of a streamed trace, unless one fold holds more.  Each
+# of a segment's two int64 arrays is then 8 MB.  The Python loop runs per
+# batch of a segment, so smaller segments cost more of it: at 256 K events
+# ResNet-50 conv1's OS engine on 8x8 took 0.25 s a read trace, at 1 M 0.15 s
+SEGMENT_EVENTS = 1 << 20
 
 
 @dataclass
 class TraceSet:
-    """Per-layer SRAM traffic, each trace in cycle order, ofmap_writes in
-    (cycle, address) order.  ofmap_writes includes WS/IS partial-sum
-    writes; each write to an address after its first also re-reads the
-    partial sum it accumulates onto, at the same cycle."""
+    """Per-layer SRAM traffic: three traces, each in cycle order,
+    ofmap_writes in (cycle, address) order, each a ``TraceStream`` (or a
+    ``Trace``) whose length is the closed-form event count.  ofmap_writes
+    includes WS/IS partial-sum writes; each write to an address after its
+    first also re-reads the partial sum it accumulates onto, at the same
+    cycle.  final_writes is the last write of every output address, the
+    ofmap trace's last N_w*M events, and total_cycles one past its last
+    cycle."""
 
     counts: WorkloadCounts
     plan: FoldPlan
-    ifmap_reads: Trace
-    filter_reads: Trace
-    ofmap_writes: Trace
+    ifmap_reads: TraceStream | Trace
+    filter_reads: TraceStream | Trace
+    ofmap_writes: TraceStream | Trace
+    final_writes: Trace
 
     @property
     def total_cycles(self) -> int:
-        return self.ofmap_writes.max_cycle + 1
-
-    @property
-    def final_writes(self) -> Trace:
-        """The last write of every output address, in (cycle, address)
-        order: the ofmap trace's last N_w*M events, as views."""
-        writes = self.ofmap_writes
-        first = len(writes) - self.counts.n_windows * self.counts.n_filters
-        return Trace(writes.cycles[first:], writes.addresses[first:])
+        return self.final_writes.max_cycle + 1
 
 
 class _AddressParts(NamedTuple):
@@ -125,9 +137,11 @@ def _address_parts(layer: LayerSpec, arch: ArchConfig,
     )
 
 
-def _check_regions(layer: LayerSpec, arch: ArchConfig, counts: WorkloadCounts) -> None:
-    """The three offset-delimited operand regions must not overlap for this
-    layer's footprints."""
+def _regions(layer: LayerSpec, arch: ArchConfig,
+             counts: WorkloadCounts) -> list[tuple[int, int]]:
+    """The [low, high) byte range of the ifmap, filter and ofmap operands,
+    delimited by the offsets; they must not overlap for this layer's
+    footprints."""
     word = arch.word_bytes
     spans = {
         "ifmap": (arch.ifmap_offset,
@@ -145,6 +159,7 @@ def _check_regions(layer: LayerSpec, arch: ArchConfig, counts: WorkloadCounts) -
                 raise ConfigError(
                     f"layer {layer.name!r}: {names[a]} and {names[b]} address regions overlap "
                     f"({spans[names[a]]} vs {spans[names[b]]}); adjust the offsets")
+    return list(spans.values())
 
 
 # which part of a vector a fold takes: all of it, or the slice of its rows
@@ -182,34 +197,74 @@ class _Batch(NamedTuple):
     step: tuple[int, ...]
 
 
-def _batches(plan: FoldPlan, span, sizes) -> list[_Batch]:
-    """The plan's folds as batches, in closed form.  A fold advances the
-    fields of ``_Batch`` by its cycles ``span(rows, cols)`` and its events
-    in each trace ``sizes(rows, cols)``.  Every grid row of one run advances them by the
-    same amount, so the fields of the fold at the start of each run are
-    sums over the runs before it.  A batch is one grid column of a row run
-    or, when the grid has more columns than rows, one grid row of a column
-    run."""
+def _batches(plan: FoldPlan, span, sizes) -> list[list[_Batch]]:
+    """The plan's folds as batches, in closed form, in groups in time
+    order.  A group's batches share ``n`` and ``step``, and its folds run
+    fold 0 of each batch in turn, then fold 1 of each, and so on, each
+    starting where the one before it ends, in time and in every trace.
+
+    A fold advances the fields of ``_Batch`` by its cycles ``span(rows,
+    cols)`` and its events in each trace ``sizes(rows, cols)``.  Every grid
+    row of one run advances them by the same amount, so the fields of the
+    fold at the start of each run are sums over the runs before it.  A
+    batch is one grid column of a row run, and a group the row run's
+    batches; or a batch is one grid row of a column run, and a group that
+    batch alone.  The Python loop runs once per batch of a segment, so the
+    batches are the ones that the traces' segments cut into fewer pieces:
+    every segment of a group holds a piece of each of its batches, and
+    each group is a segment of its own at least."""
     def cost(rows, cols):       # one grid column on, in the same grid row
         return np.array((0, plan.cols, span(rows, cols), *sizes(rows, cols)), np.int64)
 
-    by_column = plan.grid[0] >= plan.grid[1]
-    batches, above = [], 0      # above: the fields at the row run's first fold
+    segments = sum(plan.sram_event_counts) / SEGMENT_EVENTS
+    by_column = (plan.grid[1] * (segments + 3)
+                 <= 3 * plan.grid[0] * len(plan.col_runs) + segments)
+    groups, above = [], 0       # above: the fields at the row run's first fold
     for n_rows, rows in plan.row_runs:
-        down = sum(n * cost(rows, cols) for n, cols in plan.col_runs)
+        runs = [(n_cols, cols, cost(rows, cols)) for n_cols, cols in plan.col_runs]
+        down = sum(n_cols * right for n_cols, _, right in runs)
         down[:2] = plan.rows, 0     # one grid row on, in the same grid column
-        at = above
-        for n_cols, cols in plan.col_runs:
-            right = cost(rows, cols)
-            if by_column:
-                batches += [_Batch(rows, cols, n_rows, tuple(at + k * right), tuple(down))
-                            for k in range(n_cols)]
-            else:
-                batches += [_Batch(rows, cols, n_cols, tuple(at + k * down), tuple(right))
-                            for k in range(n_rows)]
-            at = at + n_cols * right
+        if by_column:
+            group, at = [], above
+            for n_cols, cols, right in runs:
+                group += [_Batch(rows, cols, n_rows, tuple(at + k * right), tuple(down))
+                          for k in range(n_cols)]
+                at = at + n_cols * right
+            groups.append(group)
+        else:
+            for k in range(n_rows):
+                at = above + k * down
+                for n_cols, cols, right in runs:
+                    groups.append([_Batch(rows, cols, n_cols, tuple(at), tuple(right))])
+                    at = at + n_cols * right
         above = above + n_rows * down
-    return batches
+    return groups
+
+
+def _segments(groups: list[list[_Batch]], t: int, sizes):
+    """Trace ``t`` in segments: (offset in the trace, events, pieces), a
+    piece ``(batch, m0, m1)`` being the batch's folds m0..m1-1.  A segment
+    is the folds of one group that follow each other in time, as many as
+    fit in ``SEGMENT_EVENTS`` events, or one.  Fold p of a group of k
+    batches is fold p // k of batch p % k, so its events in the trace start
+    at ``(p // k) * row + prefix[p % k]``, where ``row`` is one fold of
+    each batch and ``prefix`` sums the batches before it."""
+    for group in groups:
+        k = len(group)
+        prefix = list(accumulate((sizes(b.rows, b.cols)[t] for b in group), initial=0))
+        row, folds = prefix[-1], group[0].n * k
+
+        def start(p):
+            return p // k * row + prefix[p % k]
+
+        p = 0
+        while p < folds:
+            most, rest = divmod(start(p) + SEGMENT_EVENTS, row)
+            stop = min(folds, max(p + 1, most * k + bisect_right(prefix, rest) - 1))
+            pieces = [(b, -((j - p) // k), -((j - stop) // k)) for j, b in enumerate(group)]
+            yield (group[0].first[3 + t] + start(p), start(stop) - start(p),
+                   [piece for piece in pieces if piece[2] > piece[1]])
+            p = stop
 
 
 def _length(side: _Side, rows: int, cols: int) -> int:
@@ -231,11 +286,14 @@ def _strided_rows(values: np.ndarray, start: int, step: int, n: int, length: int
                   writeable: bool = False) -> np.ndarray:
     """(n, length) view of ``values`` whose row m starts at
     ``start + m * step``; rows of a writeable view must not overlap."""
-    if step == 0 and not writeable:
-        return np.broadcast_to(values[start:start + length], (n, length))
-    assert n == 1 or step >= length, "folds of a batch overlap in a trace"
+    assert n == 1 or step >= length or (step == 0 and not writeable), (
+        "folds of a batch overlap in a trace")
     window = values[start:start + (n - 1) * step + length]
-    return sliding_window_view(window, length, writeable=writeable)[::max(step, 1)]
+    if start < 0 or len(window) < (n - 1) * step + length:
+        raise IndexError(f"{n} rows of {length} from {start} by {step} run past "
+                         f"{len(values)} values")
+    (stride,) = window.strides
+    return as_strided(window, (n, length), (step * stride, stride), writeable=writeable)
 
 
 def _split(rows: np.ndarray, *shape: int) -> np.ndarray:
@@ -323,12 +381,50 @@ def _check_cycle_order(cycles: np.ndarray, addresses: np.ndarray | None = None) 
                          f"address {addresses[row]} follows {addresses[row - 1]}")
 
 
+def _read(parts: _AddressParts, blocks, groups: list[list[_Batch]], sizes, t: int,
+          length: int, first: int = 0) -> Iterator[Trace]:
+    """Write trace ``t`` of ``length`` events one segment at a time into two
+    arrays reused for every segment, and yield each from event ``first`` on
+    as a ``Trace`` of views of them."""
+    largest = max(sizes(b.rows, b.cols)[t] for group in groups for b in group)
+    buffers = [np.empty(min(length, max(SEGMENT_EVENTS, largest)), np.int64)
+               for _ in range(2)]
+    done, last = 0, None
+    for offset, events, pieces in _segments(groups, t, sizes):
+        assert offset == done, (f"a segment starts at event {offset}, not where the "
+                                f"one before it ends, {done}")
+        done += events
+        if done <= first:
+            continue
+        cycles, addrs = (buf[:events] for buf in buffers)
+        for batch, m0, m1 in pieces:
+            folds = batch._replace(n=m1 - m0, first=tuple(
+                f + m0 * step for f, step in zip(batch.first, batch.step)))
+            blk = blocks(parts, folds.rows)[t]
+            a, b = _side_rows(blk.a, folds), _side_rows(blk.b, folds)
+            base = folds.first[2] + folds.step[2] * np.arange(folds.n, dtype=np.int64)
+            rows = (_strided_rows(arr, folds.first[3 + t] - offset, folds.step[3 + t],
+                                  folds.n, a.shape[1] * b.shape[1], writeable=True)
+                    for arr in (cycles, addrs))
+            write = _write_diagonal if blk.diagonal else _write_rows
+            write(*rows, base + blk.delay, a, b)
+        # the drain takes the final writes in the ofmap trace's order
+        _check_cycle_order(cycles, addrs if t == 2 else None)
+        assert last is None or last < cycles[0], (
+            f"folds overlap in time: cycle {cycles[0]} follows cycle {last}")
+        last = cycles[-1]
+        skip = max(first - offset, 0)
+        yield Trace(cycles[skip:], addrs[skip:])
+    assert done == length, f"segments hold {done} events, the trace {length}"
+
+
 def _build(layer: LayerSpec, arch: ArchConfig, blocks, span) -> TraceSet:
-    """Write the ifmap, filter and ofmap traces of the plan's batches, whose
-    fold blocks ``blocks(parts, rows)`` gives in that order; each fold
-    starts ``span(rows, cols)`` cycles after the one before it."""
+    """The ifmap, filter and ofmap traces of the plan's batches, whose fold
+    blocks ``blocks(parts, rows)`` gives in that order; each fold starts
+    ``span(rows, cols)`` cycles after the one before it.  Only the final
+    writes are written here; each trace is written when it is read."""
     counts = workload_counts(layer)
-    _check_regions(layer, arch, counts)
+    regions = _regions(layer, arch, counts)
     plan = fold_plan(counts, arch)
     parts = _address_parts(layer, arch, counts)
     lengths = plan.sram_event_counts
@@ -337,7 +433,8 @@ def _build(layer: LayerSpec, arch: ArchConfig, blocks, span) -> TraceSet:
         return tuple(_length(blk.a, rows, cols) * _length(blk.b, rows, cols)
                      for blk in blocks(parts, rows))
 
-    batches = _batches(plan, span, sizes)
+    groups = _batches(plan, span, sizes)
+    batches = [b for group in groups for b in group]
     emitted = tuple(sum(b.n * sizes(b.rows, b.cols)[t] for b in batches) for t in range(3))
     assert emitted == lengths, f"folds emit {emitted} events, the closed form {lengths}"
     # the last reduction chunk's folds, and only they, write the last N_w*M
@@ -349,21 +446,13 @@ def _build(layer: LayerSpec, arch: ArchConfig, blocks, span) -> TraceSet:
         assert np.array_equal(b.first[0] + m * b.step[0] >= last_chunk,
                               b.first[5] + m * b.step[5] >= final_from), (
             f"the last reduction chunk's folds are not the ofmap writes from {final_from} on")
-    traces = [(np.empty(n, np.int64), np.empty(n, np.int64)) for n in lengths]
-    for batch in batches:
-        base = batch.first[2] + batch.step[2] * np.arange(batch.n, dtype=np.int64)
-        for t, blk in enumerate(blocks(parts, batch.rows)):
-            a, b = _side_rows(blk.a, batch), _side_rows(blk.b, batch)
-            events = a.shape[1] * b.shape[1]
-            cycles, addrs = (_strided_rows(arr, batch.first[3 + t], batch.step[3 + t],
-                                           batch.n, events, writeable=True)
-                             for arr in traces[t])
-            write = _write_diagonal if blk.diagonal else _write_rows
-            write(cycles, addrs, base + blk.delay, a, b)
-    _check_cycle_order(traces[0][0])
-    _check_cycle_order(traces[1][0])
-    _check_cycle_order(*traces[2])      # the drain takes the final writes in this order
-    return TraceSet(counts, plan, *(Trace(c, a) for c, a in traces))
+
+    def stream(t: int, first: int = 0) -> TraceStream:
+        return TraceStream(lengths[t] - first, regions[t],
+                           lambda: _read(parts, blocks, groups, sizes, t, lengths[t], first))
+
+    return TraceSet(counts, plan, stream(0), stream(1), stream(2),
+                    stream(2, final_from).collect())
 
 
 def gen_traces_os(layer: LayerSpec, arch: ArchConfig) -> TraceSet:

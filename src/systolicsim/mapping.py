@@ -89,6 +89,14 @@ class FoldPlan:
         return self.row_work * self.col_work, self.num_folds * self.rows * self.cols
 
     @property
+    def largest_fold_events(self) -> int:
+        """SRAM events, over the three traces, of a fold of full chunks: it
+        streams the stream length through its rows and out of its columns
+        and maps one value per PE."""
+        rows, cols = min(self.rows, self.row_work), min(self.cols, self.col_work)
+        return (rows + cols) * self.stream_len + rows * cols
+
+    @property
     def sram_event_counts(self) -> tuple[int, int, int]:
         """(ifmap reads, filter reads, ofmap writes) in the layer's SRAM traces.
 

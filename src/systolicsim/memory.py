@@ -8,8 +8,11 @@ overflow the buffer.  Re-reads within an epoch are free; words reused
 across an epoch boundary are fetched again.  ``epochize`` finds these
 boundaries in one scan over windows of whole cycles instead of a walk over
 cycles: a stamp per word, the last epoch that admitted it, tells whether an
-event is new to the open epoch.  Nothing here depends on the order of a
-cycle's events, the DRAM traces included.
+event is new to the open epoch.  It reads the engine's SRAM trace as it is
+written, one segment at a time, so no SRAM trace is held whole; what it
+keeps is the stamps, one per word of the trace's address region, and the
+epochs.  Nothing here depends on the order of a cycle's events, the DRAM
+traces included.
 
 Epoch k+1's data is prefetched uniformly across epoch k's use span, which is
 the minimum bandwidth that keeps the array stall-free.  The first epoch is
@@ -38,12 +41,15 @@ import numpy as np
 from . import trace as trace_module
 from .config import ArchConfig
 from .errors import ConfigError, WorkingSetUnderflow
-from .trace import Trace, cycle_end, segments, sort_pairs
+from .trace import Trace, TraceStream, chunks, cycle_end, sort_pairs
 
 
 @dataclass
 class Epoch:
-    addresses: np.ndarray      # distinct byte addresses, (first-use cycle, address) order
+    # distinct byte addresses, (first-use cycle, address) order; int32 when
+    # the scanned address region fits in one, since the DRAM read bursts
+    # hold these arrays for the whole layer
+    addresses: np.ndarray
     first_use_cycle: int
     last_use_cycle: int
     word_bytes: int
@@ -57,7 +63,8 @@ class Epoch:
         return self.last_use_cycle - self.first_use_cycle + 1
 
 
-def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epoch]:
+def epochize(trace: Trace | TraceStream, capacity_bytes: int,
+             word_bytes: int = 1) -> list[Epoch]:
     """Split a cycle-ordered SRAM read trace into working-set epochs.
 
     An epoch runs over whole cycles and holds every word it touches.  It
@@ -67,32 +74,33 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
     WorkingSetUnderflow.  So the boundaries and each epoch's set of words
     depend only on which words each cycle touches, not on the order of a
     cycle's events.  An epoch lists the first byte of each of its words,
-    counted from the lowest address, in (first-use cycle, address) order,
-    which does not depend on it either.
+    counted from the low end of the trace's address region, in (first-use
+    cycle, address) order, which does not depend on it either.
 
-    One scan walks windows of whole cycles.  ``stamp[word]`` is the last
-    epoch that admitted the word, so an event is new to the open epoch when
-    its word's stamp is older and it is the word's first event in the
+    One scan walks the trace's segments, and each in windows of whole
+    cycles.  ``stamp[word]``, one per word of the address region, is the
+    last epoch that admitted the word, so an event is new to the open epoch
+    when its word's stamp is older and it is the word's first event in the
     window.  When a window's new words overflow the buffer, the epoch
     closes before the cycle of its first word past capacity and the scan
-    resumes at that cycle.  A window holds ``trace.CHUNK_EVENTS`` events,
-    rounded up to a whole cycle; short windows stamp a word soon after its
-    first read, so that fewer of its re-reads are tested again.  After an
-    epoch closes the window restarts at that epoch's length and doubles
-    while the next one stays open, so the scan's work stays O(trace).
-    Each window is checked to be in cycle order, and to start a cycle, so
-    a trace out of order crashes with an AssertionError instead of
-    stalling the scan.
+    resumes at that cycle; the open epoch's words and first cycle carry
+    over from one segment to the next.  A window holds
+    ``trace.CHUNK_EVENTS`` events, rounded up to a whole cycle, or the rest
+    of its segment; short windows stamp a word soon after its first read,
+    so that fewer of its re-reads are tested again.  After an epoch closes
+    the window restarts at that epoch's length and doubles while the next
+    one stays open, so the scan's work stays O(trace).  Each window is
+    checked to be in cycle order and to start a cycle, and each segment to
+    start after the one before it ends, so a trace out of order crashes
+    with an AssertionError instead of stalling the scan.
     """
     if capacity_bytes < word_bytes:
         raise ValueError("capacity must hold at least one word")
-    n = len(trace)
-    if not n:
+    if not len(trace):
         return []
     cap_words = capacity_bytes // word_bytes
-    cycles, addresses = trace.cycles, trace.addresses
-    lo = int(addresses.min())
-    n_words = (int(addresses.max()) - lo) // word_bytes + 1
+    lo, hi = trace.region
+    n_words = (hi - 1 - lo) // word_bytes + 1
     stamp = np.full(n_words, -1, dtype=np.int32)
     # a word's first event in the window, as a position in it
     first = np.empty(n_words, dtype=np.int32)
@@ -100,51 +108,70 @@ def epochize(trace: Trace, capacity_bytes: int, word_bytes: int = 1) -> list[Epo
     epochs: list[Epoch] = []
     parts: list[np.ndarray] = []     # the open epoch's words, by (first-use cycle, word)
     admitted = 0
-    start = pos = 0                  # the open epoch's and the window's first event
+    start = done = 0                 # the open epoch's first event; events before the segment
+    start_cycle = last = None        # the open epoch's first cycle; the last cycle scanned
     full = window = trace_module.CHUNK_EVENTS
-    while pos < n:
-        stop = cycle_end(cycles, pos, window)
-        in_window = cycles[pos:stop]
-        words = addresses[pos:stop] - lo
-        if word_bytes > 1:
-            words //= word_bytes
-        # int32 like ``first``, so that np.minimum.at needs no cast
-        at = np.flatnonzero(stamp[words] != len(epochs)).astype(np.int32)
-        words = words[at]
-        first[words] = stop - pos        # past every position in the window
-        np.minimum.at(first, words, at)
-        is_new = first[words] == at
-        words, at = words[is_new], at[is_new]
-        # the rare window out of (cycle, word) order is sorted within its
-        # cycles, which leaves each position's cycle, and so ``at``, as is
-        new_cycles = in_window[at]
-        if ((words[1:] < words[:-1]) & (new_cycles[1:] == new_cycles[:-1])).any():
-            sort_pairs(new_cycles, words)
-        if admitted + len(words) <= cap_words:
-            stamp[words] = len(epochs)
-            parts.append(words)
-            admitted += len(words)
-            pos, window = stop, min(2 * window, full)
-            if pos < n:
+    for seg in trace.segments():
+        cycles, addresses = seg.cycles, seg.addresses
+        n = len(cycles)
+        assert last is None or last < cycles[0], (
+            f"trace is not in cycle order at or after event {done}")
+        if start_cycle is None:
+            start_cycle = int(cycles[0])
+        pos = 0                      # the window's first event
+        while pos < n:
+            stop = cycle_end(cycles, pos, window)
+            in_window = cycles[pos:stop]
+            words = addresses[pos:stop] - lo
+            if word_bytes > 1:
+                words //= word_bytes
+            # int32 like ``first``, so that np.minimum.at needs no cast
+            at = np.flatnonzero(stamp[words] != len(epochs)).astype(np.int32)
+            words = words[at]
+            first[words] = stop - pos        # past every position in the window
+            np.minimum.at(first, words, at)
+            is_new = first[words] == at
+            words, at = words[is_new], at[is_new]
+            # the rare window out of (cycle, word) order is sorted within its
+            # cycles, which leaves each position's cycle, and so ``at``, as is
+            new_cycles = in_window[at]
+            if ((words[1:] < words[:-1]) & (new_cycles[1:] == new_cycles[:-1])).any():
+                sort_pairs(new_cycles, words)
+            if admitted + len(words) <= cap_words:
+                stamp[words] = len(epochs)
+                parts.append(words)
+                admitted += len(words)
+                pos, window = stop, min(2 * window, full)
                 continue
-            end = n                      # the trace ends the last epoch
-        else:
             # the epoch ends before the cycle of its first word past capacity
-            cycle = in_window[int(at[cap_words - admitted])]
+            cycle = int(in_window[int(at[cap_words - admitted])])
             end = pos + int(np.searchsorted(in_window, cycle, "left"))
-            if end == start:
+            if cycle == start_cycle:
                 in_cycle = np.searchsorted(at, np.searchsorted(in_window, cycle, "right"))
                 raise WorkingSetUnderflow(
-                    f"working set underflow: cycle {int(cycle)} touches {int(in_cycle)} "
+                    f"working set underflow: cycle {cycle} touches {int(in_cycle)} "
                     f"distinct words but the buffer holds {cap_words}")
             parts.append(words[:np.searchsorted(at, end - pos)])
-        words = np.concatenate(parts)
-        words *= word_bytes
-        words += lo
-        epochs.append(Epoch(words, int(cycles[start]), int(cycles[end - 1]), word_bytes))
-        window = min(end - start, full)
-        parts, admitted, start, pos = [], 0, end, end
+            epochs.append(_epoch(parts, lo, hi, word_bytes, start_cycle,
+                                 int(cycles[end - 1]) if end else last))
+            window = min(done + end - start, full)
+            parts, admitted, start, start_cycle, pos = [], 0, done + end, cycle, end
+        done += n
+        last = int(cycles[-1])
+    epochs.append(_epoch(parts, lo, hi, word_bytes, start_cycle, last))  # the trace ends it
     return epochs
+
+
+def _epoch(parts: list[np.ndarray], lo: int, hi: int, word_bytes: int, first_cycle: int,
+           last_cycle: int) -> Epoch:
+    """The epoch of the words in ``parts``, as byte addresses from ``lo``,
+    each below ``hi``."""
+    words = np.concatenate(parts)
+    if hi <= np.iinfo(np.int32).max:
+        words = words.astype(np.int32)
+    words *= word_bytes
+    words += lo
+    return Epoch(words, first_cycle, last_cycle, word_bytes)
 
 
 _NO_EVENTS = np.empty(0, np.int64)
@@ -157,7 +184,7 @@ class Bursts:
     ``start + i * span // n``, uniformly over ``[start, start + span)``.
     This is the form an external DRAM simulator replays; ``trace()`` sorts
     it into the (cycle, address) trace that ``run`` writes.  The report and
-    ``trace()`` take the events' cycles one segment of a burst at a time
+    ``trace()`` take the events' cycles one chunk of a burst at a time
     from ``cycle_segments()``, so neither holds a second copy of them."""
 
     bursts: list[tuple[np.ndarray, int, int]]
@@ -171,11 +198,11 @@ class Bursts:
         return len(self) * self.word_bytes
 
     def cycle_segments(self) -> Iterator[np.ndarray]:
-        """Every event's cycle, burst after burst, one new array per segment
+        """Every event's cycle, burst after burst, one new array per chunk
         of a burst; not sorted."""
         for addresses, start, span in self.bursts:
             n = len(addresses)
-            for seg in segments(n):
+            for seg in chunks(n):
                 part = np.arange(seg.start, seg.stop, dtype=np.int64)
                 part *= span
                 part //= n

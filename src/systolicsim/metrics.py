@@ -21,7 +21,7 @@ import numpy as np
 from .config import ArchConfig, LayerSpec
 from .errors import ConfigError, SimulationError
 from .mapping import fold_plan, workload_counts
-from .trace import Trace, segments
+from .trace import Trace, TraceStream, chunks
 
 # summary CSV column -> LayerReport attribute, in column order; the sweep
 # studies fill their columns of the same names through this table
@@ -126,11 +126,11 @@ def _dram_bytes(cycle_arrays: Iterable[np.ndarray], total_cycles: int,
                 word_bytes: int) -> tuple[int, int]:
     """(bytes moved, most bytes moved in one cycle of [0, total_cycles)),
     given every DRAM event's cycle in arrays read once each, in any order;
-    one ``bincount`` per segment of an array, over its own in-run cycles."""
+    one ``bincount`` per chunk of an array, over its own in-run cycles."""
     events, total = 0, np.zeros(0, np.int64)
     for cycles in cycle_arrays:
         events += len(cycles)
-        for seg in segments(len(cycles)):
+        for seg in chunks(len(cycles)):
             part = cycles[seg]
             part = part[(part >= 0) & (part < total_cycles)]    # a copy
             if len(part):
@@ -144,35 +144,42 @@ def _dram_bytes(cycle_arrays: Iterable[np.ndarray], total_cycles: int,
 
 
 def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | None,
-                 ifmap_reads: int, filter_reads: int, ofmap_writes: Trace,
+                 ifmap_reads: int, filter_reads: int, ofmap_writes: Trace | TraceStream,
                  dram_reads: Iterable[np.ndarray],
                  dram_writes: Iterable[np.ndarray]) -> LayerReport:
     """Reduce one layer's traces to its report.  ``run`` and ``report`` both
     call this, so they agree by construction.  The SRAM reads enter as
-    counts and each DRAM partition as its events' cycles, in arrays read
+    counts, the ofmap writes as a trace or stream read once, segment by
+    segment, and each DRAM partition as its events' cycles, in arrays read
     once each, one at a time, in any order.  Runtime is one past the last
     output write; every write to an address after its first is a partial
     sum that the next reduction fold re-reads; DRAM bytes and peak
     bandwidths come from the DRAM cycles."""
     table = table or EnergyCostTable()
-    if not len(ofmap_writes) or ofmap_writes.max_cycle < 0:
-        raise SimulationError(f"layer {layer.name!r}: ofmap write trace has no "
-                              "cycle >= 0, so no runtime")
     word = arch.word_bytes
-    cycles = ofmap_writes.max_cycle + 1
     counts = workload_counts(layer)
     active, area = fold_plan(counts, arch).pe_totals
     # distinct write addresses, counted on a bitmap of the output region
-    addresses = ofmap_writes.addresses
     region = counts.n_windows * counts.n_filters * word
-    if (addresses.min() < arch.ofmap_offset
-            or addresses.max() >= arch.ofmap_offset + region):
-        raise SimulationError(f"layer {layer.name!r}: ofmap write outside the "
-                              "layer's output region")
     written = np.zeros(region, dtype=bool)
-    for seg in segments(len(addresses)):
-        written[addresses[seg] - arch.ofmap_offset] = True
-    partial_reads = len(ofmap_writes) - int(np.count_nonzero(written))
+    writes, last = 0, -1
+    for seg in ofmap_writes.segments():
+        addresses = seg.addresses
+        if not len(addresses):
+            continue
+        if (addresses.min() < arch.ofmap_offset
+                or addresses.max() >= arch.ofmap_offset + region):
+            raise SimulationError(f"layer {layer.name!r}: ofmap write outside the "
+                                  "layer's output region")
+        for chunk in chunks(len(addresses)):
+            written[addresses[chunk] - arch.ofmap_offset] = True
+        writes += len(addresses)
+        last = int(seg.cycles[-1])
+    if last < 0:
+        raise SimulationError(f"layer {layer.name!r}: ofmap write trace has no "
+                              "cycle >= 0, so no runtime")
+    cycles = last + 1
+    partial_reads = writes - int(np.count_nonzero(written))
     dram_rd_bytes, peak_rd_bw = _dram_bytes(dram_reads, cycles, word)
     dram_wr_bytes, peak_wr_bw = _dram_bytes(dram_writes, cycles, word)
     return LayerReport(
@@ -184,14 +191,14 @@ def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | No
         macs_total=counts.macs_total,
         sram_reads_ifmap=ifmap_reads,
         sram_reads_filter=filter_reads,
-        sram_writes_ofmap=len(ofmap_writes),
+        sram_writes_ofmap=writes,
         sram_reads_ofmap_partials=partial_reads,
         dram_read_bytes=dram_rd_bytes,
         dram_write_bytes=dram_wr_bytes,
         peak_read_bw=peak_rd_bw,
         peak_write_bw=peak_wr_bw,
         energy=energy(counts.macs_total, ifmap_reads + filter_reads + partial_reads,
-                      len(ofmap_writes), dram_rd_bytes + dram_wr_bytes, table),
+                      writes, dram_rd_bytes + dram_wr_bytes, table),
         active_pe_folds=active,
         fold_pe_area=area,
     )

@@ -1,16 +1,23 @@
 """One-call pipeline: layer -> traces -> DRAM demand -> report.
 
-The report comes from ``metrics.layer_report``, the only per-layer reducer,
-which ``report`` also calls on trace files read back from disk.  Neither it
-nor the memory model depends on the order of a trace's events within a
-cycle, so the engine's cycle-ordered traces feed both as they are.
+The engine's SRAM traces are streams, each written one segment at a time
+as it is read, and each is read once: ``epochize`` scans the ifmap and
+filter traces and ``metrics.layer_report`` the ofmap trace, and ``run``
+writes each trace file from those same segments.  (The ofmap segments that
+hold the final writes are also written once more, for the drain, by
+``generate_traces``.)  So no SRAM trace is held whole.  The report comes
+from ``layer_report``, the only per-layer reducer, which ``report`` also
+calls on trace files read back from disk.  Neither it nor the memory model
+depends on the order of a trace's events within a cycle, so the engine's
+cycle-ordered traces feed both as they are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from pathlib import Path
 
-from . import trace
+from . import engine, trace
 from .config import ArchConfig, LayerSpec
 from .engine import TraceSet, generate_traces
 from .mapping import fold_plan, workload_counts
@@ -20,9 +27,9 @@ from .metrics import (EnergyCostTable, LayerReport, NetworkReport,
 
 # an SRAM trace event is an int64 cycle and an int64 address
 EVENT_BYTES = 16
-# simulate_layer holds at most this many times its SRAM traces' bytes, plus
-# trace.CHUNK_EVENTS events of temporaries; tests/test_memory_bound.py checks it
-PEAK_TRACE_FACTOR = 1.3
+# the most a pass over one chunk of events allocates, per event: the CSV
+# writer's rows, at most 160 bytes of temporaries a row, are the most
+CHUNK_TEMP_BYTES = 256
 
 
 @dataclass
@@ -33,20 +40,57 @@ class LayerResult:
 
 
 def simulate_layer(layer: LayerSpec, arch: ArchConfig,
-                   table: EnergyCostTable | None = None) -> LayerResult:
+                   table: EnergyCostTable | None = None,
+                   sram_paths: tuple[str | Path, str | Path, str | Path] | None = None
+                   ) -> LayerResult:
+    """Simulate one layer.  With ``sram_paths``, the ifmap, filter and ofmap
+    traces are also written to those CSV files, each as it is read."""
     traces = generate_traces(layer, arch)
-    dram = dram_demand(traces, arch)
+    read = traces
+    if sram_paths is not None:
+        kinds = ("ifmap_reads", "filter_reads", "ofmap_writes")
+        read = replace(traces, **{kind: getattr(traces, kind).tee_csv(path)
+                                  for kind, path in zip(kinds, sram_paths)})
+    dram = dram_demand(read, arch)
     report = layer_report(layer, arch, table, len(traces.ifmap_reads),
-                          len(traces.filter_reads), traces.ofmap_writes,
+                          len(traces.filter_reads), read.ofmap_writes,
                           dram.read_trace.cycle_segments(), dram.write_trace.cycle_segments())
     return LayerResult(report, traces, dram)
 
 
 def layer_peak_bytes(layer: LayerSpec, arch: ArchConfig) -> int:
-    """The most memory ``simulate_layer`` needs for this layer, from the
-    closed-form SRAM event count."""
-    events = sum(fold_plan(workload_counts(layer), arch).sram_event_counts)
-    return int(PEAK_TRACE_FACTOR * EVENT_BYTES * events) + EVENT_BYTES * trace.CHUNK_EVENTS
+    """The most memory ``simulate_layer`` needs for this layer, and ``run``
+    to write its trace files, from closed forms.  No trace is held whole:
+
+    - one segment of one SRAM trace;
+    - the final writes, which the drain keeps;
+    - the report's bitmap of the output region, a byte per byte, and its
+      int64 DRAM bytes per cycle, over at most 2*rows + cols + stream
+      length cycles a fold;
+    - epochize's two int32 per word of the address region it scans;
+    - 24 bytes per DRAM read: the epochs' addresses, int64 at most, and
+      the sorted trace of them that ``run`` writes.  An input buffer that holds its
+      whole address region fetches each word once; one that does not
+      fetches no more words than its SRAM trace reads;
+    - the temporaries of a pass over ``trace.CHUNK_EVENTS`` events, the
+      CSV writer's the largest.
+    """
+    counts = workload_counts(layer)
+    plan = fold_plan(counts, arch)
+    word = arch.word_bytes
+    outputs = counts.n_windows * counts.n_filters
+    regions = (layer.ifmap_h * layer.ifmap_w * layer.channels,
+               counts.n_filters * counts.window_size)
+    dram_reads = sum(words if words * word <= capacity else reads
+                     for words, capacity, reads in zip(
+                         regions, (arch.ifmap_capacity_bytes, arch.filter_capacity_bytes),
+                         plan.sram_event_counts))
+    segment = min(max(engine.SEGMENT_EVENTS, plan.largest_fold_events),
+                  max(plan.sram_event_counts))
+    cycles = plan.num_folds * (2 * plan.rows + plan.cols + plan.stream_len)
+    return (EVENT_BYTES * (segment + outputs) + outputs * word + 8 * cycles
+            + 2 * 4 * max(regions) + 3 * 8 * dram_reads
+            + CHUNK_TEMP_BYTES * trace.CHUNK_EVENTS)
 
 
 def simulate_network(layers: list[LayerSpec], arch: ArchConfig,

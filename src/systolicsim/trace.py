@@ -6,6 +6,11 @@ it: ``Trace.write_csv`` writes the rows in (cycle, address) order, and
 ``Trace.read_csv`` rejects a file whose rows are not.  DRAM traces may
 carry negative cycles for the cold-fill prologue.
 
+A ``TraceStream`` is a trace too long to hold, read as cycle-ordered
+segments of whole cycles, each a ``Trace`` that is valid until the next is
+read.  A ``Trace`` reads as a stream of one segment, so the code that
+consumes traces (the memory model and the report) takes either.
+
 The CSV form is exact text: the line ``cycle,address``, then one line
 ``<cycle>,<address>`` per pair.  Both numbers are plain decimal with no
 padding and no ``+``; a negative one starts with ``-``.  Every line, the
@@ -19,7 +24,7 @@ from __future__ import annotations
 import os
 import warnings
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -28,7 +33,7 @@ from .errors import SimulationError
 CSV_HEADER = "cycle,address"
 
 # events per pass of every bounded walk over a trace (engine, memory model,
-# report, CSV I/O), read here or through segments() so one patch reaches all.
+# report, CSV I/O), read here or through chunks() so one patch reaches all.
 # A chunk's int64 field is 128 KB, malloc's default mmap threshold: freeing a
 # larger temporary raises the threshold, which kept the memory model's later
 # temporaries on the heap and raised peak RSS
@@ -38,7 +43,7 @@ CHUNK_EVENTS = 1 << 14
 POWERS_OF_TEN = [10 ** k for k in range(1, 19)]
 
 
-def segments(n: int) -> Iterator[slice]:
+def chunks(n: int) -> Iterator[slice]:
     """Consecutive slices of at most ``CHUNK_EVENTS`` covering ``range(n)``."""
     for start in range(0, n, CHUNK_EVENTS):
         yield slice(start, min(start + CHUNK_EVENTS, n))
@@ -112,20 +117,24 @@ class Trace:
             raise ValueError("empty trace has no max cycle")
         return int(self.cycles[-1])
 
+    @property
+    def region(self) -> tuple[int, int]:
+        """[low, high) of the addresses of a nonempty trace."""
+        return int(self.addresses.min()), int(self.addresses.max()) + 1
+
+    def segments(self) -> Iterator["Trace"]:
+        """The trace as a stream: one segment, itself."""
+        yield self
+
+    def collect(self) -> "Trace":
+        """The whole trace: itself."""
+        return self
+
     def write_csv(self, path: str | Path) -> None:
-        """Write a cycle-ordered trace in (cycle, address) order, one chunk
-        of whole cycles at a time; a chunk out of that order is written
-        from a sorted copy."""
-        start, n = 0, len(self)
+        """Write a cycle-ordered trace in (cycle, address) order."""
         with open(path, "wb") as fh:
             fh.write(CSV_HEADER.encode() + b"\n")
-            while start < n:
-                stop = cycle_end(self.cycles, start, CHUNK_EVENTS)
-                cycles, addresses = self.cycles[start:stop], self.addresses[start:stop]
-                if first_out_of_order(cycles, addresses) is not None:
-                    cycles, addresses = sort_pairs(cycles.copy(), addresses.copy())
-                fh.write(_csv_rows(cycles, addresses))
-                start = stop
+            _write_rows(fh, self)
 
     @classmethod
     def read_csv(cls, path: str | Path) -> "Trace":
@@ -163,13 +172,67 @@ class Trace:
         return cls(cycles, addresses)
 
 
+class TraceStream:
+    """A cycle-ordered trace of ``length`` events at addresses in
+    ``region`` ([low, high)), read one segment at a time: ``read()``
+    returns an iterator of its segments, in order, each a ``Trace`` of
+    whole cycles that may be a view of a buffer the next one reuses.  Each
+    call reads the trace anew."""
+
+    def __init__(self, length: int, region: tuple[int, int],
+                 read: Callable[[], Iterator[Trace]]):
+        self.length, self.region, self._read = length, region, read
+
+    def __len__(self) -> int:
+        return self.length
+
+    def segments(self) -> Iterator[Trace]:
+        return self._read()
+
+    def collect(self) -> Trace:
+        """The whole trace, in arrays of its own."""
+        cycles, addresses = np.empty(len(self), np.int64), np.empty(len(self), np.int64)
+        pos = 0
+        for seg in self.segments():
+            cycles[pos:pos + len(seg)] = seg.cycles
+            addresses[pos:pos + len(seg)] = seg.addresses
+            pos += len(seg)
+        assert pos == len(self), f"segments hold {pos} events, the stream {len(self)}"
+        return Trace(cycles, addresses)
+
+    def tee_csv(self, path: str | Path) -> "TraceStream":
+        """The same stream, which also writes the trace to ``path`` as
+        ``Trace.write_csv`` does, each segment as it is read."""
+        def read() -> Iterator[Trace]:
+            with open(path, "wb") as fh:
+                fh.write(CSV_HEADER.encode() + b"\n")
+                for seg in self.segments():
+                    _write_rows(fh, seg)
+                    yield seg
+        return TraceStream(self.length, self.region, read)
+
+
+def _write_rows(fh, trace: Trace) -> None:
+    """Write the CSV rows of a cycle-ordered trace in (cycle, address)
+    order, one chunk of whole cycles at a time; a chunk out of that order
+    is written from a sorted copy."""
+    start, n = 0, len(trace)
+    while start < n:
+        stop = cycle_end(trace.cycles, start, CHUNK_EVENTS)
+        cycles, addresses = trace.cycles[start:stop], trace.addresses[start:stop]
+        if first_out_of_order(cycles, addresses) is not None:
+            cycles, addresses = sort_pairs(cycles.copy(), addresses.copy())
+        fh.write(_csv_rows(cycles, addresses))
+        start = stop
+
+
 def first_out_of_order(cycles: np.ndarray,
                        addresses: np.ndarray | None = None) -> int | None:
     """The first row that sorts before the row above it by (cycle,
     address), or by cycle alone without ``addresses``; None if there is
-    none.  The rows are checked one segment at a time, each with the last
+    none.  The rows are checked one chunk at a time, each with the last
     row before it, so the temporaries are O(CHUNK_EVENTS)."""
-    for seg in segments(len(cycles)):
+    for seg in chunks(len(cycles)):
         rows = slice(max(seg.start - 1, 0), seg.stop)
         c = cycles[rows]
         down = c[1:] < c[:-1]
@@ -234,7 +297,7 @@ def _text_bytes(cycles: np.ndarray, addresses: np.ndarray) -> int:
     """The size of the canonical CSV rows of these pairs, given cycles in
     order: per row a comma and a line end, plus every digit and minus
     sign.  The sorted cycles count their digits with two searches per power
-    of ten; the addresses are counted one segment at a time."""
+    of ten; the addresses are counted one chunk at a time."""
     n = len(cycles)
     size = 3 * n + int(np.searchsorted(cycles, 0))  # ",", "\n", units digit, "-"
     for p in POWERS_OF_TEN:
@@ -242,7 +305,7 @@ def _text_bytes(cycles: np.ndarray, addresses: np.ndarray) -> int:
         if not more:
             break
         size += more
-    for seg in segments(n):
+    for seg in chunks(n):
         negative, mag, digits = _magnitude(addresses[seg])
         size += len(mag) + int(np.count_nonzero(negative))
         size += sum(int(np.count_nonzero(mag >= p)) for p in POWERS_OF_TEN[:digits - 1])
@@ -265,7 +328,7 @@ def _first_non_canonical_line(path: str | Path, cycles: np.ndarray,
     canonical text of the rows it parsed to."""
     with open(path, "rb") as fh:
         fh.readline()
-        for seg in segments(len(cycles)):
+        for seg in chunks(len(cycles)):
             want = _csv_rows(cycles[seg], addresses[seg])
             got = np.frombuffer(fh.read(len(want)), np.uint8)
             differ = got != want[:len(got)]

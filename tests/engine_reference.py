@@ -14,7 +14,7 @@ import numpy as np
 
 from helpers import fold_list, sorted_trace
 from systolicsim.config import ArchConfig, Dataflow, LayerSpec
-from systolicsim.engine import TraceSet, _check_regions
+from systolicsim.engine import TraceSet, _regions
 from systolicsim.mapping import WorkloadCounts, fold_plan, workload_counts
 from systolicsim.trace import Trace
 
@@ -68,11 +68,20 @@ class _Builder:
         return sorted_trace(np.concatenate(self.cycles), np.concatenate(self.addrs))
 
 
+def _trace_set(counts: WorkloadCounts, arch: ArchConfig, ifmap: Trace, filt: Trace,
+               writes: Trace) -> TraceSet:
+    """The traces as a TraceSet, whose final writes are views of the ofmap
+    trace's last N_w*M events."""
+    first = len(writes) - counts.n_windows * counts.n_filters
+    return TraceSet(counts, fold_plan(counts, arch), ifmap, filt, writes,
+                    Trace(writes.cycles[first:], writes.addresses[first:]))
+
+
 def _traces_os(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
     """Outputs pinned: row i streams window (row_start+i), column j streams
     filter (col_start+j); PE(i,j) reduces in place and drains one value."""
     counts = workload_counts(layer)
-    _check_regions(layer, arch, counts)
+    _regions(layer, arch, counts)
     am = _AddressMaps(layer, arch, counts)
     ksz = counts.window_size
     k = np.arange(ksz, dtype=np.int64)
@@ -87,7 +96,7 @@ def _traces_os(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
         fil.add(base + c[:, None] + k[None, :], am.filter_addrs(f_ids, k))
         out.add(base + r[:, None] + c[None, :] + ksz - 1, am.ofmap_addrs(w_ids, f_ids))
         base += fold.rows_used + fold.cols_used + ksz - 2
-    return TraceSet(counts, fold_plan(counts, arch), ifm.build(), fil.build(), out.build())
+    return _trace_set(counts, arch, ifm.build(), fil.build(), out.build())
 
 
 def _traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
@@ -102,7 +111,7 @@ def _traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
     fold re-reads them at its drain cycle and writes the address again.
     """
     counts = workload_counts(layer)
-    _check_regions(layer, arch, counts)
+    _regions(layer, arch, counts)
     am = _AddressMaps(layer, arch, counts)
     pin_windows = arch.dataflow is Dataflow.IS
     stream_total = counts.n_filters if pin_windows else counts.n_windows
@@ -137,7 +146,7 @@ def _traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
             wr_addrs = am.ofmap_addrs(s, col_ids)
         out.add(wr_cycles, wr_addrs)
         base += 2 * rows + stream_total + cols - 2
-    return TraceSet(counts, fold_plan(counts, arch), ifm.build(), fil.build(), out.build())
+    return _trace_set(counts, arch, ifm.build(), fil.build(), out.build())
 
 
 def generate_traces_reference(layer: LayerSpec, arch: ArchConfig) -> TraceSet:

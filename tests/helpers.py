@@ -37,9 +37,10 @@ def sorted_trace(cycles, addresses):
 
 
 def in_file_order(trace):
-    """A copy of an engine trace in (cycle, address) order, the order of
-    its file.  The engine's traces are in cycle order only, which this
-    asserts."""
+    """A copy of an engine trace (or stream) in (cycle, address) order, the
+    order of its file.  The engine's traces are in cycle order only, which
+    this asserts."""
+    trace = trace.collect()
     assert (trace.cycles[1:] >= trace.cycles[:-1]).all(), "trace is not in cycle order"
     return sorted_trace(trace.cycles, trace.addresses)
 
@@ -55,6 +56,7 @@ def pairs_to_trace(pairs):
 def partial_reads(ofmap_writes):
     """The oracle's rule for partial-sum re-reads: every write to an address
     after its first re-reads the sum it accumulates onto, at the same cycle."""
+    ofmap_writes = ofmap_writes.collect()
     first = np.unique(ofmap_writes.addresses, return_index=True)[1]
     later = np.ones(len(ofmap_writes), dtype=bool)
     later[first] = False
@@ -62,8 +64,8 @@ def partial_reads(ofmap_writes):
 
 
 def distinct_addresses(trace):
-    """The trace's addresses, each once, ascending."""
-    addresses = np.sort(trace.addresses)
+    """The trace's (or stream's) addresses, each once, ascending."""
+    addresses = np.sort(trace.collect().addresses)
     if not len(addresses):
         return addresses
     return addresses[np.append(True, addresses[1:] != addresses[:-1])]
@@ -91,6 +93,7 @@ def events(trace) -> Iterator[TraceEvent]:
 
 def per_cycle_counts(trace):
     """(cycles, event counts) for cycles that have at least one event."""
+    trace = trace.collect()
     bounds = cycle_runs(trace.cycles)
     return trace.cycles[bounds[:-1]], np.diff(bounds)
 

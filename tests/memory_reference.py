@@ -72,6 +72,7 @@ def epochize_reference(trace, capacity_bytes, word_bytes=1):
 def final_writes_reference(ofmap_writes):
     """Last write per address by two lexsorts: by (address, cycle) to find
     each address's last write, then back to (cycle, address) order."""
+    ofmap_writes = ofmap_writes.collect()
     order = np.lexsort((ofmap_writes.cycles, ofmap_writes.addresses))
     addr_sorted = ofmap_writes.addresses[order]
     last_of_addr = order[np.append(addr_sorted[1:] != addr_sorted[:-1], True)]

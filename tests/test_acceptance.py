@@ -75,7 +75,7 @@ def test_criterion_3_conservation():
         counts = ts.counts
         assert sum(f.rows_used * f.cols_used * f.stream_len
                    for f in fold_list(counts, arch)) == counts.macs_total
-        addrs, n_writes = np.unique(ts.ofmap_writes.addresses, return_counts=True)
+        addrs, n_writes = np.unique(ts.ofmap_writes.collect().addresses, return_counts=True)
         footprint = arch.ofmap_offset + arch.word_bytes * np.arange(
             counts.n_windows * counts.n_filters, dtype=np.int64)
         assert np.array_equal(addrs, footprint)
@@ -102,13 +102,12 @@ def test_criterion_4_memory_monotonicity():
                 reports = [simulate_layer(l, arch) for l in layers]
                 bytes_total = sum(r.report.dram_read_bytes for r in reports)
                 cycles = sum(r.report.total_cycles for r in reports)
-                foot = sum(len(distinct_addresses(r.traces.ifmap_reads))
-                           + len(distinct_addresses(r.traces.filter_reads))
-                           for r in reports)
-                max_part_foot = max(
-                    max(len(distinct_addresses(r.traces.ifmap_reads)),
-                        len(distinct_addresses(r.traces.filter_reads)))
-                    for r in reports)
+                # each trace is written anew when read, so read each once
+                feet = [[len(distinct_addresses(t))
+                         for t in (r.traces.ifmap_reads, r.traces.filter_reads)]
+                        for r in reports]
+                foot = sum(sum(f) for f in feet)
+                max_part_foot = max(max(f) for f in feet)
                 series.append((kb, bytes_total, bytes_total / cycles,
                                foot, foot / cycles, max_part_foot))
             for a, b in zip(series, series[1:]):

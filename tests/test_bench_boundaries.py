@@ -14,10 +14,11 @@ from pathlib import Path
 import pytest
 
 from helpers import make_arch, write_topology
-from systolicsim.config import LayerSpec
+from systolicsim import simulate
+from systolicsim.config import LayerSpec, load_topology
 from systolicsim.engine import generate_traces
 from systolicsim.memory import dram_demand, epochize
-from systolicsim.simulate import simulate_layer
+from systolicsim.simulate import simulate_layer, simulate_network
 from systolicsim.sweeps import SweepSpec, run_sweep
 from systolicsim.trace import Trace
 
@@ -67,8 +68,8 @@ def test_hooks_count_the_pipeline(dataflow, tmp_path):
             == report.dram_read_bytes + report.dram_write_bytes)
     # the tracer's wrapper passes a method's own arguments after its result:
     # the trace, or the class of the classmethod, then the path
-    path = tmp_path / "writes.csv"
-    tracer.after_csv(ts.ofmap_writes.write_csv(path), ts.ofmap_writes, path)
+    path, writes = tmp_path / "writes.csv", ts.ofmap_writes.collect()
+    tracer.after_csv(writes.write_csv(path), writes, path)
     tracer.after_csv(Trace.read_csv(path), Trace, path)
     assert tracer.counts["trace.csv_bytes"] == 2 * path.stat().st_size > 0
 
@@ -81,3 +82,30 @@ def test_sweep_hook_counts_flagged_cells(tmp_path):
     tracer = TRACER.Tracer("test")
     tracer.after_run_sweep(rows, spec, make_arch(4, 4))
     assert tracer.counts == {"sweeps.cells": 3, "sweeps.flagged_cells": 1}
+
+
+def test_traced_engine_counts_match_the_summaries(monkeypatch, tmp_path):
+    # a traced benchmark run checks engine.sram_events against the SRAM
+    # columns of its summaries.  The tracer wraps generate_traces where
+    # simulate_layer calls it, so each simulated (layer, arch) must call it
+    # once, and its traces' lengths must be the events the report counts
+    tracer = TRACER.Tracer("test")
+    monkeypatch.setattr(simulate, "generate_traces", tracer.span(
+        "engine.generate_traces", simulate.generate_traces, tracer.after_generate_traces))
+    write_topology(tmp_path / "topo.csv", [("l0", 8, 8, 3, 3, 2, 5, 1),
+                                           ("l1", 6, 7, 2, 2, 5, 3, 1)])
+    layers = load_topology(tmp_path / "topo.csv")
+    events = 0
+    for dataflow in ("os", "ws", "is"):
+        net = simulate_network(layers, make_arch(4, 4, dataflow))
+        events += sum(l.sram_reads_ifmap + l.sram_reads_filter + l.sram_writes_ofmap
+                      for l in net.layers)
+    assert tracer.counts["engine.sram_events"] == events
+    assert tracer.counts["engine.calls"] == len(layers) * 3
+    rows = run_sweep(SweepSpec("memory", [str(tmp_path / "topo.csv")],
+                               sram_sizes_kb=(16, 32, 64)), make_arch(4, 4))
+    assert len(rows) == 9 and all(r["status"] == "ok" for r in rows)
+    # the memory study's SRAM traces do not depend on the buffer size
+    assert tracer.counts["engine.sram_events"] == events * (1 + 3)
+    assert tracer.counts["engine.calls"] == len(layers) * (3 + len(rows))
+    assert not tracer.hook_errors

@@ -79,7 +79,7 @@ def test_run_trace_files_are_in_file_order(workdir, monkeypatch, dataflow):
                  filter_kb=1, ofmap_kb=1, word_bytes=16)
     layer = load_topology(workdir / "topo.csv")[0]
     arch = load_config(workdir / "arch.cfg")
-    ifmap = engine.generate_traces(layer, arch).ifmap_reads
+    ifmap = engine.generate_traces(layer, arch).ifmap_reads.collect()
     assert (in_file_order(ifmap) == ifmap) == (dataflow == "is")
     dram = simulate_layer(layer, arch).dram
     assert len(dram.ifmap.bursts) > 1 and len(dram.filter.bursts) > 1
@@ -563,6 +563,19 @@ def test_sweep_rejects_bad_axis(workdir, study, flag, value):
     assert run_cli("sweep", study, "--config", workdir / "arch.cfg",
                    "--workloads", workdir / "topo.csv", flag, value,
                    "--out", workdir / "out") == EXIT_CONFIG
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("study,flag", [
+    ("dataflow", "--sizes"), ("dataflow", "--dataflows"), ("memory", "--sram-sizes"),
+    ("scale", "--pe-ladder"),
+])
+def test_sweep_rejects_an_empty_axis(workdir, capsys, study, flag):
+    # an empty value once ran the study's default axis
+    assert run_cli("sweep", study, "--config", workdir / "arch.cfg",
+                   "--workloads", workdir / "topo.csv", flag, "",
+                   "--out", workdir / "out") == EXIT_CONFIG
+    assert f"config error: {flag} takes a comma list" in capsys.readouterr().err
     assert not (workdir / "out").exists()
 
 

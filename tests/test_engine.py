@@ -189,9 +189,10 @@ def _check_invariants(layer, arch):
     assert ts.plan.num_folds == len(folds)
     assert sum(f.rows_used * f.cols_used * f.stream_len for f in folds) == counts.macs_total
     # runtime defined by the output trace
-    assert ts.total_cycles == ts.ofmap_writes.max_cycle + 1
+    writes = ts.ofmap_writes.collect()
+    assert ts.total_cycles == writes.max_cycle + 1
     # OFMAP completeness: every output address written, finals exactly once
-    addrs, write_counts = np.unique(ts.ofmap_writes.addresses, return_counts=True)
+    addrs, write_counts = np.unique(writes.addresses, return_counts=True)
     expected = arch.ofmap_offset + arch.word_bytes * np.arange(
         counts.n_windows * counts.n_filters, dtype=np.int64)
     assert np.array_equal(addrs, expected)
@@ -206,7 +207,7 @@ def _check_invariants(layer, arch):
         assert per_cycle_counts(ts.ifmap_reads)[1].max() <= ifmap_bound
     if len(ts.filter_reads):
         assert per_cycle_counts(ts.filter_reads)[1].max() <= filter_bound
-    write_peak = per_cycle_counts(ts.ofmap_writes)[1].max()
+    write_peak = per_cycle_counts(writes)[1].max()
     if arch.dataflow is Dataflow.OS:
         assert write_peak <= min(max_rows, max_cols)
     else:
@@ -214,7 +215,7 @@ def _check_invariants(layer, arch):
     # determinism: regeneration is identical
     again = generate_traces(layer, arch)
     for attr in ("ifmap_reads", "filter_reads", "ofmap_writes"):
-        assert getattr(ts, attr) == getattr(again, attr)
+        assert getattr(ts, attr).collect() == getattr(again, attr).collect()
 
 
 def test_trace_invariants_random_sample():

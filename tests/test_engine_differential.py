@@ -1,15 +1,15 @@
 """The batched diagonal trace builder against the whole-trace reference.
 
 The engine reads batches of same-shape folds off the fold grid in closed
-form and writes each straight into arrays of the closed-form length,
-diagonal by diagonal, in cycle order and without a sort;
-``engine_reference`` enumerates the folds one by one on its own, keeps
-every fold's pieces and sorts the whole trace once.  Each engine trace must
-be in cycle order, and in (cycle, address) order it must equal the
-reference's, however the folds fall into batches, corner gathers and
-chunks.
+form and writes each trace segment by segment, diagonal by diagonal, in
+cycle order and without a sort; ``engine_reference`` enumerates the folds
+one by one on its own, keeps every fold's pieces and sorts the whole trace
+once.  Each engine trace must be in cycle order, and in (cycle, address)
+order it must equal the reference's, however the folds fall into batches,
+segments, corner gathers and chunks.
 """
 
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -29,8 +29,12 @@ from systolicsim.trace import Trace
 KINDS = ("ifmap_reads", "filter_reads", "ofmap_writes")
 
 
+@contextmanager
 def chunk_events(n):
-    return mock.patch.object(trace, "CHUNK_EVENTS", n)
+    """Cut every chunk, and every segment of an engine trace, to n events."""
+    with mock.patch.object(trace, "CHUNK_EVENTS", n), \
+            mock.patch.object(engine, "SEGMENT_EVENTS", n):
+        yield
 
 
 def assert_matches_reference(layer, arch):
@@ -125,7 +129,8 @@ def test_lexsort_fallback(dataflow, chunk, tmp_path):
     got, want = generate_traces(layer, arch), generate_traces_reference(layer, arch)
     path = tmp_path / "t.csv"
     for kind in KINDS:
-        cycles, addresses = getattr(got, kind).cycles, getattr(got, kind).addresses
+        got_trace = getattr(got, kind).collect()
+        cycles, addresses = got_trace.cycles, got_trace.addresses
         down = np.lexsort((-addresses, cycles))
         with chunk_events(chunk), mock.patch.object(
                 trace.np, "lexsort", wraps=np.lexsort) as lexsort:
@@ -144,7 +149,8 @@ def test_overlapping_folds_crash(monkeypatch):
 
     monkeypatch.setattr(engine, "_batches", overlapping_batches)
     with chunk_events(1), pytest.raises(AssertionError, match="overlap in time"):
-        generate_traces(LayerSpec("t", 6, 6, 2, 2, 2, 4, 1), make_arch(2, 2, "os"))
+        generate_traces(LayerSpec("t", 6, 6, 2, 2, 2, 4, 1),
+                        make_arch(2, 2, "os")).ifmap_reads.collect()
 
 
 def test_overlap_in_last_segment_crashes_build():
@@ -174,18 +180,18 @@ def test_ofmap_out_of_address_order_crashes(monkeypatch, dataflow):
     layer, arch = LayerSpec("t", 6, 6, 2, 2, 2, 4, 1), make_arch(3, 3, dataflow)
     monkeypatch.setattr(engine, "_build", swapped_drain)
     with pytest.raises(AssertionError, match="ofmap writes out of address order"):
-        generate_traces(layer, arch)
+        generate_traces(layer, arch).ofmap_writes.collect()
 
 
 def fold_by_fold(folds):
     """A stand-in for ``engine._batches`` that makes each of ``folds``, in
-    the order given, a batch of its own, which starts where the fold before
-    it ends, in time and in every trace."""
+    the order given, a batch and a group of its own, which starts where the
+    fold before it ends, in time and in every trace."""
     def batches(plan, span, sizes):
         out, state = [], (0, 0, 0, 0)
         for f in folds:
-            out.append(engine._Batch(f.rows_used, f.cols_used, 1,
-                                     (f.row_start, f.col_start, *state), (0,) * 6))
+            out.append([engine._Batch(f.rows_used, f.cols_used, 1,
+                                      (f.row_start, f.col_start, *state), (0,) * 6)])
             cost = span(f.rows_used, f.cols_used), *sizes(f.rows_used, f.cols_used)
             state = tuple(a + b for a, b in zip(state, cost))
         return out
@@ -229,8 +235,48 @@ def test_reduction_innermost_crashes(monkeypatch, dataflow):
 
 
 @pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
-def test_final_writes_are_views_of_the_ofmap_trace(dataflow):
+def test_final_writes_are_the_ofmap_trace_tail(dataflow):
     ts = generate_traces(LayerSpec("t", 4, 4, 2, 2, 2, 3, 1), make_arch(4, 2, dataflow))
-    fin, writes = ts.final_writes, ts.ofmap_writes
-    assert len(fin) == ts.counts.n_windows * ts.counts.n_filters
-    assert fin.cycles.base is writes.cycles and fin.addresses.base is writes.addresses
+    fin, writes = ts.final_writes, ts.ofmap_writes.collect()
+    first = len(writes) - ts.counts.n_windows * ts.counts.n_filters
+    assert first == (0 if dataflow == "os" else len(fin))
+    assert fin == Trace(writes.cycles[first:], writes.addresses[first:])
+    assert ts.total_cycles == writes.max_cycle + 1
+
+
+@pytest.mark.parametrize("layer,rows,cols,dataflow,segment,by_column", [
+    *(pytest.param(LayerSpec("t", 7, 6, 2, 3, 3, 5, 1), 3, 2, dataflow, segment, False,
+                   id=f"{dataflow}-{segment}")
+      for dataflow in ("os", "ws", "is") for segment in (1, 7, 100)),
+    # a 21x2 grid batched by grid column: segments of 60 events cut its grid
+    # rows, so a segment holds a different number of folds of each column
+    pytest.param(LayerSpec("t", 8, 7, 2, 2, 1, 4, 1), 2, 2, "os", 60, True,
+                 id="os-by-column"),
+])
+def test_segments_tile_each_trace(monkeypatch, layer, rows, cols, dataflow, segment,
+                                  by_column):
+    # segments of whole folds: each starts a cycle after the one before it
+    # ends, and together they hold every event once, in the reference's
+    # order, an edge neither dropping nor repeating one
+    arch = make_arch(rows, cols, dataflow)
+    want = generate_traces_reference(layer, arch)
+    batches, groups = engine._batches, []
+
+    def recorded(*args):
+        groups.extend(batches(*args))
+        return groups
+
+    monkeypatch.setattr(engine, "_batches", recorded)
+    monkeypatch.setattr(engine, "SEGMENT_EVENTS", segment)
+    got = generate_traces(layer, arch)
+    assert (max(map(len, groups)) > 1) == by_column
+    for kind in KINDS:
+        stream = getattr(got, kind)
+        segments = [Trace(seg.cycles.copy(), seg.addresses.copy())
+                    for seg in stream.segments()]
+        assert len(segments) > 1 or len(stream) <= segment, kind
+        assert all(a.max_cycle < b.cycles[0] for a, b in zip(segments, segments[1:]))
+        whole = Trace(np.concatenate([seg.cycles for seg in segments]),
+                      np.concatenate([seg.addresses for seg in segments]))
+        assert sum(map(len, segments)) == len(stream) == len(getattr(want, kind))
+        assert in_file_order(whole) == getattr(want, kind), kind

@@ -199,7 +199,7 @@ def test_no_useless_prefetch():
         arch = make_arch(rng.randint(1, 6), rng.randint(1, 6),
                          rng.choice(["os", "ws", "is"]))
         ts = generate_traces(layer, arch)
-        for trace in (ts.ifmap_reads, ts.filter_reads):
+        for trace in (ts.ifmap_reads.collect(), ts.filter_reads.collect()):
             foot = len(distinct_addresses(trace))
             try:
                 frag = gen_dram_read_trace(epochize(trace, max(1, foot // 3)))
@@ -284,6 +284,7 @@ def test_figures_ignore_order_within_a_cycle(ih, iw, fh, fw, chans, filters, str
     rng = np.random.default_rng(seed)
     want = model_figures(layer, arch, ts)
     for reorder in (in_file_order, lambda t: shuffled_within_cycles(t, rng)):
-        given = TraceSet(ts.counts, ts.plan, reorder(ts.ifmap_reads),
-                         reorder(ts.filter_reads), ts.ofmap_writes)
+        given = TraceSet(ts.counts, ts.plan, reorder(ts.ifmap_reads.collect()),
+                         reorder(ts.filter_reads.collect()), ts.ofmap_writes,
+                         ts.final_writes)
         assert model_figures(layer, arch, given) == want

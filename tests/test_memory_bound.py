@@ -1,28 +1,32 @@
-"""simulate_layer's peak memory stays within a fixed margin of its traces.
+"""simulate_layer's peak memory stays within the streamed bound.
 
 numpy reports its array allocations to tracemalloc, so the traced peak
-covers every trace and temporary.  On a tall, narrow array the ifmap trace
-holds ~87% of the events, so one int64 temporary as long as that trace
-(say, in the engine or in epochize) adds ~0.4x the trace bytes and breaks
-the bound.  On a short, wide WS array the ofmap trace holds ~80% of them,
-which does the same for the report's bitmap count.  The bound's
-allowance for chunk temporaries, ``trace.CHUNK_EVENTS`` events (256 KB),
-is far smaller than any trace-length temporary.
+covers every array and temporary.  No SRAM trace is held whole: the engine
+writes each one segment at a time, so the bound, ``layer_peak_bytes``, is
+a segment, the output region (the final writes and the report's bitmap),
+the scanned address regions, the DRAM reads and the per-cycle DRAM totals.
+On a tall, narrow array the ifmap trace holds ~87% of the events, and on a
+short, wide WS array the ofmap trace ~80% of them, so a temporary as long
+as either (say, in the engine, in epochize or in the report's bitmap
+count) breaks the bound.  On ResNet-50 conv1 at 8x8, whose collected
+traces take 462 MB, the bound is at most a quarter of that.
 
-Writing a layer's trace files must not add a trace-sized copy on top of
-that: ``cli._run_one_layer`` peaks at most the CSV writer's per-chunk
-temporaries above ``simulate_layer``'s own peak.  Reading them back,
-``cli._report_layer`` keeps within the same bound, which the default
-``report --jobs`` counts on.
+Writing a layer's trace files must not add a copy of an SRAM trace:
+``cli._run_one_layer`` peaks at most the sorted DRAM read trace and the CSV
+writer's per-chunk temporaries above ``simulate_layer``'s own peak.
+Reading them back, ``cli._report_layer`` parses whole files, so it has a
+bound of its own, ``cli.report_peak_bytes``, which ``report --jobs``
+counts on.
 """
 
 import tracemalloc
 
 import pytest
 
-from systolicsim import cli, trace
+from systolicsim import cli, engine, trace
 from systolicsim.bundled import default_config_path, workload_path
 from systolicsim.config import load_config, load_topology
+from systolicsim.mapping import fold_plan, workload_counts
 from systolicsim.metrics import EnergyCostTable
 from systolicsim.simulate import EVENT_BYTES, layer_peak_bytes, simulate_layer
 
@@ -71,24 +75,41 @@ def deepspeech2_conv1(dataflow, rows, cols, input_kb):
     return layer, arch
 
 
+def assert_streamed_peak(layer, arch, res, peak):
+    bound = layer_peak_bytes(layer, arch)
+    ts = res.traces
+    lengths = (len(ts.ifmap_reads), len(ts.filter_reads), len(ts.ofmap_writes))
+    assert peak <= bound
+    # the bound is not vacuous: a segment of the longest trace is held with
+    # the final writes
+    assert peak >= EVENT_BYTES * (min(engine.SEGMENT_EVENTS, max(lengths))
+                                  + len(ts.final_writes))
+    return sum(lengths)
+
+
 @pytest.mark.parametrize("dataflow,rows,cols,input_kb", LAYER_CASES)
 def test_peak_memory_bound(dataflow, rows, cols, input_kb):
     layer, arch = deepspeech2_conv1(dataflow, rows, cols, input_kb)
     res, peak = traced_peak(lambda: simulate_layer(layer, arch))
-    bound = layer_peak_bytes(layer, arch)
-    ts = res.traces
-    events = len(ts.ifmap_reads) + len(ts.filter_reads) + len(ts.ofmap_writes)
-    assert events > 2_000_000
+    assert assert_streamed_peak(layer, arch, res, peak) > 2_000_000
     if input_kb:
         assert len(res.dram.ifmap.bursts) > 1    # one burst per ifmap epoch
-    assert peak <= bound
-    # the bound is not vacuous: the traces themselves are most of it
-    assert peak >= EVENT_BYTES * events
+
+
+@pytest.mark.parametrize("dataflow", ["os", "ws"])
+def test_peak_memory_bound_resnet50_conv1(dataflow):
+    # ~30 M SRAM events: 462 MB of collected traces
+    layer = load_topology(workload_path("w5_resnet50"))[0]
+    arch = load_config(default_config_path()).with_overrides(
+        array_rows=8, array_cols=8, dataflow=dataflow)
+    res, peak = traced_peak(lambda: simulate_layer(layer, arch))
+    events = assert_streamed_peak(layer, arch, res, peak)
+    assert EVENT_BYTES * events > 450e6
+    assert layer_peak_bytes(layer, arch) <= EVENT_BYTES * events / 4
 
 
 @pytest.mark.parametrize("dataflow,rows,cols,input_kb", [
-    # 4 KB input buffers: 1.12 M DRAM read events, half of the SRAM events,
-    # so a DRAM trace built while the SRAM traces are held breaks the bound
+    # 4 KB input buffers: 1.12 M DRAM read events, half of the SRAM events
     pytest.param("os", 16, 16, 4, id="os-16x16-overflow"),
     pytest.param("ws", 8, 64, None, id="ws-8x64"),
 ])
@@ -101,9 +122,13 @@ def test_writing_traces_adds_no_trace_copy(tmp_path, dataflow, rows, cols, input
         f"layer_{kind}.csv" for kind in cli.TRACE_KINDS)
     if input_kb:
         assert len(res.dram.read_trace) > 1_000_000
-    assert run_peak <= simulate_peak + CSV_ROW_TEMP_BYTES * trace.CHUNK_EVENTS
-    # the sorted DRAM trace is built in the arrays it returns
+    # the SRAM traces are written from the segments the simulation reads;
+    # only the sorted DRAM read trace, the larger one, is built whole
     bursts = res.dram.read_trace
+    assert run_peak <= (simulate_peak + EVENT_BYTES * len(bursts)
+                        + CSV_ROW_TEMP_BYTES * trace.CHUNK_EVENTS)
+    assert run_peak <= layer_peak_bytes(layer, arch)
+    # the sorted DRAM trace is built in the arrays it returns
     _, sort_peak = traced_peak(bursts.trace)
     assert sort_peak <= EVENT_BYTES * (len(bursts) + trace.CHUNK_EVENTS)
 
@@ -115,6 +140,8 @@ def test_reporting_a_layer_keeps_its_bound(tmp_path, dataflow, rows, cols, input
                                  "layer", True)
     report, peak = traced_peak(lambda: cli._report_layer(
         layer, arch, EnergyCostTable(), tmp_path, "layer"))
-    bound = layer_peak_bytes(layer, arch)
+    bound = cli.report_peak_bytes(layer, arch)
+    events = sum(fold_plan(workload_counts(layer), arch).sram_event_counts)
     assert report == written
     assert peak <= bound
+    assert bound == int(1.3 * EVENT_BYTES * events) + EVENT_BYTES * trace.CHUNK_EVENTS

@@ -91,7 +91,7 @@ def test_epochize_matches_reference(traced, data):
 @given(traced_layers(), st.data())
 def test_final_writes_match_reference(traced, data):
     ts, word = traced
-    writes, fin = ts.ofmap_writes, ts.final_writes
+    writes, fin = ts.ofmap_writes.collect(), ts.final_writes
     got = fin.cycles, fin.addresses
     want = final_writes_reference(writes)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))

@@ -21,7 +21,7 @@ from systolicsim.trace import Trace
 def test_compute_runtime_single_write():
     layer = lower_gemm(1, 1, 1)
     ts = generate_traces(layer, make_arch(1, 1, "os"))
-    assert ts.ofmap_writes.cycles.tolist() == [0]
+    assert ts.ofmap_writes.collect().cycles.tolist() == [0]
     assert ts.total_cycles == 1
 
 

@@ -72,8 +72,8 @@ def test_bundled_layer_traces_match_reference(dataflow, tmp_path):
     arch = load_config(default_config_path()).with_overrides(dataflow=dataflow)
     layer = load_topology(workload_path("w4_ncf"))[2]  # mlp_fc3
     res = simulate_layer(layer, arch)
-    traces = [res.traces.ifmap_reads, res.traces.filter_reads,
-              res.traces.ofmap_writes, res.dram.read_trace.trace(),
+    traces = [res.traces.ifmap_reads.collect(), res.traces.filter_reads.collect(),
+              res.traces.ofmap_writes.collect(), res.dram.read_trace.trace(),
               res.dram.write_trace.trace()]
     assert int(traces[3].cycles[0]) < 0  # cold-fill prologue
     for trace in traces:
