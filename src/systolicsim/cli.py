@@ -47,13 +47,14 @@ OUT_ENV_VAR = "SYSTOLICSIM_OUT"
 TRACE_KINDS = ("ifmap_sram_read", "filter_sram_read", "ofmap_sram_write",
                "dram_read", "dram_write")
 
-# per study, the sweep flag that replaces the architecture flags its cells all
-# override; --dataflows replaces --dataflow in every study
+# per study, the one axis flag it takes, that flag's help, and the architecture
+# flags its cells all override; --dataflows replaces --dataflow in every study
 SWEEP_AXIS_FLAGS = {
-    "dataflow": ("--sizes", ("--rows", "--cols")),
-    "memory": ("--sram-sizes", ("--sram-ifmap", "--sram-filter")),
-    "aspect": ("--total-pes", ("--rows", "--cols")),
-    "scale": ("--pe-ladder", ("--rows", "--cols")),
+    "dataflow": ("--sizes", "square array sizes, comma list", ("--rows", "--cols")),
+    "memory": ("--sram-sizes", "buffer KB ladder, comma list",
+               ("--sram-ifmap", "--sram-filter")),
+    "aspect": ("--total-pes", "one PE budget", ("--rows", "--cols")),
+    "scale": ("--pe-ladder", "PE counts, comma list", ("--rows", "--cols")),
 }
 
 MAX_DEFAULT_JOBS = 8
@@ -308,24 +309,23 @@ def _name_list(text: str, flag: str) -> tuple[str, ...]:
 
 
 def cmd_sweep(args) -> int:
-    axis, flags = SWEEP_AXIS_FLAGS[args.study]
+    axis, _, flags = SWEEP_AXIS_FLAGS[args.study]
     for flag, use in (("--dataflow", "--dataflows"), *((f, axis) for f in flags)):
         if getattr(args, flag[2:].replace("-", "_")) is not None:
             raise ConfigError(f"sweep {args.study} sets {flag} in every cell; "
                               f"use {use} instead")
+    given = {flag: getattr(args, flag[2:].replace("-", "_"))
+             for flag, _, _ in SWEEP_AXIS_FLAGS.values()}
+    for other, text in given.items():
+        if other != axis and text is not None:
+            raise ConfigError(f"sweep {args.study} takes {axis}, not {other}")
     base, table = _arch_and_table(args)
     workloads = args.workloads or [str(p) for p in bundled_workloads().values()]
     axes = {}
     if args.dataflows is not None:
         axes["dataflows"] = _name_list(args.dataflows, "--dataflows")
-    if args.sizes is not None:
-        axes["array_sizes"] = _int_list(args.sizes, "--sizes")
-    if args.sram_sizes is not None:
-        axes["sram_sizes_kb"] = _int_list(args.sram_sizes, "--sram-sizes")
-    if args.total_pes is not None:
-        axes["total_pes"] = args.total_pes
-    if args.pe_ladder is not None:
-        axes["pe_ladder"] = _int_list(args.pe_ladder, "--pe-ladder")
+    if given[axis] is not None:
+        axes["axis"] = _int_list(given[axis], axis)
     spec = SweepSpec(study=args.study, workloads=workloads, **axes)
 
     rows = run_sweep(spec, base, table)
@@ -385,10 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workloads", nargs="+", default=None,
                        help="topology CSVs (default: all bundled workloads)")
     sweep.add_argument("--dataflows", default=None, help="comma list, e.g. os,ws")
-    sweep.add_argument("--sizes", default=None, help="square array sizes, comma list")
-    sweep.add_argument("--sram-sizes", default=None, help="buffer KB ladder, comma list")
-    sweep.add_argument("--total-pes", type=int, default=None)
-    sweep.add_argument("--pe-ladder", default=None, help="PE counts, comma list")
+    for study, (flag, what, _) in SWEEP_AXIS_FLAGS.items():
+        sweep.add_argument(flag, default=None, help=f"sweep {study} only: {what}")
     sweep.add_argument("--out", default=str(_default_out_root()))
     sweep.set_defaults(func=cmd_sweep)
 

@@ -195,23 +195,27 @@ TOPOLOGY_HEADER = ("Layer Name", "IFMAP Height", "IFMAP Width", "Filter Height",
 
 
 def parse_topology(text: str) -> list[LayerSpec]:
-    """Parse the topology CSV.  Column order is fixed; one LayerSpec per data
-    row, preserving file order."""
+    """Parse the topology CSV.  Column order is fixed, and the header must
+    name the columns of ``TOPOLOGY_HEADER``, in any case; one LayerSpec per
+    data row, preserving file order."""
     rows = [r for r in csv.reader(io.StringIO(text))]
     # tolerate blank lines and a trailing empty column after the last comma
     rows = [[cell.strip() for cell in row] for row in rows if any(c.strip() for c in row)]
+    rows = [row[:-1] if row[-1] == "" else row for row in rows]
     if not rows:
         return []
     header = rows[0]
-    if len([c for c in header if c]) != len(TOPOLOGY_HEADER):
+    if len(header) != len(TOPOLOGY_HEADER):
         raise TopologyError(
             f"topology header has {len(header)} columns, expected {len(TOPOLOGY_HEADER)}: "
             f"{', '.join(TOPOLOGY_HEADER)}")
+    for column, (cell, name) in enumerate(zip(header, TOPOLOGY_HEADER), start=1):
+        if cell.lower() != name.lower():
+            raise TopologyError(f"topology header column {column} is {cell!r}, "
+                                f"expected {name!r}")
 
     layers = []
     for lineno, row in enumerate(rows[1:], start=2):
-        if row and row[-1] == "":
-            row = row[:-1]
         if len(row) != len(TOPOLOGY_HEADER):
             raise TopologyError(f"topology line {lineno}: expected "
                                 f"{len(TOPOLOGY_HEADER)} columns, got {len(row)}")

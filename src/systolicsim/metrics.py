@@ -126,8 +126,9 @@ def _dram_bytes(cycle_arrays: Iterable[np.ndarray], total_cycles: int,
                 word_bytes: int) -> tuple[int, int]:
     """(bytes moved, most bytes moved in one cycle of [0, total_cycles)),
     given every DRAM event's cycle in arrays read once each, in any order;
-    one ``bincount`` per chunk of an array, over its own in-run cycles."""
-    events, total = 0, np.zeros(0, np.int64)
+    one ``bincount`` per chunk of an array, over its own in-run cycles,
+    added into int32 per-cycle counts."""
+    events, total = 0, np.zeros(0, np.int32)
     for cycles in cycle_arrays:
         events += len(cycles)
         for seg in chunks(len(cycles)):
@@ -138,8 +139,10 @@ def _dram_bytes(cycle_arrays: Iterable[np.ndarray], total_cycles: int,
                 part -= low
                 counts = np.bincount(part)
                 if not len(total):
-                    total = np.zeros(total_cycles, np.int64)
+                    total = np.zeros(total_cycles, np.int32)
                 total[low:low + len(counts)] += counts
+    # no cycle's count can exceed the events, so none wrapped round
+    assert events <= np.iinfo(np.int32).max, f"{events} DRAM events overflow int32"
     return events * word_bytes, int(total.max()) * word_bytes if len(total) else 0
 
 

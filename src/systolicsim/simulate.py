@@ -65,7 +65,7 @@ def layer_peak_bytes(layer: LayerSpec, arch: ArchConfig) -> int:
     - one segment of one SRAM trace;
     - the final writes, which the drain keeps;
     - the report's bitmap of the output region, a byte per byte, and its
-      int64 DRAM bytes per cycle, over at most 2*rows + cols + stream
+      int32 DRAM events per cycle, over at most 2*rows + cols + stream
       length cycles a fold;
     - epochize's two int32 per word of the address region it scans;
     - 24 bytes per DRAM read: the epochs' addresses, int64 at most, and
@@ -88,7 +88,7 @@ def layer_peak_bytes(layer: LayerSpec, arch: ArchConfig) -> int:
     segment = min(max(engine.SEGMENT_EVENTS, plan.largest_fold_events),
                   max(plan.sram_event_counts))
     cycles = plan.num_folds * (2 * plan.rows + plan.cols + plan.stream_len)
-    return (EVENT_BYTES * (segment + outputs) + outputs * word + 8 * cycles
+    return (EVENT_BYTES * (segment + outputs) + outputs * word + 4 * cycles
             + 2 * 4 * max(regions) + 3 * 8 * dram_reads
             + CHUNK_TEMP_BYTES * trace.CHUNK_EVENTS)
 

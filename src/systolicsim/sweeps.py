@@ -1,6 +1,6 @@
-"""Design-space studies: dataflow vs array size, scratchpad sizing, array
-aspect ratio, and scale-up vs scale-out.  Scale-up is the one-node case of
-scale-out: both modes run through ``_sharded``.
+"""Design-space studies, each over one axis and every dataflow: dataflow vs
+array size, scratchpad sizing, aspect ratio, and scale-up vs scale-out.
+Scale-up is the one-node case of scale-out: both run through ``_sharded``.
 
 Every study emits fully-keyed rows sharing one column schema so each cell is
 reproducible in isolation from the CLI.  Per-cell failures of the simulator's
@@ -20,18 +20,12 @@ from .errors import ConfigError, SimulationError, TopologyError
 from .metrics import SUMMARY_FIELDS, EnergyCostTable, csv_line
 from .simulate import simulate_layer, simulate_network
 
-DEFAULT_ARRAY_SIZES = (8, 16, 32, 64, 128)
-DEFAULT_SRAM_SIZES_KB = (32, 64, 128, 256, 512, 1024, 2048)
-DEFAULT_TOTAL_PES = 16384
-DEFAULT_PE_LADDER = (64, 256, 1024, 4096, 16384)
 NODE_SIDE = 8  # scale-out nodes are NODE_SIDE x NODE_SIDE arrays
 
 SWEEP_COLUMNS = ("study", "workload", "layer", "dataflow", "rows", "cols",
                  "sram_kb", "pe_count", "mode", "total_cycles", "energy",
                  "dram_rd_bytes", "avg_rd_bw", "dram_filter_rd_bytes",
                  "avg_filter_rd_bw", "status")
-
-STUDIES = ("dataflow", "memory", "aspect", "scale")
 
 # what a cell may fail with and still be recorded as a flagged row; anything
 # else is a program bug and propagates
@@ -40,34 +34,37 @@ CELL_ERRORS = (ConfigError, TopologyError, SimulationError)
 
 @dataclass
 class SweepSpec:
+    """A study's cells: each value of its one ``axis``, by default its entry
+    in ``STUDY_AXES``, under each of ``dataflows``, on each workload."""
     study: str
     workloads: list[str]
-    array_sizes: tuple[int, ...] = DEFAULT_ARRAY_SIZES
-    sram_sizes_kb: tuple[int, ...] = DEFAULT_SRAM_SIZES_KB
-    total_pes: int = DEFAULT_TOTAL_PES
-    pe_ladder: tuple[int, ...] = DEFAULT_PE_LADDER
+    axis: tuple[int, ...] | None = None
     dataflows: tuple[str, ...] = ALL_DATAFLOWS
 
     def __post_init__(self):
-        """Reject bad axes before any cell runs, whichever study uses them."""
+        """Reject a bad axis before any cell runs."""
         if self.study not in STUDIES:
             raise ConfigError(f"unknown study {self.study!r}; choose from {STUDIES}")
         if not self.workloads:
             raise ConfigError("sweep needs at least one workload")
-        for axis in ("array_sizes", "sram_sizes_kb", "pe_ladder", "dataflows"):
-            if not getattr(self, axis):
-                raise ConfigError(f"{axis} must be nonempty")
-        for axis in ("array_sizes", "sram_sizes_kb"):
-            if min(getattr(self, axis)) < 1:
-                raise ConfigError(f"{axis} must be positive")
+        self.axis = STUDY_AXES[self.study][0] if self.axis is None else self.axis
+        for name in ("axis", "dataflows"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} must be nonempty")
         if bad := set(self.dataflows) - set(ALL_DATAFLOWS):
             raise ConfigError(f"unknown dataflow {sorted(bad)[0]!r}; choose from "
                               f"{ALL_DATAFLOWS}")
-        aspect_shapes(self.total_pes)  # raises ConfigError for a bad budget
-        for pe in self.pe_ladder:
-            if pe < 1 or math.isqrt(pe) ** 2 != pe or pe % (NODE_SIDE * NODE_SIDE):
-                raise ConfigError(f"PE count {pe} is not a perfect square and a "
-                                  f"multiple of {NODE_SIDE * NODE_SIDE}")
+        if self.study == "aspect":
+            if len(self.axis) != 1:
+                raise ConfigError(f"aspect takes one PE budget, not {len(self.axis)}")
+            aspect_shapes(self.axis[0])  # raises ConfigError for a bad budget
+        elif self.study == "scale":
+            for pe in self.axis:
+                if pe < 1 or math.isqrt(pe) ** 2 != pe or pe % (NODE_SIDE * NODE_SIDE):
+                    raise ConfigError(f"PE count {pe} is not a perfect square and a "
+                                      f"multiple of {NODE_SIDE * NODE_SIDE}")
+        elif min(self.axis) < 1:
+            raise ConfigError(f"{self.study} axis must be positive")
 
 
 def _row(study, workload, **kv) -> dict:
@@ -94,7 +91,7 @@ def aspect_shapes(total_pes: int) -> list[tuple[int, int]]:
 
 def _dataflow_cells(spec: SweepSpec, base: ArchConfig):
     """Runtime and energy per (square array size, dataflow)."""
-    for size in spec.array_sizes:
+    for size in spec.axis:
         for df in spec.dataflows:
             yield (dict(dataflow=df, rows=size, cols=size),
                    dict(array_rows=size, array_cols=size, dataflow=df))
@@ -104,7 +101,7 @@ def _memory_cells(spec: SweepSpec, base: ArchConfig):
     """Required DRAM read bandwidth per (dataflow, buffer size); IFMAP and
     filter buffers both get the swept size."""
     for df in spec.dataflows:
-        for kb in spec.sram_sizes_kb:
+        for kb in spec.axis:
             yield (dict(dataflow=df, sram_kb=kb, rows=base.array_rows,
                         cols=base.array_cols),
                    dict(ifmap_sram_kb=kb, filter_sram_kb=kb, dataflow=df))
@@ -112,19 +109,22 @@ def _memory_cells(spec: SweepSpec, base: ArchConfig):
 
 def _aspect_cells(spec: SweepSpec, base: ArchConfig):
     """Runtime per (array shape, dataflow) at a fixed PE budget."""
-    for r, c in aspect_shapes(spec.total_pes):
+    for r, c in aspect_shapes(spec.axis[0]):
         for df in spec.dataflows:
-            yield (dict(dataflow=df, rows=r, cols=c, pe_count=spec.total_pes),
+            yield (dict(dataflow=df, rows=r, cols=c, pe_count=spec.axis[0]),
                    dict(array_rows=r, array_cols=c, dataflow=df))
 
 
-# per study, its cells and the summary columns each cell fills from the
-# network total
-_CELL_STUDIES = {
-    "dataflow": (_dataflow_cells, ("total_cycles", "energy")),
-    "memory": (_memory_cells, ("total_cycles", "dram_rd_bytes", "avg_rd_bw")),
-    "aspect": (_aspect_cells, ("total_cycles", "energy")),
+# per study: the default of its axis and, but for scale (see _scale_rows), its
+# cells and the summary columns each cell fills from the network total
+STUDY_AXES = {
+    "dataflow": ((8, 16, 32, 64, 128), _dataflow_cells, ("total_cycles", "energy")),
+    "memory": ((32, 64, 128, 256, 512, 1024, 2048), _memory_cells,
+               ("total_cycles", "dram_rd_bytes", "avg_rd_bw")),
+    "aspect": ((16384,), _aspect_cells, ("total_cycles", "energy")),
+    "scale": ((64, 256, 1024, 4096, 16384), None, ()),
 }
+STUDIES = tuple(STUDY_AXES)
 
 
 def run_sweep(spec: SweepSpec, base_arch: ArchConfig,
@@ -145,7 +145,7 @@ def run_sweep(spec: SweepSpec, base_arch: ArchConfig,
         if spec.study == "scale":
             rows += _scale_rows(name, layers, spec, base_arch, table)
             continue
-        cells, columns = _CELL_STUDIES[spec.study]
+        _, cells, columns = STUDY_AXES[spec.study]
         for key, overrides in cells(spec, base_arch):
             row = _row(spec.study, name, **key)
             try:
@@ -201,7 +201,7 @@ def _scale_rows(workload: str, layers: list[LayerSpec], spec: SweepSpec,
     with fewer filters than nodes gets one skipped out-mode row; a failing
     layer gets one up-mode error row, its first failure."""
     rows = []
-    for pe in spec.pe_ladder:
+    for pe in spec.axis:
         nodes = pe // (NODE_SIDE * NODE_SIDE)
         for df in spec.dataflows:
             # scale-up is the one-node case of scale-out

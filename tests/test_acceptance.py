@@ -159,7 +159,7 @@ def test_criterion_6_scale_bookkeeping(tmp_path):
     layers = load_topology(wl)
 
     # 64-PE rung: up and out are the same single 8x8 array
-    rows64 = run_sweep(SweepSpec("scale", [wl], pe_ladder=(64,),
+    rows64 = run_sweep(SweepSpec("scale", [wl], axis=(64,),
                                  dataflows=("os", "ws", "is")), base)
     for df in ("os", "ws", "is"):
         net = {r["mode"]: r for r in rows64
@@ -169,7 +169,7 @@ def test_criterion_6_scale_bookkeeping(tmp_path):
     # every rung conserves MACs between modes and out = max over shards
     for pe in (64, 256, 1024):
         nodes = pe // 64
-        study = run_sweep(SweepSpec("scale", [wl], pe_ladder=(pe,), dataflows=("os",)),
+        study = run_sweep(SweepSpec("scale", [wl], axis=(pe,), dataflows=("os",)),
                           base)
         for layer in layers:
             cell = next(r for r in study

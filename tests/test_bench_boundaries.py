@@ -77,7 +77,7 @@ def test_hooks_count_the_pipeline(dataflow, tmp_path):
 def test_sweep_hook_counts_flagged_cells(tmp_path):
     write_topology(tmp_path / "topo.csv", [("l0", 6, 6, 3, 3, 2, 4, 1)])
     spec = SweepSpec("memory", [str(tmp_path / "topo.csv"), str(tmp_path / "none.csv")],
-                     sram_sizes_kb=(64,), dataflows=("os", "ws"))
+                     axis=(64,), dataflows=("os", "ws"))
     rows = run_sweep(spec, make_arch(4, 4))
     tracer = TRACER.Tracer("test")
     tracer.after_run_sweep(rows, spec, make_arch(4, 4))
@@ -103,7 +103,7 @@ def test_traced_engine_counts_match_the_summaries(monkeypatch, tmp_path):
     assert tracer.counts["engine.sram_events"] == events
     assert tracer.counts["engine.calls"] == len(layers) * 3
     rows = run_sweep(SweepSpec("memory", [str(tmp_path / "topo.csv")],
-                               sram_sizes_kb=(16, 32, 64)), make_arch(4, 4))
+                               axis=(16, 32, 64)), make_arch(4, 4))
     assert len(rows) == 9 and all(r["status"] == "ok" for r in rows)
     # the memory study's SRAM traces do not depend on the buffer size
     assert tracer.counts["engine.sram_events"] == events * (1 + 3)

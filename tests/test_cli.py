@@ -597,6 +597,36 @@ def test_sweep_rejects_a_flag_its_study_overrides(workdir, capsys, study, flag, 
     assert not (workdir / "out").exists()
 
 
+AXIS_FLAGS = {"--sizes": "8", "--sram-sizes": "64", "--total-pes": "100",
+              "--pe-ladder": "64"}
+
+
+@pytest.mark.parametrize("study,flag", [
+    (study, flag) for study, (axis, _, _) in cli.SWEEP_AXIS_FLAGS.items()
+    for flag in AXIS_FLAGS if flag != axis])
+def test_sweep_rejects_another_studys_axis(workdir, capsys, study, flag):
+    # another study's axis flag was once ignored, or checked against its
+    # study's rule: dataflow --total-pes 100 failed on the budget
+    axis = cli.SWEEP_AXIS_FLAGS[study][0]
+    assert run_cli("sweep", study, "--config", workdir / "arch.cfg",
+                   "--workloads", workdir / "topo.csv", flag, AXIS_FLAGS[flag],
+                   "--out", workdir / "out") == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: sweep {study} takes {axis}, not {flag}\n"
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("value,message", [
+    ("256,1024", "aspect takes one PE budget, not 2"),
+    ("", "--total-pes takes a comma list of integers"),
+])
+def test_sweep_aspect_takes_one_budget(workdir, capsys, value, message):
+    assert run_cli("sweep", "aspect", "--config", workdir / "arch.cfg",
+                   "--workloads", workdir / "topo.csv", "--total-pes", value,
+                   "--out", workdir / "out") == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 def test_sweep_memory_takes_the_flags_it_does_not_override(workdir):
     table = workdir / "energy.txt"
     table.write_text("e_mac = 0.5\n")

@@ -136,6 +136,27 @@ def test_parse_topology_tolerates_trailing_comma():
     assert layers[0].num_filters == 4
 
 
+def test_parse_topology_takes_scale_sim_header_spelling():
+    # SCALE-Sim writes "Layer name", a space after each comma and a trailing comma
+    header = TOPO_HEADER.replace("Layer Name", "Layer name").replace(",", ", ")
+    layers = parse_topology(header.rstrip("\n") + ",\nconv1,8,8,3,3,1,4,1,\n")
+    assert layers == [LayerSpec("conv1", 8, 8, 3, 3, 1, 4, 1)]
+    assert parse_topology(TOPO_HEADER.upper() + "conv1,8,8,3,3,1,4,1\n") == layers
+
+
+@pytest.mark.parametrize("header,message", [
+    # once parsed with Channels and Num Filter swapped
+    (TOPO_HEADER.replace("Channels,Num Filter", "Num Filter,Channels"),
+     "column 6 is 'Num Filter', expected 'Channels'"),
+    ("a,b,c,d,e,f,g,h\n", "column 1 is 'a', expected 'Layer Name'"),
+    (TOPO_HEADER.replace("Strides", "Stride"), "column 8 is 'Stride', expected 'Strides'"),
+    (TOPO_HEADER.replace(",Channels", ",,Channels"), "header has 9 columns"),
+])
+def test_parse_topology_checks_header_names(header, message):
+    with pytest.raises(TopologyError, match=message):
+        parse_topology(header + "conv1,8,8,3,3,1,4,1\n")
+
+
 @st.composite
 def layer_specs(draw):
     ih = draw(st.integers(1, 300))

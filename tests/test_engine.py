@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -9,7 +10,8 @@ from helpers import (addr_filter, addr_ifmap, addr_ofmap, fold_list, in_file_ord
                      make_arch, pairs_to_trace, partial_reads, per_cycle_counts,
                      random_small_layer)
 from oracle import simulate_grid
-from systolicsim.config import Dataflow, LayerSpec, lower_gemm
+from systolicsim.bundled import bundled_workloads
+from systolicsim.config import Dataflow, LayerSpec, load_topology, lower_gemm
 from systolicsim.engine import generate_traces
 from systolicsim.errors import ConfigError
 from systolicsim.mapping import workload_counts
@@ -103,6 +105,28 @@ def test_os_square_gemm_law():
     for n in range(2, 33):
         ts, orc = assert_matches_oracle(lower_gemm(n, n, n), make_arch(n, n, "os"))
         assert ts.total_cycles == 3 * n - 2 == orc.total_cycles
+
+
+LAW_SHAPES = ((8, 8), (16, 32), (128, 128), (64, 8))
+
+
+def fold_grid_runtime(plan) -> int:
+    """The runtime the fold grid predicts: folds run back to back, a fold
+    of r rows and c columns taking r + c + stream_len - 2 cycles, and r
+    more under WS and IS to load its pinned operand."""
+    load = plan.dataflow != Dataflow.OS
+    return sum(n_r * n_c * (r + c + plan.stream_len - 2 + load * r)
+               for n_r, r in plan.row_runs for n_c, c in plan.col_runs)
+
+
+def test_fold_grid_runtime_law_on_bundled_layers():
+    # each bundled layer under each dataflow on one of LAW_SHAPES in turn:
+    # 129 of the 516 cases, every layer, dataflow and shape among them
+    layers = [layer for path in bundled_workloads().values() for layer in load_topology(path)]
+    cases = itertools.product(layers, ("os", "ws", "is"))
+    for (layer, df), shape in zip(cases, itertools.cycle(LAW_SHAPES)):
+        ts = generate_traces(layer, make_arch(*shape, df))
+        assert ts.total_cycles == fold_grid_runtime(ts.plan), (layer, df, ts.plan)
 
 
 def test_os_single_mac_is_one_cycle():

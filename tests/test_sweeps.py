@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import fold_list, make_arch, random_medium_layer, write_topology
 from systolicsim import sweeps
 from systolicsim.config import LayerSpec
-from systolicsim.errors import TopologyError
+from systolicsim.errors import ConfigError, TopologyError
 from systolicsim.mapping import workload_counts
 from systolicsim.simulate import simulate_layer
 from systolicsim.sweeps import (SWEEP_COLUMNS, SweepSpec, aspect_shapes,
@@ -35,13 +35,13 @@ def test_dataflow_study_default_axes(tiny_workload):
 
 
 def test_dataflow_study_single_cell_axes(tiny_workload):
-    rows = run_sweep(SweepSpec("dataflow", [tiny_workload], array_sizes=(8,)), BASE)
+    rows = run_sweep(SweepSpec("dataflow", [tiny_workload], axis=(8,)), BASE)
     assert len(rows) == 3
 
 
 def test_dataflow_study_ws_wins_with_many_windows(tmp_path):
     wl = str(write_topology(tmp_path / "wide.csv", [("g", 200, 1, 1, 1, 4, 1, 1)]))
-    rows = run_sweep(SweepSpec("dataflow", [wl], array_sizes=(4, 8, 16)), BASE)
+    rows = run_sweep(SweepSpec("dataflow", [wl], axis=(4, 8, 16)), BASE)
     for size in (4, 8, 16):
         by_df = {r["dataflow"]: r["total_cycles"] for r in rows if r["rows"] == size}
         assert by_df["ws"] <= by_df["is"]
@@ -56,7 +56,7 @@ def test_memory_sweep_ladder(tiny_workload):
 
 
 def test_memory_sweep_single_size(tiny_workload):
-    rows = run_sweep(SweepSpec("memory", [tiny_workload], sram_sizes_kb=(64,)), BASE)
+    rows = run_sweep(SweepSpec("memory", [tiny_workload], axis=(64,)), BASE)
     assert len(rows) == 3  # one per dataflow
     assert all(r["sram_kb"] == 64 for r in rows)
 
@@ -65,7 +65,7 @@ def test_memory_sweep_flags_underflow_cells(tmp_path):
     # >1024 rows stream distinct ifmap words in one cycle; 1KB buffer underflows
     wl = str(write_topology(tmp_path / "wide.csv", [("w", 1100, 1, 1, 1, 1100, 1, 1)]))
     arch = make_arch(2048, 1, "ws", ifmap_kb=1, filter_kb=1, ofmap_kb=64)
-    rows = run_sweep(SweepSpec("memory", [wl], sram_sizes_kb=(1,), dataflows=("ws",)),
+    rows = run_sweep(SweepSpec("memory", [wl], axis=(1,), dataflows=("ws",)),
                      arch)
     assert len(rows) == 1
     assert rows[0]["status"].startswith("error")
@@ -73,7 +73,7 @@ def test_memory_sweep_flags_underflow_cells(tmp_path):
 
 
 def test_memory_sweep_flags_buffers_smaller_than_a_word(tiny_workload):
-    rows = run_sweep(SweepSpec("memory", [tiny_workload], sram_sizes_kb=(1, 64),
+    rows = run_sweep(SweepSpec("memory", [tiny_workload], axis=(1, 64),
                                dataflows=("os",)), make_arch(8, 8, "os", word_bytes=2048))
     assert [r["sram_kb"] for r in rows] == [1, 64]
     assert rows[0]["status"] == "error: ifmap buffer of 1 KB cannot hold one 2048-byte word"
@@ -87,7 +87,7 @@ def test_memory_sweep_program_bug_propagates(tiny_workload, monkeypatch):
 
     monkeypatch.setattr("systolicsim.simulate.dram_demand", broken)
     with pytest.raises(TypeError, match="bug in the memory model"):
-        run_sweep(SweepSpec("memory", [tiny_workload], sram_sizes_kb=(64,),
+        run_sweep(SweepSpec("memory", [tiny_workload], axis=(64,),
                             dataflows=("os",)), BASE)
 
 
@@ -131,7 +131,7 @@ def test_partition_rejects_empty_shards():
 
 
 def test_scale_study_degenerate_rung_is_identity(tiny_workload):
-    rows = run_sweep(SweepSpec("scale", [tiny_workload], pe_ladder=(64,),
+    rows = run_sweep(SweepSpec("scale", [tiny_workload], axis=(64,),
                                dataflows=("os",)), BASE)
     net = {r["mode"]: r for r in rows if r["layer"] == "network"}
     assert net["up"]["total_cycles"] == net["out"]["total_cycles"]
@@ -144,7 +144,7 @@ def test_scale_study_simulates_the_64_pe_rung_once(tiny_workload):
     for ladder, calls in (((64,), 2), ((64, 256), 2 + 2)):
         with mock.patch.object(sweeps, "simulate_layer",
                                wraps=sweeps.simulate_layer) as simulate:
-            rows = run_sweep(SweepSpec("scale", [tiny_workload], pe_ladder=ladder,
+            rows = run_sweep(SweepSpec("scale", [tiny_workload], axis=ladder,
                                        dataflows=("os",)), BASE)
         assert simulate.call_count == calls
     at_64 = {(r["layer"], r["mode"]): r for r in rows if r["pe_count"] == 64}
@@ -158,7 +158,7 @@ def test_scale_study_shard_runtime(tmp_path):
     # M=8 at the 256-PE rung: 4 nodes, shards of M=2
     layer = ("m8", 10, 10, 3, 3, 4, 8, 1)
     wl = str(write_topology(tmp_path / "m8.csv", [layer]))
-    rows = run_sweep(SweepSpec("scale", [wl], pe_ladder=(256,), dataflows=("os",)), BASE)
+    rows = run_sweep(SweepSpec("scale", [wl], axis=(256,), dataflows=("os",)), BASE)
     out_row = next(r for r in rows if r["mode"] == "out" and r["layer"] == "m8")
     shard = LayerSpec("m8_s", 10, 10, 3, 3, 4, 2, 1)
     expect = simulate_layer(shard, BASE.with_overrides(array_rows=8, array_cols=8))
@@ -175,7 +175,7 @@ def test_scale_study_macs_conserved_between_modes(tmp_path):
 
 def test_scale_study_skips_undersplittable_layers(tmp_path):
     wl = str(write_topology(tmp_path / "m2.csv", [("m2", 6, 6, 3, 3, 2, 2, 1)]))
-    rows = run_sweep(SweepSpec("scale", [wl], pe_ladder=(256,), dataflows=("os",)), BASE)
+    rows = run_sweep(SweepSpec("scale", [wl], axis=(256,), dataflows=("os",)), BASE)
     assert any(r["status"].startswith("skipped") for r in rows)
     assert not any(r["layer"] == "network" for r in rows)
 
@@ -184,7 +184,7 @@ def test_scale_study_error_row_has_up_keys_and_layer_name(tmp_path):
     # the first layer's ifmap runs into the filter region at offset 10**7
     wl = str(write_topology(tmp_path / "big.csv", [("big", 3163, 3163, 1, 1, 1, 8, 1),
                                                    ("ok", 6, 6, 3, 3, 2, 4, 1)]))
-    rows = run_sweep(SweepSpec("scale", [wl], pe_ladder=(64, 256), dataflows=("os",)),
+    rows = run_sweep(SweepSpec("scale", [wl], axis=(64, 256), dataflows=("os",)),
                      BASE)
     errors = [r for r in rows if r["layer"] == "big"]
     assert [(r["pe_count"], r["mode"], r["rows"]) for r in errors] == [(64, "up", 8),
@@ -198,7 +198,7 @@ def test_scale_study_error_row_has_up_keys_and_layer_name(tmp_path):
 def test_scale_study_skipped_layer_gets_one_out_row(tmp_path):
     wl = str(write_topology(tmp_path / "mixed.csv", [("m2", 6, 6, 3, 3, 2, 2, 1),
                                                      ("m8", 6, 6, 3, 3, 2, 8, 1)]))
-    rows = run_sweep(SweepSpec("scale", [wl], pe_ladder=(256,), dataflows=("os",)), BASE)
+    rows = run_sweep(SweepSpec("scale", [wl], axis=(256,), dataflows=("os",)), BASE)
     skipped = [r for r in rows if r["layer"] == "m2"]
     assert [(r["mode"], r["rows"], r["cols"], r["status"]) for r in skipped] == [
         ("out", 8, 8, "skipped: 2 filters < 4 nodes")]
@@ -210,7 +210,7 @@ def test_scale_study_skipped_layer_gets_one_out_row(tmp_path):
 
 def test_run_sweep_dispatch_and_csv(tmp_path, tiny_workload):
     spec = SweepSpec(study="dataflow", workloads=[tiny_workload],
-                     array_sizes=(4, 8), dataflows=("os",))
+                     axis=(4, 8), dataflows=("os",))
     rows = run_sweep(spec, BASE)
     assert len(rows) == 2
     out = tmp_path / "sweep.csv"
@@ -227,6 +227,23 @@ def test_sweep_spec_validation(tiny_workload):
         SweepSpec(study="dataflow", workloads=[])
     with pytest.raises(ValueError):
         SweepSpec(study="dataflow", workloads=[tiny_workload], dataflows=())
+
+
+@pytest.mark.parametrize("study,axis", [
+    ("dataflow", (0,)), ("memory", (64, -1)), ("aspect", (256, 1024)), ("aspect", (100,)),
+    ("aspect", ()), ("scale", (64, 100)), ("scale", (0,)),
+])
+def test_sweep_spec_rejects_a_bad_axis(tiny_workload, study, axis):
+    with pytest.raises(ConfigError):
+        SweepSpec(study, [tiny_workload], axis=axis)
+
+
+def test_sweep_spec_checks_only_its_own_axis(tiny_workload):
+    # 1 KB buffers and 8x8 arrays are no PE budget, but are the axes of
+    # the memory and dataflow studies
+    assert SweepSpec("memory", [tiny_workload], axis=(1,)).axis == (1,)
+    assert SweepSpec("dataflow", [tiny_workload], axis=(8,)).axis == (8,)
+    assert SweepSpec("aspect", [tiny_workload]).axis == sweeps.STUDY_AXES["aspect"][0]
 
 
 @settings(max_examples=40, deadline=None)
