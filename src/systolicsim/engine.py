@@ -72,8 +72,8 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from . import trace
 from .config import ArchConfig, Dataflow, LayerSpec
 from .errors import ConfigError
-from .mapping import FoldPlan, WorkloadCounts, fold_plan, workload_counts
-from .trace import Trace, TraceStream, first_out_of_order
+from .mapping import FoldPlan, WorkloadCounts, fold_plan, footprint_words, workload_counts
+from .trace import Footprint, Trace, TraceStream, first_out_of_order
 
 # events per segment of a streamed trace, unless one fold holds more.  Each
 # of a segment's two int64 arrays is then 8 MB.  The Python loop runs per
@@ -160,6 +160,23 @@ def _regions(layer: LayerSpec, arch: ArchConfig,
                     f"layer {layer.name!r}: {names[a]} and {names[b]} address regions overlap "
                     f"({spans[names[a]]} vs {spans[names[b]]}); adjust the offsets")
     return list(spans.values())
+
+
+def _footprint(layer: LayerSpec, arch: ArchConfig, counts: WorkloadCounts, t: int,
+               high: int) -> np.ndarray:
+    """The byte addresses of the words input trace ``t`` reads, ascending:
+    every filter word, or every channel of the ifmap rows by columns the
+    windows cover; int32, with no int64 array as long, if ``high`` fits."""
+    word, chans = arch.word_bytes, layer.channels
+    dtype = np.int32 if high <= np.iinfo(np.int32).max else np.int64
+    if t == 1:
+        return np.arange(arch.filter_offset, high, word, dtype=dtype)
+    rows, cols = (np.unique(np.add.outer(np.arange(n) * layer.stride, np.arange(k)))
+                  .astype(dtype) * pitch for n, k, pitch in (
+                      (counts.ofmap_h, layer.filter_h, layer.ifmap_w * chans * word),
+                      (counts.ofmap_w, layer.filter_w, chans * word)))
+    return np.add.outer(np.add.outer(rows + arch.ifmap_offset, cols),
+                        np.arange(0, chans * word, word, dtype=dtype)).ravel()
 
 
 # which part of a vector a fold takes: all of it, or the slice of its rows
@@ -382,14 +399,14 @@ def _check_cycle_order(cycles: np.ndarray, addresses: np.ndarray | None = None) 
 
 
 def _read(parts: _AddressParts, blocks, groups: list[list[_Batch]], sizes, t: int,
-          length: int, first: int = 0) -> Iterator[Trace]:
-    """Write trace ``t`` of ``length`` events one segment at a time into two
-    arrays reused for every segment, and yield each from event ``first`` on
-    as a ``Trace`` of views of them."""
+          length: int, first: int = 0, ends: tuple | None = None) -> Iterator[Trace]:
+    """Write trace ``t`` of ``length`` events (over cycles ``ends``) one
+    segment at a time into two arrays reused for every segment, and yield
+    each from event ``first`` on as a ``Trace`` of views of them."""
     largest = max(sizes(b.rows, b.cols)[t] for group in groups for b in group)
     buffers = [np.empty(min(length, max(SEGMENT_EVENTS, largest)), np.int64)
                for _ in range(2)]
-    done, last = 0, None
+    done, start, last = 0, None, None
     for offset, events, pieces in _segments(groups, t, sizes):
         assert offset == done, (f"a segment starts at event {offset}, not where the "
                                 f"one before it ends, {done}")
@@ -412,10 +429,11 @@ def _read(parts: _AddressParts, blocks, groups: list[list[_Batch]], sizes, t: in
         _check_cycle_order(cycles, addrs if t == 2 else None)
         assert last is None or last < cycles[0], (
             f"folds overlap in time: cycle {cycles[0]} follows cycle {last}")
-        last = cycles[-1]
+        start, last = start if offset else int(cycles[0]), int(cycles[-1])
         skip = max(first - offset, 0)
         yield Trace(cycles[skip:], addrs[skip:])
     assert done == length, f"segments hold {done} events, the trace {length}"
+    assert ends in (None, (start, last)), f"trace spans {(start, last)}, not {ends}"
 
 
 def _build(layer: LayerSpec, arch: ArchConfig, blocks, span) -> TraceSet:
@@ -447,9 +465,19 @@ def _build(layer: LayerSpec, arch: ArchConfig, blocks, span) -> TraceSet:
                               b.first[5] + m * b.step[5] >= final_from), (
             f"the last reduction chunk's folds are not the ofmap writes from {final_from} on")
 
+    def ends(t: int) -> tuple[int, int]:    # first fold's first event, last fold's last
+        head, tail = groups[0][0], groups[-1][-1]
+        blk = blocks(parts, tail.rows)[t]
+        la, lb = (_length(side, tail.rows, tail.cols) for side in (blk.a, blk.b))
+        return (head.first[2] + blocks(parts, head.rows)[t].delay, tail.first[2]
+                + (tail.n - 1) * tail.step[2] + blk.delay + la - 1 + (lb - 1) * blk.diagonal)
+
     def stream(t: int, first: int = 0) -> TraceStream:
-        return TraceStream(lengths[t] - first, regions[t],
-                           lambda: _read(parts, blocks, groups, sizes, t, lengths[t], first))
+        cycles = None if first else ends(t)
+        foot = None if t == 2 else Footprint(footprint_words(layer, counts)[t], *cycles, (
+            lambda: _footprint(layer, arch, counts, t, regions[t][1])))
+        return TraceStream(lengths[t] - first, regions[t], lambda: _read(
+            parts, blocks, groups, sizes, t, lengths[t], first, cycles), foot)
 
     return TraceSet(counts, plan, stream(0), stream(1), stream(2),
                     stream(2, final_from).collect())

@@ -41,6 +41,16 @@ def workload_counts(layer: LayerSpec) -> WorkloadCounts:
     return WorkloadCounts(ofmap_h, ofmap_w, n_w, w_sz, m, n_w * m * w_sz)
 
 
+def footprint_words(layer: LayerSpec, counts: WorkloadCounts) -> tuple[int, int]:
+    """(ifmap, filter) distinct words the layer reads under every dataflow:
+    every filter word, and every channel of the ifmap rows by columns the
+    windows cover.  n windows of k rows at stride s cover n*k rows if
+    s >= k (disjoint runs), else (n - 1)*s + k: the smaller of the two."""
+    h, w = (min(n * k, (n - 1) * layer.stride + k) for n, k in (
+        (counts.ofmap_h, layer.filter_h), (counts.ofmap_w, layer.filter_w)))
+    return h * w * layer.channels, counts.n_filters * counts.window_size
+
+
 def _runs(work: int, size: int) -> list[tuple[int, int]]:
     """(count, chunk size) runs that split ``work`` into chunks of at most
     ``size``: the full chunks, then the remainder, each only if present."""

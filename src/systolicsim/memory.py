@@ -14,6 +14,10 @@ keeps is the stamps, one per word of the trace's address region, and the
 epochs.  Nothing here depends on the order of a cycle's events, the DRAM
 traces included.
 
+A buffer that holds the F words a trace reads holds one epoch over the
+whole trace.  The engine's input streams carry it in closed form, in address
+order; trace files need the scan and its first-use order, and it checks it.
+
 Epoch k+1's data is prefetched uniformly across epoch k's use span, which is
 the minimum bandwidth that keeps the array stall-free.  The first epoch is
 fetched in a prologue of the same length as its own use span, stamped with
@@ -46,9 +50,9 @@ from .trace import Trace, TraceStream, chunks, cycle_end, sort_pairs
 
 @dataclass
 class Epoch:
-    # distinct byte addresses, (first-use cycle, address) order; int32 when
-    # the scanned address region fits in one, since the DRAM read bursts
-    # hold these arrays for the whole layer
+    # distinct byte addresses, (first-use cycle, address) order (address
+    # order in closed form); int32 when the address region fits in one,
+    # since the DRAM read bursts hold these arrays for the whole layer
     addresses: np.ndarray
     first_use_cycle: int
     last_use_cycle: int
@@ -64,7 +68,7 @@ class Epoch:
 
 
 def epochize(trace: Trace | TraceStream, capacity_bytes: int,
-             word_bytes: int = 1) -> list[Epoch]:
+             word_bytes: int = 1, closed_form: bool = False) -> list[Epoch]:
     """Split a cycle-ordered SRAM read trace into working-set epochs.
 
     An epoch runs over whole cycles and holds every word it touches.  It
@@ -75,7 +79,9 @@ def epochize(trace: Trace | TraceStream, capacity_bytes: int,
     depend only on which words each cycle touches, not on the order of a
     cycle's events.  An epoch lists the first byte of each of its words,
     counted from the low end of the trace's address region, in (first-use
-    cycle, address) order, which does not depend on it either.
+    cycle, address) order, which does not depend on it either.  With
+    ``closed_form``, a stream whose ``footprint`` the buffer holds is not
+    read: that is its one epoch, which a scan checks.
 
     One scan walks the trace's segments, and each in windows of whole
     cycles.  ``stamp[word]``, one per word of the address region, is the
@@ -99,6 +105,9 @@ def epochize(trace: Trace | TraceStream, capacity_bytes: int,
     if not len(trace):
         return []
     cap_words = capacity_bytes // word_bytes
+    foot = trace.footprint
+    if closed_form and foot is not None and foot.words <= cap_words:
+        return [Epoch(foot.addresses(), foot.first_cycle, foot.last_cycle, word_bytes)]
     lo, hi = trace.region
     n_words = (hi - 1 - lo) // word_bytes + 1
     stamp = np.full(n_words, -1, dtype=np.int32)
@@ -159,6 +168,9 @@ def epochize(trace: Trace | TraceStream, capacity_bytes: int,
         done += n
         last = int(cycles[-1])
     epochs.append(_epoch(parts, lo, hi, word_bytes, start_cycle, last))  # the trace ends it
+    got = (len(epochs[0].addresses), epochs[0].first_use_cycle, epochs[-1].last_use_cycle)
+    assert foot is None or ((len(epochs) == 1) == (foot.words <= cap_words) and (
+        len(epochs) > 1 or got == foot[:3])), f"{len(epochs)} epochs {got}, not {foot[:3]}"
     return epochs
 
 
@@ -281,7 +293,7 @@ def bandwidth_report(ifmap_frag: Bursts, filter_frag: Bursts,
     return DramDemand(ifmap_frag, filter_frag, write_frag)
 
 
-def dram_demand(traces, arch: ArchConfig) -> DramDemand:
+def dram_demand(traces, arch: ArchConfig, closed_form: bool = False) -> DramDemand:
     """Full memory-system pass over one layer's TraceSet."""
     word = arch.word_bytes
     for part in ("ifmap", "filter", "ofmap"):
@@ -289,9 +301,9 @@ def dram_demand(traces, arch: ArchConfig) -> DramDemand:
         if kb * 1024 < word:
             raise ConfigError(f"{part} buffer of {kb} KB cannot hold one {word}-byte word")
     ifmap_frag = gen_dram_read_trace(
-        epochize(traces.ifmap_reads, arch.ifmap_capacity_bytes, word))
+        epochize(traces.ifmap_reads, arch.ifmap_capacity_bytes, word, closed_form))
     filter_frag = gen_dram_read_trace(
-        epochize(traces.filter_reads, arch.filter_capacity_bytes, word))
+        epochize(traces.filter_reads, arch.filter_capacity_bytes, word, closed_form))
     write_frag = gen_dram_write_trace(
         traces.final_writes, arch.ofmap_capacity_bytes, traces.total_cycles, word)
     return bandwidth_report(ifmap_frag, filter_frag, write_frag)

@@ -1,11 +1,12 @@
 """One-call pipeline: layer -> traces -> DRAM demand -> report.
 
 The engine's SRAM traces are streams, each written one segment at a time
-as it is read, and each is read once: ``epochize`` scans the ifmap and
-filter traces and ``metrics.layer_report`` the ofmap trace, and ``run``
-writes each trace file from those same segments.  (The ofmap segments that
-hold the final writes are also written once more, for the drain, by
-``generate_traces``.)  So no SRAM trace is held whole.  The report comes
+as it is read, and each read at most once: ``epochize`` scans the ifmap and
+filter traces (unless it has their epoch in closed form) and
+``metrics.layer_report`` the ofmap trace, and ``run`` writes each trace
+file from those same segments.  (The ofmap segments of the final writes
+are also written once more, for the drain, by ``generate_traces``.)  So
+no SRAM trace is held whole.  The report comes
 from ``layer_report``, the only per-layer reducer, which ``report`` also
 calls on trace files read back from disk.  Neither it nor the memory model
 depends on the order of a trace's events within a cycle, so the engine's
@@ -20,7 +21,7 @@ from pathlib import Path
 from . import engine, trace
 from .config import ArchConfig, LayerSpec
 from .engine import TraceSet, generate_traces
-from .mapping import fold_plan, workload_counts
+from .mapping import fold_plan, footprint_words, workload_counts
 from .memory import DramDemand, dram_demand
 from .metrics import (EnergyCostTable, LayerReport, NetworkReport,
                       layer_report, summarize_network)
@@ -44,14 +45,15 @@ def simulate_layer(layer: LayerSpec, arch: ArchConfig,
                    sram_paths: tuple[str | Path, str | Path, str | Path] | None = None
                    ) -> LayerResult:
     """Simulate one layer.  With ``sram_paths``, the ifmap, filter and ofmap
-    traces are also written to those CSV files, each as it is read."""
+    traces are also written to those CSV files, each as it is read, and the
+    bursts are ``run``'s; without, a fitting input trace's epoch is in closed form."""
     traces = generate_traces(layer, arch)
     read = traces
     if sram_paths is not None:
         kinds = ("ifmap_reads", "filter_reads", "ofmap_writes")
         read = replace(traces, **{kind: getattr(traces, kind).tee_csv(path)
                                   for kind, path in zip(kinds, sram_paths)})
-    dram = dram_demand(read, arch)
+    dram = dram_demand(read, arch, closed_form=sram_paths is None)
     report = layer_report(layer, arch, table, len(traces.ifmap_reads),
                           len(traces.filter_reads), read.ofmap_writes,
                           dram.read_trace.cycle_segments(), dram.write_trace.cycle_segments())
@@ -69,9 +71,9 @@ def layer_peak_bytes(layer: LayerSpec, arch: ArchConfig) -> int:
       length cycles a fold;
     - epochize's two int32 per word of the address region it scans;
     - 24 bytes per DRAM read: the epochs' addresses, int64 at most, and
-      the sorted trace of them that ``run`` writes.  An input buffer that holds its
-      whole address region fetches each word once; one that does not
-      fetches no more words than its SRAM trace reads;
+      the sorted trace of them that ``run`` writes.  An input buffer that
+      holds the F words its trace reads (``mapping.footprint_words``, F
+      int32 in closed form) fetches each once; others at most one per read;
     - the temporaries of a pass over ``trace.CHUNK_EVENTS`` events, the
       CSV writer's the largest.
     """
@@ -81,10 +83,9 @@ def layer_peak_bytes(layer: LayerSpec, arch: ArchConfig) -> int:
     outputs = counts.n_windows * counts.n_filters
     regions = (layer.ifmap_h * layer.ifmap_w * layer.channels,
                counts.n_filters * counts.window_size)
-    dram_reads = sum(words if words * word <= capacity else reads
-                     for words, capacity, reads in zip(
-                         regions, (arch.ifmap_capacity_bytes, arch.filter_capacity_bytes),
-                         plan.sram_event_counts))
+    dram_reads = sum(words if words * word <= cap else reads for words, cap, reads in zip(
+        footprint_words(layer, counts), (arch.ifmap_capacity_bytes, arch.filter_capacity_bytes),
+        plan.sram_event_counts))
     segment = min(max(engine.SEGMENT_EVENTS, plan.largest_fold_events),
                   max(plan.sram_event_counts))
     cycles = plan.num_folds * (2 * plan.rows + plan.cols + plan.stream_len)

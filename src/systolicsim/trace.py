@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import warnings
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -88,8 +88,17 @@ def cycle_end(cycles: np.ndarray, start: int, events: int) -> int:
     return stop
 
 
+class Footprint(NamedTuple):
+    """A read stream's distinct words in closed form: count, cycles, addresses."""
+    words: int
+    first_cycle: int
+    last_cycle: int
+    addresses: Callable[[], np.ndarray]
+
+
 class Trace:
     __slots__ = ("cycles", "addresses")
+    footprint: Footprint | None = None      # a stream's closed form, if it has one
 
     def __init__(self, cycles: np.ndarray, addresses: np.ndarray):
         cycles = np.asarray(cycles, dtype=np.int64)
@@ -180,8 +189,8 @@ class TraceStream:
     call reads the trace anew."""
 
     def __init__(self, length: int, region: tuple[int, int],
-                 read: Callable[[], Iterator[Trace]]):
-        self.length, self.region, self._read = length, region, read
+                 read: Callable[[], Iterator[Trace]], footprint: Footprint | None = None):
+        self.length, self.region, self._read, self.footprint = length, region, read, footprint
 
     def __len__(self) -> int:
         return self.length
@@ -209,7 +218,7 @@ class TraceStream:
                 for seg in self.segments():
                     _write_rows(fh, seg)
                     yield seg
-        return TraceStream(self.length, self.region, read)
+        return TraceStream(self.length, self.region, read, self.footprint)
 
 
 def _write_rows(fh, trace: Trace) -> None:

@@ -119,6 +119,20 @@ def test_run_dram_traces_are_the_api_s(workdir, dataflow):
         bursts.trace().write_csv(workdir / "api.csv")
         run_file = workdir / "out" / "r1" / f"layer0_{kind}.csv"
         assert run_file.read_bytes() == (workdir / "api.csv").read_bytes(), kind
+    # 64 KB buffers hold both input footprints, each then one epoch.  Only
+    # the scan lists its words in first-use order, the order of the DRAM
+    # read file, so the API gives the run's bursts with the SRAM trace paths
+    write_config(workdir / "big.cfg", rows=4, cols=4, dataflow=dataflow, word_bytes=16)
+    run_cli("run", "--config", workdir / "big.cfg", "--out", workdir / "out",
+            "--run-id", "r2", "--jobs", "1")
+    sram = [workdir / f"api_{kind}.csv" for kind in TRACE_KINDS[:3]]
+    dram = simulate_layer(layer, load_config(workdir / "big.cfg"), sram_paths=sram).dram
+    assert len(dram.ifmap.bursts) == len(dram.filter.bursts) == 1
+    dram.read_trace.trace().write_csv(workdir / "api_dram_read.csv")
+    dram.write_trace.trace().write_csv(workdir / "api_dram_write.csv")
+    for kind in TRACE_KINDS:
+        run_file = workdir / "out" / "r2" / f"layer0_{kind}.csv"
+        assert run_file.read_bytes() == (workdir / f"api_{kind}.csv").read_bytes(), kind
 
 
 @pytest.mark.parametrize("word_bytes", [1, 2])

@@ -2,13 +2,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fold_list, make_arch, random_medium_layer
+from helpers import distinct_addresses, fold_list, make_arch, random_medium_layer
 from systolicsim.config import LayerSpec, lower_gemm
-from systolicsim.mapping import WorkloadCounts, fold_plan, workload_counts
+from systolicsim.engine import generate_traces
+from systolicsim.mapping import WorkloadCounts, fold_plan, footprint_words, workload_counts
 
 
 def test_counts_small_conv():
@@ -154,3 +156,34 @@ def test_closed_forms_match_fold_sums(counts, rows, cols, dataflow):
     assert plan.pe_totals == (
         sum(f.rows_used * f.cols_used for f in folds), len(folds) * rows * cols)
     assert plan.sram_event_counts == _fold_sums(folds, dataflow)
+
+
+@st.composite
+def footprint_layers(draw):
+    """Lowered GEMMs, and convolutions whose stride may skip input rows or
+    columns that no window reads."""
+    if draw(st.booleans()):
+        return lower_gemm(*(draw(st.integers(1, 12)) for _ in range(3)))
+    fh, fw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return LayerSpec("f", draw(st.integers(fh, 14)), draw(st.integers(fw, 14)), fh, fw,
+                     draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(footprint_layers(), st.integers(1, 5), st.integers(1, 5),
+       st.sampled_from(["os", "ws", "is"]), st.sampled_from([1, 2, 4]),
+       st.integers(0, 999), st.integers(0, 99))
+def test_footprint_words_are_the_distinct_words_read(layer, rows, cols, dataflow, word,
+                                                      base, gap):
+    counts = workload_counts(layer)
+    filter_offset = base + layer.ifmap_h * layer.ifmap_w * layer.channels * word + gap
+    arch = make_arch(rows, cols, dataflow, word_bytes=word).with_overrides(
+        ifmap_offset=base, filter_offset=filter_offset,
+        ofmap_offset=filter_offset + counts.n_filters * counts.window_size * word + gap)
+    ts = generate_traces(layer, arch)
+    for stream, words in zip((ts.ifmap_reads, ts.filter_reads),
+                             footprint_words(layer, counts)):
+        distinct = distinct_addresses(stream)
+        assert len(distinct) == stream.footprint.words == words
+        # the closed-form epoch's addresses, in address order
+        assert np.array_equal(stream.footprint.addresses(), distinct)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (distinct_addresses, in_file_order, make_arch, n_drains, prologue,
                      random_small_layer, sorted_trace, steady_peak_bw, time_limit)
+from systolicsim import engine
 from systolicsim import trace as trace_module
 from systolicsim.config import LayerSpec
 from systolicsim.engine import TraceSet, generate_traces
@@ -15,6 +16,7 @@ from systolicsim.metrics import layer_report
 from systolicsim.errors import ConfigError, WorkingSetUnderflow
 from systolicsim.memory import (Bursts, bandwidth_report, dram_demand, epochize,
                                 gen_dram_read_trace, gen_dram_write_trace)
+from systolicsim.simulate import simulate_layer
 from systolicsim.trace import Trace
 
 
@@ -288,3 +290,24 @@ def test_figures_ignore_order_within_a_cycle(ih, iw, fh, fw, chans, filters, str
                          reorder(ts.filter_reads.collect()), ts.ofmap_writes,
                          ts.final_writes)
         assert model_figures(layer, arch, given) == want
+
+
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_a_fitting_input_trace_is_written_only_into_files(monkeypatch, tmp_path, dataflow):
+    # 64 KB buffers hold the 128-word ifmap and 72-word filter footprints:
+    # without trace files the engine writes neither input trace, only the
+    # ofmap trace (the final writes, then the report's pass)
+    written, read = [], engine._read
+
+    def spy(*args):
+        written.append(args[4])
+        yield from read(*args)
+
+    monkeypatch.setattr(engine, "_read", spy)
+    layer, arch = LayerSpec("t", 8, 8, 3, 3, 2, 4, 1), make_arch(4, 4, dataflow)
+    without = simulate_layer(layer, arch).report
+    assert written == [2, 2]
+    written.clear()
+    paths = [tmp_path / f"{kind}.csv" for kind in ("ifmap", "filter", "ofmap")]
+    assert simulate_layer(layer, arch, sram_paths=paths).report == without
+    assert sorted(written) == [0, 1, 2, 2]

@@ -10,6 +10,7 @@ the trace files; with several epochs it lists each cycle's new words by
 ascending address whatever the order.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from helpers import (distinct_addresses, epilogue, in_file_order, make_arch, n_drains,
                      partial_reads, sorted_trace)
 from memory_reference import epochize_reference, final_writes_reference
-from systolicsim.bundled import default_config_path, workload_path
+from systolicsim.bundled import bundled_workloads, default_config_path, workload_path
 from systolicsim.config import LayerSpec, load_config, load_topology
 from systolicsim.engine import generate_traces
 from systolicsim.errors import WorkingSetUnderflow
@@ -29,6 +30,9 @@ from systolicsim.simulate import simulate_layer
 from systolicsim.trace import Trace
 
 LADDER_KB = (32, 64, 128, 256, 512, 1024, 2048)
+# array shapes taken in turn by the bundled layers: arrays this wide keep
+# the layers' input traces near their fewest events, about 40 M a dataflow
+CLOSED_FORM_SHAPES = ((512, 512), (256, 1024), (128, 2048))
 
 
 @st.composite
@@ -127,6 +131,30 @@ def test_bundled_layers_ladder_matches_reference(dataflow):
             for trace in (ts.ifmap_reads, ts.filter_reads):
                 assert_same_epochs(trace, kb * 1024, base.word_bytes)
             assert_same_write_fragment(ts, kb * 1024, base.word_bytes)
+
+
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_closed_form_epoch_is_the_scans_on_bundled_layers(dataflow):
+    # each bundled layer on one of CLOSED_FORM_SHAPES in turn, from a shape
+    # of its own per dataflow, with input buffers of exactly the
+    # footprint's words: the closed form is the scan's one epoch, its words
+    # in address order.  About 1.5 s a dataflow
+    base = load_config(default_config_path())
+    layers = [layer for path in bundled_workloads().values() for layer in load_topology(path)]
+    first = ("os", "ws", "is").index(dataflow)
+    shapes = itertools.islice(itertools.cycle(CLOSED_FORM_SHAPES), first, None)
+    for layer, (rows, cols) in zip(layers, shapes):
+        arch = base.with_overrides(array_rows=rows, array_cols=cols, dataflow=dataflow)
+        ts = generate_traces(layer, arch)
+        for stream in (ts.ifmap_reads, ts.filter_reads):
+            capacity = stream.footprint.words * arch.word_bytes
+            [closed] = epochize(stream, capacity, arch.word_bytes, closed_form=True)
+            [scanned] = epochize(stream, capacity, arch.word_bytes)
+            assert ((closed.first_use_cycle, closed.last_use_cycle, closed.word_bytes)
+                    == (scanned.first_use_cycle, scanned.last_use_cycle,
+                        scanned.word_bytes)), layer
+            assert closed.addresses.dtype == scanned.addresses.dtype
+            assert np.array_equal(closed.addresses, np.sort(scanned.addresses)), layer
 
 
 @settings(max_examples=100, deadline=None)
