@@ -175,15 +175,9 @@ def _trace_paths(run_dir: str | Path, stem: str) -> list[Path]:
 def _run_one_layer(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable,
                    run_dir: str, stem: str, write_traces: bool) -> LayerReport:
     """Simulate one layer and, with ``write_traces``, write its five trace
-    files in ``TRACE_KINDS`` order: each SRAM trace as the simulation reads
-    it, then each DRAM trace, built from its bursts, sorted and written,
-    one at a time."""
-    paths = _trace_paths(run_dir, stem)
-    res = simulate_layer(layer, arch, table, paths[:3] if write_traces else None)
-    if write_traces:
-        res.dram.read_trace.trace().write_csv(paths[3])
-        res.dram.write_trace.trace().write_csv(paths[4])
-    return res.report
+    files (``simulate_layer``)."""
+    return simulate_layer(layer, arch, table,
+                          _trace_paths(run_dir, stem) if write_traces else None).report
 
 
 def _arch_and_table(args, **overrides) -> tuple[ArchConfig, EnergyCostTable]:

@@ -36,20 +36,17 @@ class Dataflow(Enum):
         return cls(v)
 
 
-# Required keys of the architecture file, in canonical spelling / emit order.
-CONFIG_KEYS = (
-    "ArrayHeight",
-    "ArrayWidth",
-    "IfmapSRAMSz",
-    "FilterSRAMSz",
-    "OfmapSRAMSz",
-    "IfmapOffset",
-    "FilterOffset",
-    "OfmapOffset",
-    "DataFlow",
-    "Topology",
-)
+# key of the architecture file -> ArchConfig field, in canonical spelling and
+# emit order; every key but the optional ones is required
+CONFIG_FIELDS = {
+    "ArrayHeight": "array_rows", "ArrayWidth": "array_cols",
+    "IfmapSRAMSz": "ifmap_sram_kb", "FilterSRAMSz": "filter_sram_kb",
+    "OfmapSRAMSz": "ofmap_sram_kb", "IfmapOffset": "ifmap_offset",
+    "FilterOffset": "filter_offset", "OfmapOffset": "ofmap_offset",
+    "DataFlow": "dataflow", "Topology": "topology_path", "WordBytes": "word_bytes",
+}
 OPTIONAL_CONFIG_KEYS = ("WordBytes",)
+CONFIG_KEYS = tuple(k for k in CONFIG_FIELDS if k not in OPTIONAL_CONFIG_KEYS)
 
 
 @dataclass(frozen=True)
@@ -80,6 +77,11 @@ class ArchConfig:
         for field in ("ifmap_offset", "filter_offset", "ofmap_offset"):
             if getattr(self, field) < 0:
                 raise ConfigError(f"{field} must be non-negative, got {getattr(self, field)}")
+        for part in ("ifmap", "filter", "ofmap"):
+            kb = getattr(self, f"{part}_sram_kb")
+            if kb * 1024 < self.word_bytes:
+                raise ConfigError(
+                    f"{part} buffer of {kb} KB cannot hold one {self.word_bytes}-byte word")
 
     @property
     def ifmap_capacity_bytes(self) -> int:
@@ -134,7 +136,13 @@ def lower_gemm(m: int, k: int, n: int, name: str = "gemm") -> LayerSpec:
                      channels=k, num_filters=n, stride=1)
 
 
-def _coerce_int(key: str, raw: str) -> int:
+def _config_value(key: str, raw: str):
+    """The ArchConfig value of a config key's text: every key but DataFlow
+    and Topology is a decimal integer."""
+    if key == "DataFlow":
+        return Dataflow.parse(raw)
+    if key == "Topology":
+        return raw.strip()
     try:
         return int(raw.strip())
     except ValueError:
@@ -152,7 +160,7 @@ def parse_config(text: str) -> ArchConfig:
         raise ConfigError(f"malformed config file: {exc}") from exc
 
     found: dict[str, str] = {}
-    canonical = {k.lower(): k for k in CONFIG_KEYS + OPTIONAL_CONFIG_KEYS}
+    canonical = {k.lower(): k for k in CONFIG_FIELDS}
     for section in parser.sections():
         for key, value in parser.items(section):
             canon = canonical.get(key.lower())
@@ -165,19 +173,8 @@ def parse_config(text: str) -> ArchConfig:
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
 
-    return ArchConfig(
-        array_rows=_coerce_int("ArrayHeight", found["ArrayHeight"]),
-        array_cols=_coerce_int("ArrayWidth", found["ArrayWidth"]),
-        ifmap_sram_kb=_coerce_int("IfmapSRAMSz", found["IfmapSRAMSz"]),
-        filter_sram_kb=_coerce_int("FilterSRAMSz", found["FilterSRAMSz"]),
-        ofmap_sram_kb=_coerce_int("OfmapSRAMSz", found["OfmapSRAMSz"]),
-        ifmap_offset=_coerce_int("IfmapOffset", found["IfmapOffset"]),
-        filter_offset=_coerce_int("FilterOffset", found["FilterOffset"]),
-        ofmap_offset=_coerce_int("OfmapOffset", found["OfmapOffset"]),
-        dataflow=Dataflow.parse(found["DataFlow"]),
-        word_bytes=_coerce_int("WordBytes", found.get("WordBytes", "1")),
-        topology_path=found["Topology"].strip(),
-    )
+    return ArchConfig(**{field: _config_value(key, found[key])
+                         for key, field in CONFIG_FIELDS.items() if key in found})
 
 
 def load_config(path: str | Path) -> ArchConfig:

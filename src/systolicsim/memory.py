@@ -15,8 +15,10 @@ epochs.  Nothing here depends on the order of a cycle's events, the DRAM
 traces included.
 
 A buffer that holds the F words a trace reads holds one epoch over the
-whole trace.  The engine's input streams carry it in closed form, in address
-order; trace files need the scan and its first-use order, and it checks it.
+whole trace.  The engine's input streams carry it in closed form, its words
+in address order; a stream that writes its trace file as it is read is
+scanned, and the scan checks it.  Only the DRAM read file depends on the
+order of an epoch's words.
 
 Epoch k+1's data is prefetched uniformly across epoch k's use span, which is
 the minimum bandwidth that keeps the array stall-free.  The first epoch is
@@ -44,15 +46,15 @@ import numpy as np
 
 from . import trace as trace_module
 from .config import ArchConfig
-from .errors import ConfigError, WorkingSetUnderflow
+from .errors import WorkingSetUnderflow
 from .trace import Trace, TraceStream, chunks, cycle_end, sort_pairs
 
 
 @dataclass
 class Epoch:
     # distinct byte addresses, (first-use cycle, address) order (address
-    # order in closed form); int32 when the address region fits in one,
-    # since the DRAM read bursts hold these arrays for the whole layer
+    # order in closed form; only the DRAM read file sees it); int32 when the
+    # region fits in one, since the DRAM read bursts hold them all layer
     addresses: np.ndarray
     first_use_cycle: int
     last_use_cycle: int
@@ -68,7 +70,7 @@ class Epoch:
 
 
 def epochize(trace: Trace | TraceStream, capacity_bytes: int,
-             word_bytes: int = 1, closed_form: bool = False) -> list[Epoch]:
+             word_bytes: int = 1) -> list[Epoch]:
     """Split a cycle-ordered SRAM read trace into working-set epochs.
 
     An epoch runs over whole cycles and holds every word it touches.  It
@@ -79,9 +81,9 @@ def epochize(trace: Trace | TraceStream, capacity_bytes: int,
     depend only on which words each cycle touches, not on the order of a
     cycle's events.  An epoch lists the first byte of each of its words,
     counted from the low end of the trace's address region, in (first-use
-    cycle, address) order, which does not depend on it either.  With
-    ``closed_form``, a stream whose ``footprint`` the buffer holds is not
-    read: that is its one epoch, which a scan checks.
+    cycle, address) order, which does not depend on it either.  A stream
+    whose ``footprint`` the buffer holds and that offers its addresses is
+    not read: that is its one epoch, in address order, which a scan checks.
 
     One scan walks the trace's segments, and each in windows of whole
     cycles.  ``stamp[word]``, one per word of the address region, is the
@@ -106,7 +108,7 @@ def epochize(trace: Trace | TraceStream, capacity_bytes: int,
         return []
     cap_words = capacity_bytes // word_bytes
     foot = trace.footprint
-    if closed_form and foot is not None and foot.words <= cap_words:
+    if foot is not None and foot.addresses is not None and foot.words <= cap_words:
         return [Epoch(foot.addresses(), foot.first_cycle, foot.last_cycle, word_bytes)]
     lo, hi = trace.region
     n_words = (hi - 1 - lo) // word_bytes + 1
@@ -293,17 +295,13 @@ def bandwidth_report(ifmap_frag: Bursts, filter_frag: Bursts,
     return DramDemand(ifmap_frag, filter_frag, write_frag)
 
 
-def dram_demand(traces, arch: ArchConfig, closed_form: bool = False) -> DramDemand:
+def dram_demand(traces, arch: ArchConfig) -> DramDemand:
     """Full memory-system pass over one layer's TraceSet."""
     word = arch.word_bytes
-    for part in ("ifmap", "filter", "ofmap"):
-        kb = getattr(arch, f"{part}_sram_kb")
-        if kb * 1024 < word:
-            raise ConfigError(f"{part} buffer of {kb} KB cannot hold one {word}-byte word")
     ifmap_frag = gen_dram_read_trace(
-        epochize(traces.ifmap_reads, arch.ifmap_capacity_bytes, word, closed_form))
+        epochize(traces.ifmap_reads, arch.ifmap_capacity_bytes, word))
     filter_frag = gen_dram_read_trace(
-        epochize(traces.filter_reads, arch.filter_capacity_bytes, word, closed_form))
+        epochize(traces.filter_reads, arch.filter_capacity_bytes, word))
     write_frag = gen_dram_write_trace(
         traces.final_writes, arch.ofmap_capacity_bytes, traces.total_cycles, word)
     return bandwidth_report(ifmap_frag, filter_frag, write_frag)

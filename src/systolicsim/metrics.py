@@ -49,16 +49,16 @@ class EnergyCostTable:
     e_dram_access: float = 200.0
 
     def __post_init__(self):
-        for f in ("e_mac", "e_sram_read", "e_sram_write", "e_dram_access"):
-            cost = getattr(self, f)
+        for f in fields(self):
+            cost = getattr(self, f.name)
             if not math.isfinite(cost) or cost < 0:
-                raise ConfigError(f"energy cost {f} must be finite and non-negative, "
+                raise ConfigError(f"energy cost {f.name} must be finite and non-negative, "
                                   f"not {cost}")
 
 
 def load_energy_table(path: str | Path) -> EnergyCostTable:
-    """key = value lines; keys e_mac, e_sram_read, e_sram_write, e_dram_access."""
-    values = {}
+    """key = value lines; each key, if given, sets that EnergyCostTable field."""
+    keys, values = {f.name for f in fields(EnergyCostTable)}, {}
     for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -66,7 +66,7 @@ def load_energy_table(path: str | Path) -> EnergyCostTable:
         if "=" not in line:
             raise ConfigError(f"bad energy table line: {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in ("e_mac", "e_sram_read", "e_sram_write", "e_dram_access"):
+        if key not in keys:
             raise ConfigError(f"unknown energy table key {key!r}")
         try:
             values[key] = float(val)

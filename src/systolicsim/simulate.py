@@ -1,26 +1,28 @@
-"""One-call pipeline: layer -> traces -> DRAM demand -> report.
+"""One-call pipeline: layer -> traces -> DRAM demand -> report -> trace files.
 
 The engine's SRAM traces are streams, each written one segment at a time
 as it is read, and each read at most once: ``epochize`` scans the ifmap and
 filter traces (unless it has their epoch in closed form) and
-``metrics.layer_report`` the ofmap trace, and ``run`` writes each trace
-file from those same segments.  (The ofmap segments of the final writes
-are also written once more, for the drain, by ``generate_traces``.)  So
-no SRAM trace is held whole.  The report comes
-from ``layer_report``, the only per-layer reducer, which ``report`` also
-calls on trace files read back from disk.  Neither it nor the memory model
-depends on the order of a trace's events within a cycle, so the engine's
-cycle-ordered traces feed both as they are.
+``metrics.layer_report`` the ofmap trace.  (The ofmap segments of the final
+writes are also written once more, for the drain, by ``generate_traces``.)
+So no SRAM trace is held whole.  ``simulate_layer`` alone writes trace
+files: each SRAM file from the segments it reads, which makes ``epochize``
+scan both input traces, and each DRAM file from its bursts.  The report
+comes from ``layer_report``, the only per-layer reducer, which ``report``
+also calls on trace files read back from disk.  Neither it nor the memory
+model depends on the order of a trace's events within a cycle, so the
+engine's cycle-ordered traces feed both as they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Sequence
 
 from . import engine, trace
 from .config import ArchConfig, LayerSpec
-from .engine import TraceSet, generate_traces
+from .engine import generate_traces
 from .mapping import fold_plan, footprint_words, workload_counts
 from .memory import DramDemand, dram_demand
 from .metrics import (EnergyCostTable, LayerReport, NetworkReport,
@@ -36,28 +38,28 @@ CHUNK_TEMP_BYTES = 256
 @dataclass
 class LayerResult:
     report: LayerReport
-    traces: TraceSet
     dram: DramDemand
 
 
 def simulate_layer(layer: LayerSpec, arch: ArchConfig,
                    table: EnergyCostTable | None = None,
-                   sram_paths: tuple[str | Path, str | Path, str | Path] | None = None
-                   ) -> LayerResult:
-    """Simulate one layer.  With ``sram_paths``, the ifmap, filter and ofmap
-    traces are also written to those CSV files, each as it is read, and the
-    bursts are ``run``'s; without, a fitting input trace's epoch is in closed form."""
+                   trace_paths: Sequence[str | Path] | None = None) -> LayerResult:
+    """Simulate one layer.  With ``trace_paths``, its five trace files in
+    ``cli.TRACE_KINDS`` order, also write them as ``run`` does: each SRAM
+    trace as it is read, then each DRAM trace from its bursts, sorted."""
     traces = generate_traces(layer, arch)
-    read = traces
-    if sram_paths is not None:
-        kinds = ("ifmap_reads", "filter_reads", "ofmap_writes")
-        read = replace(traces, **{kind: getattr(traces, kind).tee_csv(path)
-                                  for kind, path in zip(kinds, sram_paths)})
-    dram = dram_demand(read, arch, closed_form=sram_paths is None)
+    if trace_paths is not None:
+        traces = replace(traces, **{kind: getattr(traces, kind).tee_csv(path) for kind, path
+                                    in zip(("ifmap_reads", "filter_reads", "ofmap_writes"),
+                                           trace_paths)})
+    dram = dram_demand(traces, arch)
     report = layer_report(layer, arch, table, len(traces.ifmap_reads),
-                          len(traces.filter_reads), read.ofmap_writes,
+                          len(traces.filter_reads), traces.ofmap_writes,
                           dram.read_trace.cycle_segments(), dram.write_trace.cycle_segments())
-    return LayerResult(report, traces, dram)
+    if trace_paths is not None:
+        dram.read_trace.trace().write_csv(trace_paths[3])
+        dram.write_trace.trace().write_csv(trace_paths[4])
+    return LayerResult(report, dram)
 
 
 def layer_peak_bytes(layer: LayerSpec, arch: ArchConfig) -> int:

@@ -89,11 +89,12 @@ def cycle_end(cycles: np.ndarray, start: int, events: int) -> int:
 
 
 class Footprint(NamedTuple):
-    """A read stream's distinct words in closed form: count, cycles, addresses."""
+    """A read stream's distinct words in closed form: count, cycles, and
+    addresses, None where reading the stream has a side effect."""
     words: int
     first_cycle: int
     last_cycle: int
-    addresses: Callable[[], np.ndarray]
+    addresses: Callable[[], np.ndarray] | None
 
 
 class Trace:
@@ -211,14 +212,16 @@ class TraceStream:
 
     def tee_csv(self, path: str | Path) -> "TraceStream":
         """The same stream, which also writes the trace to ``path`` as
-        ``Trace.write_csv`` does, each segment as it is read."""
+        ``Trace.write_csv`` does, each segment as it is read; so its
+        footprint keeps the count and cycles a scan checks, not addresses."""
         def read() -> Iterator[Trace]:
             with open(path, "wb") as fh:
                 fh.write(CSV_HEADER.encode() + b"\n")
                 for seg in self.segments():
                     _write_rows(fh, seg)
                     yield seg
-        return TraceStream(self.length, self.region, read, self.footprint)
+        return TraceStream(self.length, self.region, read,
+                           self.footprint and self.footprint._replace(addresses=None))
 
 
 def _write_rows(fh, trace: Trace) -> None:

@@ -11,7 +11,7 @@ import numpy as np
 
 from systolicsim.config import TOPOLOGY_HEADER, ArchConfig, Dataflow, LayerSpec
 from systolicsim.mapping import workload_counts
-from systolicsim.trace import Trace, sort_pairs
+from systolicsim.trace import Trace, TraceStream, sort_pairs
 
 # offsets far enough apart for any desk-scale layer
 IFMAP_OFF = 0
@@ -43,6 +43,16 @@ def in_file_order(trace):
     trace = trace.collect()
     assert (trace.cycles[1:] >= trace.cycles[:-1]).all(), "trace is not in cycle order"
     return sorted_trace(trace.cycles, trace.addresses)
+
+
+def check_only_footprint(trace):
+    """The trace (or stream), with its footprint stripped to the count and
+    cycles a scan checks, as ``TraceStream.tee_csv`` leaves it: ``epochize``
+    then scans it even where the buffer holds the footprint."""
+    if trace.footprint is None:
+        return trace
+    return TraceStream(len(trace), trace.region, trace.segments,
+                       trace.footprint._replace(addresses=None))
 
 
 def pairs_to_trace(pairs):

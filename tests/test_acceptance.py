@@ -96,16 +96,17 @@ def test_criterion_4_memory_monotonicity():
         layers = load_topology(path)[:2]  # reduced depth keeps this desk-sized
         for df in ("os", "ws", "is"):
             series = []
+            # the traces do not depend on the buffer sizes; each is written
+            # anew when read, so read each once
+            feet = [[len(distinct_addresses(t)) for t in (ts.ifmap_reads, ts.filter_reads)]
+                    for ts in (generate_traces(l, base.with_overrides(dataflow=df))
+                               for l in layers)]
             for kb in ladder:
                 arch = base.with_overrides(ifmap_sram_kb=kb, filter_sram_kb=kb,
                                            dataflow=df)
                 reports = [simulate_layer(l, arch) for l in layers]
                 bytes_total = sum(r.report.dram_read_bytes for r in reports)
                 cycles = sum(r.report.total_cycles for r in reports)
-                # each trace is written anew when read, so read each once
-                feet = [[len(distinct_addresses(t))
-                         for t in (r.traces.ifmap_reads, r.traces.filter_reads)]
-                        for r in reports]
                 foot = sum(sum(f) for f in feet)
                 max_part_foot = max(max(f) for f in feet)
                 series.append((kb, bytes_total, bytes_total / cycles,

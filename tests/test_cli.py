@@ -119,20 +119,19 @@ def test_run_dram_traces_are_the_api_s(workdir, dataflow):
         bursts.trace().write_csv(workdir / "api.csv")
         run_file = workdir / "out" / "r1" / f"layer0_{kind}.csv"
         assert run_file.read_bytes() == (workdir / "api.csv").read_bytes(), kind
-    # 64 KB buffers hold both input footprints, each then one epoch.  Only
-    # the scan lists its words in first-use order, the order of the DRAM
-    # read file, so the API gives the run's bursts with the SRAM trace paths
+    # given the five trace paths, the API writes exactly the run's files;
+    # 64 KB buffers hold both input footprints, each then one epoch, whose
+    # words the DRAM read file lists in the scan's first-use order
     write_config(workdir / "big.cfg", rows=4, cols=4, dataflow=dataflow, word_bytes=16)
     run_cli("run", "--config", workdir / "big.cfg", "--out", workdir / "out",
             "--run-id", "r2", "--jobs", "1")
-    sram = [workdir / f"api_{kind}.csv" for kind in TRACE_KINDS[:3]]
-    dram = simulate_layer(layer, load_config(workdir / "big.cfg"), sram_paths=sram).dram
-    assert len(dram.ifmap.bursts) == len(dram.filter.bursts) == 1
-    dram.read_trace.trace().write_csv(workdir / "api_dram_read.csv")
-    dram.write_trace.trace().write_csv(workdir / "api_dram_write.csv")
-    for kind in TRACE_KINDS:
-        run_file = workdir / "out" / "r2" / f"layer0_{kind}.csv"
-        assert run_file.read_bytes() == (workdir / f"api_{kind}.csv").read_bytes(), kind
+    paths = [workdir / f"api_{kind}.csv" for kind in TRACE_KINDS]
+    for run_id, config in (("r1", "arch.cfg"), ("r2", "big.cfg")):
+        dram = simulate_layer(layer, load_config(workdir / config), trace_paths=paths).dram
+        assert (len(dram.ifmap.bursts) == len(dram.filter.bursts) == 1) == (run_id == "r2")
+        for kind, path in zip(TRACE_KINDS, paths):
+            run_file = workdir / "out" / run_id / f"layer0_{kind}.csv"
+            assert run_file.read_bytes() == path.read_bytes(), (run_id, kind)
 
 
 @pytest.mark.parametrize("word_bytes", [1, 2])
@@ -256,6 +255,7 @@ def test_word_larger_than_a_buffer_exits_config(workdir, capsys):
     assert run_cli("run", "--config", workdir / "arch.cfg", "--out", workdir / "out",
                    "--run-id", "r1", "--jobs", "1") == EXIT_CONFIG
     assert "ifmap buffer of 1 KB cannot hold one 2048-byte word" in capsys.readouterr().err
+    assert not (workdir / "out").exists()    # the config is refused before any run starts
 
 
 def _manifest_entry(key, value=None):

@@ -122,9 +122,10 @@ def test_lexsort_fallback(dataflow, chunk, tmp_path):
     # overflows int64, so the trace file's sort falls back to np.lexsort.
     # Each cycle's events are put in descending address order first, an
     # order a read trace may have, so that every chunk of ``chunk`` rows
-    # (1 M: the whole trace) needs the sort
+    # (1 M: the whole trace) needs the sort.  Buffers of 2**45 KB hold one
+    # such word, as a config must
     layer = LayerSpec("t", 5, 5, 2, 2, 2, 3, 1)
-    arch = make_arch(2, 2, dataflow, word_bytes=2**55).with_overrides(
+    arch = make_arch(2, 2, dataflow, *3 * [2**45], word_bytes=2**55).with_overrides(
         ifmap_offset=0, filter_offset=2**61, ofmap_offset=3 * 2**60)
     got, want = generate_traces(layer, arch), generate_traces_reference(layer, arch)
     path = tmp_path / "t.csv"

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -6,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (distinct_addresses, in_file_order, make_arch, n_drains, prologue,
-                     random_small_layer, sorted_trace, steady_peak_bw, time_limit)
+from helpers import (check_only_footprint, distinct_addresses, in_file_order, make_arch,
+                     n_drains, prologue, random_small_layer, sorted_trace, steady_peak_bw,
+                     time_limit)
 from systolicsim import engine
 from systolicsim import trace as trace_module
+from systolicsim.cli import TRACE_KINDS
 from systolicsim.config import LayerSpec
 from systolicsim.engine import TraceSet, generate_traces
 from systolicsim.metrics import layer_report
@@ -75,11 +78,10 @@ def test_epochize_crashes_on_trace_out_of_cycle_order(cycles, addresses, capacit
 
 
 def test_word_larger_than_a_buffer_is_a_config_error():
-    arch = make_arch(4, 4, "os", filter_kb=1, word_bytes=2048)
-    ts = generate_traces(LayerSpec("t", 6, 6, 3, 3, 2, 4, 1), arch)
+    # the config itself is refused, before any trace is generated
     with pytest.raises(ConfigError, match="filter buffer of 1 KB cannot hold one "
                                           "2048-byte word"):
-        dram_demand(ts, arch)
+        make_arch(4, 4, "os", filter_kb=1, word_bytes=2048)
 
 
 def test_epochize_refetch_counts_dram_traffic():
@@ -284,12 +286,37 @@ def test_figures_ignore_order_within_a_cycle(ih, iw, fh, fw, chans, filters, str
     # address) order, since the drain takes the final writes in trace order
     ts = generate_traces(layer, arch)
     rng = np.random.default_rng(seed)
-    want = model_figures(layer, arch, ts)
+    # scanned, so that each epoch's words are in first-use order, as below
+    want = model_figures(layer, arch, replace(
+        ts, ifmap_reads=check_only_footprint(ts.ifmap_reads),
+        filter_reads=check_only_footprint(ts.filter_reads)))
     for reorder in (in_file_order, lambda t: shuffled_within_cycles(t, rng)):
         given = TraceSet(ts.counts, ts.plan, reorder(ts.ifmap_reads.collect()),
                          reorder(ts.filter_reads.collect()), ts.ofmap_writes,
                          ts.final_writes)
         assert model_figures(layer, arch, given) == want
+
+
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_a_teed_stream_is_scanned_and_written_even_when_it_fits(tmp_path, dataflow):
+    # 64 KB buffers hold both input footprints.  The engine's stream offers
+    # its one epoch in closed form; a tee'd one offers only the count and
+    # cycles the scan checks, so the scan runs and writes the whole file
+    layer, arch = LayerSpec("t", 8, 8, 3, 3, 2, 4, 1), make_arch(4, 4, dataflow)
+    ts = generate_traces(layer, arch)
+    for stream, capacity in ((ts.ifmap_reads, arch.ifmap_capacity_bytes),
+                             (ts.filter_reads, arch.filter_capacity_bytes)):
+        teed = stream.tee_csv(tmp_path / "teed.csv")
+        assert teed.footprint[:3] == stream.footprint[:3] and teed.footprint.addresses is None
+        [closed] = epochize(stream, capacity)
+        assert not (tmp_path / "teed.csv").exists()
+        [scanned] = epochize(teed, capacity)
+        stream.collect().write_csv(tmp_path / "whole.csv")
+        assert (tmp_path / "teed.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert (closed.first_use_cycle, closed.last_use_cycle) == (
+            scanned.first_use_cycle, scanned.last_use_cycle)
+        assert np.array_equal(closed.addresses, np.sort(scanned.addresses))
+        (tmp_path / "teed.csv").unlink()
 
 
 @pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
@@ -308,6 +335,6 @@ def test_a_fitting_input_trace_is_written_only_into_files(monkeypatch, tmp_path,
     without = simulate_layer(layer, arch).report
     assert written == [2, 2]
     written.clear()
-    paths = [tmp_path / f"{kind}.csv" for kind in ("ifmap", "filter", "ofmap")]
-    assert simulate_layer(layer, arch, sram_paths=paths).report == without
+    paths = [tmp_path / f"{kind}.csv" for kind in TRACE_KINDS]
+    assert simulate_layer(layer, arch, trace_paths=paths).report == without
     assert sorted(written) == [0, 1, 2, 2]

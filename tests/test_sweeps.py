@@ -82,7 +82,7 @@ def test_memory_sweep_flags_buffers_smaller_than_a_word(tiny_workload):
 
 def test_memory_sweep_program_bug_propagates(tiny_workload, monkeypatch):
     # only the simulator's own errors become flagged cells; a bug must crash
-    def broken(traces, arch, closed_form=False):
+    def broken(traces, arch):
         raise TypeError("bug in the memory model")
 
     monkeypatch.setattr("systolicsim.simulate.dram_demand", broken)

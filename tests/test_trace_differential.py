@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from helpers import in_file_order, sorted_trace
 from systolicsim.bundled import default_config_path, workload_path
 from systolicsim.config import load_config, load_topology
+from systolicsim.engine import generate_traces
 from systolicsim.simulate import simulate_layer
 from systolicsim.trace import CHUNK_EVENTS, Trace
 from trace_reference import write_csv_reference
@@ -71,9 +72,9 @@ def test_write_csv_chunk_edges_match_reference(rows, tmp_path):
 def test_bundled_layer_traces_match_reference(dataflow, tmp_path):
     arch = load_config(default_config_path()).with_overrides(dataflow=dataflow)
     layer = load_topology(workload_path("w4_ncf"))[2]  # mlp_fc3
-    res = simulate_layer(layer, arch)
-    traces = [res.traces.ifmap_reads.collect(), res.traces.filter_reads.collect(),
-              res.traces.ofmap_writes.collect(), res.dram.read_trace.trace(),
+    res, ts = simulate_layer(layer, arch), generate_traces(layer, arch)
+    traces = [ts.ifmap_reads.collect(), ts.filter_reads.collect(),
+              ts.ofmap_writes.collect(), res.dram.read_trace.trace(),
               res.dram.write_trace.trace()]
     assert int(traces[3].cycles[0]) < 0  # cold-fill prologue
     for trace in traces:
