@@ -150,16 +150,17 @@ def _config_value(key: str, raw: str):
 
 
 def parse_config(text: str) -> ArchConfig:
-    """Parse the architecture file.  Unknown keys warn; missing required keys
-    and illegal values raise ConfigError."""
-    parser = configparser.ConfigParser()
+    """Parse the architecture file.  Unknown keys warn; missing required keys,
+    a key given twice in any spelling and illegal values raise ConfigError."""
+    # no default section, so that a [DEFAULT] key counts once, not per section
+    parser = configparser.ConfigParser(default_section="")
     parser.optionxform = str  # keep key case
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file: {exc}") from exc
 
-    found: dict[str, str] = {}
+    found: dict[str, tuple[str, str]] = {}     # canonical key -> (value, where it is)
     canonical = {k.lower(): k for k in CONFIG_FIELDS}
     for section in parser.sections():
         for key, value in parser.items(section):
@@ -167,13 +168,16 @@ def parse_config(text: str) -> ArchConfig:
             if canon is None:
                 warnings.warn(f"ignoring unknown config key {key!r} in section [{section}]")
                 continue
-            found[canon] = value
+            place = f"{key!r} in section [{section}]"
+            if canon in found:
+                raise ConfigError(f"config key {canon} is given twice: {found[canon][1]} and {place}")
+            found[canon] = value, place
 
     missing = [k for k in CONFIG_KEYS if k not in found]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
 
-    return ArchConfig(**{field: _config_value(key, found[key])
+    return ArchConfig(**{field: _config_value(key, found[key][0])
                          for key, field in CONFIG_FIELDS.items() if key in found})
 
 

@@ -48,7 +48,9 @@ The batches are checked to emit exactly the closed-form event counts,
 to start where the one before it ended, in the trace and strictly later in
 time; and each to be in cycle order one chunk at a time (the ofmap
 trace's in (cycle, address) order).  So folds that overlap in time crash
-instead of leaving a trace out of order.
+instead of leaving a trace out of order.  The final writes are checked to
+end at the closed-form runtime, ``FoldPlan.total_cycles``, so a gap
+between folds crashes too.
 
 The fold grid says which output writes are final: ``TraceSet.final_writes``
 is the ofmap trace's last N_w*M events, written from the segments that hold
@@ -71,8 +73,8 @@ from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from . import trace
 from .config import ArchConfig, Dataflow, LayerSpec
-from .errors import ConfigError
-from .mapping import FoldPlan, WorkloadCounts, fold_plan, footprint_words, workload_counts
+from .mapping import (FoldPlan, WorkloadCounts, fold_plan, footprint_words, regions,
+                      workload_counts)
 from .trace import Footprint, Trace, TraceStream, first_out_of_order
 
 # events per segment of a streamed trace, unless one fold holds more.  Each
@@ -137,31 +139,6 @@ def _address_parts(layer: LayerSpec, arch: ArchConfig,
     )
 
 
-def _regions(layer: LayerSpec, arch: ArchConfig,
-             counts: WorkloadCounts) -> list[tuple[int, int]]:
-    """The [low, high) byte range of the ifmap, filter and ofmap operands,
-    delimited by the offsets; they must not overlap for this layer's
-    footprints."""
-    word = arch.word_bytes
-    spans = {
-        "ifmap": (arch.ifmap_offset,
-                  arch.ifmap_offset + layer.ifmap_h * layer.ifmap_w * layer.channels * word),
-        "filter": (arch.filter_offset,
-                   arch.filter_offset + counts.n_filters * counts.window_size * word),
-        "ofmap": (arch.ofmap_offset,
-                  arch.ofmap_offset + counts.n_windows * counts.n_filters * word),
-    }
-    names = list(spans)
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            (lo1, hi1), (lo2, hi2) = spans[names[a]], spans[names[b]]
-            if lo1 < hi2 and lo2 < hi1:
-                raise ConfigError(
-                    f"layer {layer.name!r}: {names[a]} and {names[b]} address regions overlap "
-                    f"({spans[names[a]]} vs {spans[names[b]]}); adjust the offsets")
-    return list(spans.values())
-
-
 def _footprint(layer: LayerSpec, arch: ArchConfig, counts: WorkloadCounts, t: int,
                high: int) -> np.ndarray:
     """The byte addresses of the words input trace ``t`` reads, ascending:
@@ -221,15 +198,16 @@ def _batches(plan: FoldPlan, span, sizes) -> list[list[_Batch]]:
     starting where the one before it ends, in time and in every trace.
 
     A fold advances the fields of ``_Batch`` by its cycles ``span(rows,
-    cols)`` and its events in each trace ``sizes(rows, cols)``.  Every grid
-    row of one run advances them by the same amount, so the fields of the
-    fold at the start of each run are sums over the runs before it.  A
-    batch is one grid column of a row run, and a group the row run's
-    batches; or a batch is one grid row of a column run, and a group that
-    batch alone.  The Python loop runs once per batch of a segment, so the
-    batches are the ones that the traces' segments cut into fewer pieces:
-    every segment of a group holds a piece of each of its batches, and
-    each group is a segment of its own at least."""
+    cols)``, the plan's ``fold_cycles``, and its events in each trace
+    ``sizes(rows, cols)``.  Every grid row of one run advances them by the
+    same amount, so the fields of the fold at the start of each run are
+    sums over the runs before it.  A batch is one grid column of a row
+    run, and a group the row run's batches; or a batch is one grid row of
+    a column run, and a group that batch alone.  The Python loop runs once
+    per batch of a segment, so the batches are the ones that the traces'
+    segments cut into fewer pieces: every segment of a group holds a piece
+    of each of its batches, and each group is a segment of its own at
+    least."""
     def cost(rows, cols):       # one grid column on, in the same grid row
         return np.array((0, plan.cols, span(rows, cols), *sizes(rows, cols)), np.int64)
 
@@ -436,13 +414,13 @@ def _read(parts: _AddressParts, blocks, groups: list[list[_Batch]], sizes, t: in
     assert ends in (None, (start, last)), f"trace spans {(start, last)}, not {ends}"
 
 
-def _build(layer: LayerSpec, arch: ArchConfig, blocks, span) -> TraceSet:
+def _build(layer: LayerSpec, arch: ArchConfig, blocks) -> TraceSet:
     """The ifmap, filter and ofmap traces of the plan's batches, whose fold
-    blocks ``blocks(parts, rows)`` gives in that order; each fold starts
-    ``span(rows, cols)`` cycles after the one before it.  Only the final
-    writes are written here; each trace is written when it is read."""
+    blocks ``blocks(parts, rows)`` gives in that order; each fold takes
+    ``plan.fold_cycles``.  Only the final writes are written here; each
+    trace is written when it is read."""
     counts = workload_counts(layer)
-    regions = _regions(layer, arch, counts)
+    extents = regions(layer, arch, counts)
     plan = fold_plan(counts, arch)
     parts = _address_parts(layer, arch, counts)
     lengths = plan.sram_event_counts
@@ -451,14 +429,15 @@ def _build(layer: LayerSpec, arch: ArchConfig, blocks, span) -> TraceSet:
         return tuple(_length(blk.a, rows, cols) * _length(blk.b, rows, cols)
                      for blk in blocks(parts, rows))
 
-    groups = _batches(plan, span, sizes)
+    groups = _batches(plan, plan.fold_cycles, sizes)
     batches = [b for group in groups for b in group]
     emitted = tuple(sum(b.n * sizes(b.rows, b.cols)[t] for b in batches) for t in range(3))
     assert emitted == lengths, f"folds emit {emitted} events, the closed form {lengths}"
     # the last reduction chunk's folds, and only they, write the last N_w*M
-    # events; under OS each fold holds its whole reduction
+    # events, one per word of the output region; under OS each fold holds
+    # its whole reduction
     last_chunk = 0 if plan.dataflow is Dataflow.OS else (plan.grid[0] - 1) * plan.rows
-    final_from = lengths[2] - counts.n_windows * counts.n_filters
+    final_from = lengths[2] - (extents[2][1] - extents[2][0]) // arch.word_bytes
     for b in batches:
         m = np.arange(b.n)
         assert np.array_equal(b.first[0] + m * b.step[0] >= last_chunk,
@@ -475,49 +454,43 @@ def _build(layer: LayerSpec, arch: ArchConfig, blocks, span) -> TraceSet:
     def stream(t: int, first: int = 0) -> TraceStream:
         cycles = None if first else ends(t)
         foot = None if t == 2 else Footprint(footprint_words(layer, counts)[t], *cycles, (
-            lambda: _footprint(layer, arch, counts, t, regions[t][1])))
-        return TraceStream(lengths[t] - first, regions[t], lambda: _read(
+            lambda: _footprint(layer, arch, counts, t, extents[t][1])))
+        return TraceStream(lengths[t] - first, extents[t], lambda: _read(
             parts, blocks, groups, sizes, t, lengths[t], first, cycles), foot)
 
-    return TraceSet(counts, plan, stream(0), stream(1), stream(2),
-                    stream(2, final_from).collect())
+    final = stream(2, final_from).collect()
+    assert final.max_cycle + 1 == plan.total_cycles, (
+        f"the folds run {final.max_cycle + 1} cycles, the fold grid's closed form "
+        f"{plan.total_cycles}")
+    return TraceSet(counts, plan, stream(0), stream(1), stream(2), final)
 
 
-def gen_traces_os(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
-    """Outputs pinned: row i streams window (row_start+i), column j streams
-    filter (col_start+j); PE(i,j) reduces in place and drains one value."""
-    ksz = workload_counts(layer).window_size
+def generate_traces(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
+    """The layer's SRAM traces under its dataflow.
 
-    def blocks(p: _AddressParts, rows: int) -> tuple[_Block, ...]:
-        return (_Block(0, _Side(p.window, ROWS), _Side(p.window_elem)),
-                _Block(0, _Side(p.filter, COLS), _Side(p.filter_elem)),
-                _Block(ksz - 1, _Side(p.ofmap_pixel, ROWS), _Side(p.ofmap_filter, COLS)))
+    OS pins outputs: row i streams window (row_start+i), column j streams
+    filter (col_start+j); PE(i,j) reduces in place and drains one value.
 
-    return _build(layer, arch, blocks, lambda rows, cols: rows + cols + ksz - 2)
-
-
-def _gen_traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
-    """WS and IS mirror each other: the pinned operand fills column chains
+    WS and IS mirror each other: the pinned operand fills column chains
     from the top edge (bottom row injected first), the other operand streams
     from the left with diagonal skew, and partial sums reduce down each
-    column, draining from the bottom row.
-
-    WS pins filter elements and streams windows; IS pins window elements and
-    streams filters.  Splitting the reduction dimension over multiple folds
-    writes intermediate sums to the output partition; each later reduction
-    fold re-reads them at its drain cycle and writes the address again.
+    column, draining from the bottom row.  WS pins filter elements and
+    streams windows; IS pins window elements and streams filters.  Splitting
+    the reduction dimension over multiple folds writes intermediate sums to
+    the output partition; each later reduction fold re-reads them at its
+    drain cycle and writes the address again.
     """
-    pin_windows = arch.dataflow is Dataflow.IS
-    counts = workload_counts(layer)
-    stream_len = counts.n_filters if pin_windows else counts.n_windows
-
     def blocks(p: _AddressParts, rows: int) -> tuple[_Block, ...]:
-        if pin_windows:
-            pinned, pinned_elem = p.window, p.window_elem
-            streamed, streamed_elem = p.filter, p.filter_elem
-        else:
-            pinned, pinned_elem = p.filter, p.filter_elem
-            streamed, streamed_elem = p.window, p.window_elem
+        if arch.dataflow is Dataflow.OS:
+            # PE(i, j) drains once the whole window has streamed past it
+            return (_Block(0, _Side(p.window, ROWS), _Side(p.window_elem)),
+                    _Block(0, _Side(p.filter, COLS), _Side(p.filter_elem)),
+                    _Block(len(p.window_elem) - 1, _Side(p.ofmap_pixel, ROWS),
+                           _Side(p.ofmap_filter, COLS)))
+        pin_windows = arch.dataflow is Dataflow.IS
+        pinned, pinned_elem, streamed, streamed_elem = (
+            (p.window, p.window_elem, p.filter, p.filter_elem) if pin_windows
+            else (p.filter, p.filter_elem, p.window, p.window_elem))
         # fill: at cycle base+tau every active column loads the operand
         # destined for row rows-1-tau
         fill = _Block(0, _Side(pinned_elem, ROWS, reversed=True), _Side(pinned, COLS),
@@ -530,10 +503,4 @@ def _gen_traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
         drain = _Block(2 * rows - 1, pixels, filters)
         return (fill, stream, drain) if pin_windows else (stream, fill, drain)
 
-    return _build(layer, arch, blocks, lambda rows, cols: 2 * rows + stream_len + cols - 2)
-
-
-def generate_traces(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
-    if arch.dataflow is Dataflow.OS:
-        return gen_traces_os(layer, arch)
-    return _gen_traces_stationary(layer, arch)
+    return _build(layer, arch, blocks)

@@ -5,8 +5,8 @@ against M filters.  When the work exceeds the physical array it is split
 into folds executed serially over a regular grid, ``FoldPlan``, row-major
 with the row dimension outermost.  Each grid axis is at most two runs of
 equal chunks, the full chunks and then the remainder, so the engine's
-fold batches and the totals below are closed forms over those runs; no
-code lists the folds one by one.
+fold batches and the totals below, the runtime among them, are closed
+forms over those runs; no code lists the folds one by one.
 
 Window enumeration is raster order over (ofmap_h, ofmap_w); within a
 window elements are ordered (r, s, c) with the channel innermost.
@@ -15,9 +15,10 @@ window elements are ordered (r, s, c) with the channel innermost.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .config import ArchConfig, Dataflow, LayerSpec
-from .errors import SimulationError
+from .errors import ConfigError, SimulationError
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,22 @@ def footprint_words(layer: LayerSpec, counts: WorkloadCounts) -> tuple[int, int]
     return h * w * layer.channels, counts.n_filters * counts.window_size
 
 
+def regions(layer: LayerSpec, arch: ArchConfig,
+            counts: WorkloadCounts) -> list[tuple[int, int]]:
+    """The [low, high) byte range of the ifmap, filter and ofmap operands,
+    delimited by the offsets; they must not overlap for this layer's
+    footprints."""
+    spans = {name: (low, low + words * arch.word_bytes) for name, low, words in (
+        ("ifmap", arch.ifmap_offset, layer.ifmap_h * layer.ifmap_w * layer.channels),
+        ("filter", arch.filter_offset, counts.n_filters * counts.window_size),
+        ("ofmap", arch.ofmap_offset, counts.n_windows * counts.n_filters))}
+    for (a, (lo1, hi1)), (b, (lo2, hi2)) in combinations(spans.items(), 2):
+        if lo1 < hi2 and lo2 < hi1:
+            raise ConfigError(f"layer {layer.name!r}: {a} and {b} address regions overlap "
+                              f"({spans[a]} vs {spans[b]}); adjust the offsets")
+    return list(spans.values())
+
+
 def _runs(work: int, size: int) -> list[tuple[int, int]]:
     """(count, chunk size) runs that split ``work`` into chunks of at most
     ``size``: the full chunks, then the remainder, each only if present."""
@@ -65,7 +82,7 @@ class FoldPlan:
     column work onto cols_used <= cols columns, and streams stream_len
     values through them.  Its totals are closed forms in exact integers:
     the folds cover the row work once per grid column and the column work
-    once per grid row."""
+    once per grid row, and run back to back, each for ``fold_cycles``."""
 
     dataflow: Dataflow
     row_work: int
@@ -97,6 +114,19 @@ class FoldPlan:
         folds; their ratio is the mapping efficiency, the mean fraction of
         the array kept mapped across folds."""
         return self.row_work * self.col_work, self.num_folds * self.rows * self.cols
+
+    def fold_cycles(self, rows: int, cols: int) -> int:
+        """Cycles of a fold of ``rows`` by ``cols``: its stream_len values,
+        skewed a cycle per row and per column, take rows + cols + stream_len
+        - 2; under WS and IS, ``rows`` to load the pinned operand come first."""
+        load = rows if self.dataflow is not Dataflow.OS else 0
+        return load + rows + cols + self.stream_len - 2
+
+    @property
+    def total_cycles(self) -> int:
+        """The layer's runtime: every fold's cycles, back to back."""
+        return sum(n_rows * n_cols * self.fold_cycles(rows, cols)
+                   for n_rows, rows in self.row_runs for n_cols, cols in self.col_runs)
 
     @property
     def largest_fold_events(self) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import ArchConfig, LayerSpec
 from .errors import ConfigError, SimulationError
-from .mapping import fold_plan, workload_counts
+from .mapping import fold_plan, regions, workload_counts
 from .trace import Trace, TraceStream, chunks
 
 # summary CSV column -> LayerReport attribute, in column order; the sweep
@@ -157,25 +157,25 @@ def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | No
     once each, one at a time, in any order.  Runtime is one past the last
     output write; every write to an address after its first is a partial
     sum that the next reduction fold re-reads; DRAM bytes and peak
-    bandwidths come from the DRAM cycles."""
+    bandwidths come from the DRAM cycles.  Writes must fall in the output
+    region of ``mapping.regions``, which rejects offsets that overlap."""
     table = table or EnergyCostTable()
     word = arch.word_bytes
     counts = workload_counts(layer)
     active, area = fold_plan(counts, arch).pe_totals
     # distinct write addresses, counted on a bitmap of the output region
-    region = counts.n_windows * counts.n_filters * word
-    written = np.zeros(region, dtype=bool)
+    low, high = regions(layer, arch, counts)[2]
+    written = np.zeros(high - low, dtype=bool)
     writes, last = 0, -1
     for seg in ofmap_writes.segments():
         addresses = seg.addresses
         if not len(addresses):
             continue
-        if (addresses.min() < arch.ofmap_offset
-                or addresses.max() >= arch.ofmap_offset + region):
+        if addresses.min() < low or addresses.max() >= high:
             raise SimulationError(f"layer {layer.name!r}: ofmap write outside the "
                                   "layer's output region")
         for chunk in chunks(len(addresses)):
-            written[addresses[chunk] - arch.ofmap_offset] = True
+            written[addresses[chunk] - low] = True
         writes += len(addresses)
         last = int(seg.cycles[-1])
     if last < 0:

@@ -23,7 +23,7 @@ from typing import Sequence
 from . import engine, trace
 from .config import ArchConfig, LayerSpec
 from .engine import generate_traces
-from .mapping import fold_plan, footprint_words, workload_counts
+from .mapping import fold_plan, footprint_words, regions, workload_counts
 from .memory import DramDemand, dram_demand
 from .metrics import (EnergyCostTable, LayerReport, NetworkReport,
                       layer_report, summarize_network)
@@ -69,9 +69,10 @@ def layer_peak_bytes(layer: LayerSpec, arch: ArchConfig) -> int:
     - one segment of one SRAM trace;
     - the final writes, which the drain keeps;
     - the report's bitmap of the output region, a byte per byte, and its
-      int32 DRAM events per cycle, over at most 2*rows + cols + stream
-      length cycles a fold;
-    - epochize's two int32 per word of the address region it scans;
+      int32 DRAM events per cycle, over the ``FoldPlan.total_cycles``
+      cycles of the layer;
+    - epochize's two int32 per word of the address region it scans (from
+      ``mapping.regions``, which rejects offsets that overlap);
     - 24 bytes per DRAM read: the epochs' addresses, int64 at most, and
       the sorted trace of them that ``run`` writes.  An input buffer that
       holds the F words its trace reads (``mapping.footprint_words``, F
@@ -82,17 +83,14 @@ def layer_peak_bytes(layer: LayerSpec, arch: ArchConfig) -> int:
     counts = workload_counts(layer)
     plan = fold_plan(counts, arch)
     word = arch.word_bytes
-    outputs = counts.n_windows * counts.n_filters
-    regions = (layer.ifmap_h * layer.ifmap_w * layer.channels,
-               counts.n_filters * counts.window_size)
+    ifmap, filt, ofmap = (high - low for low, high in regions(layer, arch, counts))
     dram_reads = sum(words if words * word <= cap else reads for words, cap, reads in zip(
         footprint_words(layer, counts), (arch.ifmap_capacity_bytes, arch.filter_capacity_bytes),
         plan.sram_event_counts))
     segment = min(max(engine.SEGMENT_EVENTS, plan.largest_fold_events),
                   max(plan.sram_event_counts))
-    cycles = plan.num_folds * (2 * plan.rows + plan.cols + plan.stream_len)
-    return (EVENT_BYTES * (segment + outputs) + outputs * word + 4 * cycles
-            + 2 * 4 * max(regions) + 3 * 8 * dram_reads
+    return (EVENT_BYTES * (segment + ofmap // word) + ofmap + 4 * plan.total_cycles
+            + 2 * 4 * max(ifmap, filt) // word + 3 * 8 * dram_reads
             + CHUNK_TEMP_BYTES * trace.CHUNK_EVENTS)
 
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from helpers import fold_list, sorted_trace
 from systolicsim.config import ArchConfig, Dataflow, LayerSpec
-from systolicsim.engine import TraceSet, _regions
-from systolicsim.mapping import WorkloadCounts, fold_plan, workload_counts
+from systolicsim.engine import TraceSet
+from systolicsim.mapping import WorkloadCounts, fold_plan, regions, workload_counts
 from systolicsim.trace import Trace
 
 
@@ -81,7 +81,7 @@ def _traces_os(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
     """Outputs pinned: row i streams window (row_start+i), column j streams
     filter (col_start+j); PE(i,j) reduces in place and drains one value."""
     counts = workload_counts(layer)
-    _regions(layer, arch, counts)
+    regions(layer, arch, counts)
     am = _AddressMaps(layer, arch, counts)
     ksz = counts.window_size
     k = np.arange(ksz, dtype=np.int64)
@@ -111,7 +111,7 @@ def _traces_stationary(layer: LayerSpec, arch: ArchConfig) -> TraceSet:
     fold re-reads them at its drain cycle and writes the address again.
     """
     counts = workload_counts(layer)
-    _regions(layer, arch, counts)
+    regions(layer, arch, counts)
     am = _AddressMaps(layer, arch, counts)
     pin_windows = arch.dataflow is Dataflow.IS
     stream_total = counts.n_filters if pin_windows else counts.n_windows

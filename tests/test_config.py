@@ -59,6 +59,25 @@ def test_parse_config_unknown_key_warns():
     assert cfg.array_rows == 128
 
 
+def test_parse_config_rejects_key_respelled_in_its_section():
+    with pytest.raises(ConfigError, match=r"ArrayHeight is given twice: 'ArrayHeight' in "
+                       r"section \[general\] and 'arrayheight' in section \[general\]"):
+        parse_config(TPU_LIKE.replace("ArrayHeight = 128\n",
+                                      "ArrayHeight = 128\narrayheight = 8\n"))
+
+
+def test_parse_config_rejects_key_repeated_in_another_section():
+    with pytest.raises(ConfigError, match=r"DataFlow is given twice: 'DataFlow' in "
+                       r"section \[general\] and 'DataFlow' in section \[extra\]"):
+        parse_config(TPU_LIKE + "[extra]\nDataFlow = ws\n")
+
+
+def test_parse_config_reads_a_default_section_once():
+    cfg = parse_config(TPU_LIKE.replace("[general]\nArrayHeight = 128\n",
+                                        "[DEFAULT]\nArrayHeight = 4\n[general]\n") + "[x]\n")
+    assert cfg.array_rows == 4
+
+
 def test_parse_config_rejects_nonpositive_dimension():
     with pytest.raises(ConfigError):
         parse_config(TPU_LIKE.replace("ArrayHeight = 128", "ArrayHeight = 0"))

@@ -23,7 +23,7 @@ from systolicsim import engine, trace
 from systolicsim.bundled import default_config_path, workload_path
 from systolicsim.config import LayerSpec, load_config, load_topology
 from systolicsim.engine import generate_traces
-from systolicsim.mapping import workload_counts
+from systolicsim.mapping import fold_plan, workload_counts
 from systolicsim.trace import Trace
 
 KINDS = ("ifmap_reads", "filter_reads", "ofmap_writes")
@@ -154,6 +154,23 @@ def test_overlapping_folds_crash(monkeypatch):
                         make_arch(2, 2, "os")).ifmap_reads.collect()
 
 
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_gap_between_folds_crashes(monkeypatch, dataflow):
+    # mutated batches: every fold starts one cycle after the fold before it
+    # ends, so no two overlap and every trace stays in order, but the layer
+    # runs a cycle a fold longer than the fold grid's closed form
+    batches = engine._batches
+
+    def gapped_batches(plan, span, sizes):
+        return batches(plan, lambda rows, cols: span(rows, cols) + 1, sizes)
+
+    layer, arch = LayerSpec("t", 6, 6, 2, 2, 2, 4, 1), make_arch(2, 2, dataflow)
+    assert fold_plan(workload_counts(layer), arch).num_folds > 1
+    monkeypatch.setattr(engine, "_batches", gapped_batches)
+    with pytest.raises(AssertionError, match="fold grid's closed form"):
+        generate_traces(layer, arch)
+
+
 def test_overlap_in_last_segment_crashes_build():
     # at 2-event segments the step back is in the last segment, or at the
     # boundary into it
@@ -172,11 +189,11 @@ def test_ofmap_out_of_address_order_crashes(monkeypatch, dataflow):
     # descending address
     build = engine._build
 
-    def swapped_drain(layer, arch, blocks, span):
+    def swapped_drain(layer, arch, blocks):
         def mutant(parts, rows):
             *operands, drain = blocks(parts, rows)
             return (*operands, drain._replace(a=drain.b, b=drain.a))
-        return build(layer, arch, mutant, span)
+        return build(layer, arch, mutant)
 
     layer, arch = LayerSpec("t", 6, 6, 2, 2, 2, 4, 1), make_arch(3, 3, dataflow)
     monkeypatch.setattr(engine, "_build", swapped_drain)

@@ -11,7 +11,7 @@ from helpers import OFMAP_OFF, make_arch, random_small_layer
 from systolicsim.bundled import workload_path
 from systolicsim.config import LayerSpec, load_topology, lower_gemm
 from systolicsim.engine import generate_traces
-from systolicsim.errors import SimulationError, WorkingSetUnderflow
+from systolicsim.errors import ConfigError, SimulationError, WorkingSetUnderflow
 from systolicsim.metrics import (EnergyCostTable, LayerReport, energy, layer_report,
                                  report_row, summarize_network, summary_csv)
 from systolicsim.simulate import simulate_layer
@@ -41,6 +41,14 @@ def test_layer_report_rejects_bad_ofmap_writes(cycles, addresses, error):
     with pytest.raises(SimulationError, match=error):
         layer_report(lower_gemm(2, 1, 1), make_arch(1, 1, "os"), None, 2, 2,
                      writes, [], [])
+
+
+def test_layer_report_rejects_overlapping_regions():
+    # the engine's region check: an ofmap offset inside the ifmap region
+    arch = make_arch(1, 1, "os").with_overrides(ofmap_offset=1)
+    with pytest.raises(ConfigError, match="ifmap and ofmap address regions overlap"):
+        layer_report(lower_gemm(2, 1, 1), arch, None, 2, 2,
+                     Trace(np.array([0, 1]), np.array([1, 2])), [], [])
 
 
 def test_layer_report_dram_bytes_and_bandwidths():
