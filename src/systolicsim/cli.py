@@ -28,10 +28,9 @@ from .bundled import bundled_workloads, default_config_path
 from .config import (ALL_DATAFLOWS, ArchConfig, Dataflow, LayerSpec,
                      load_config, load_topology)
 from .errors import ConfigError, SimulationError, TopologyError
-from .mapping import fold_plan, workload_counts
+from .mapping import fold_plan, regions, workload_counts
 from .metrics import (EnergyCostTable, LayerReport, layer_report,
-                      load_energy_table, network_csv, summarize_network,
-                      summary_csv)
+                      load_energy_table, summarize_network, summary_csv)
 from .simulate import EVENT_BYTES, layer_peak_bytes, simulate_layer
 from .sweeps import STUDIES, SweepSpec, run_sweep, trend_lines, write_sweep_csv
 from .trace import Trace
@@ -199,6 +198,8 @@ def cmd_run(args) -> int:
     layers = load_topology(arch.topology_path)
     if not layers:
         raise TopologyError(f"topology {arch.topology_path} has no layers")
+    for layer in layers:    # each layer's regions, checked before anything is written
+        regions(layer, arch, workload_counts(layer))
 
     config_text = Path(args.config).read_text() + Path(arch.topology_path).read_text()
     digest = hashlib.sha256(config_text.encode()).hexdigest()[:8]
@@ -233,9 +234,8 @@ def cmd_run(args) -> int:
 
 
 def _write_summaries(run_dir: Path, reports: list[LayerReport]) -> None:
-    net = summarize_network(reports)
-    (run_dir / "summary.csv").write_text(summary_csv(net.layers))
-    (run_dir / "network.csv").write_text(network_csv(net))
+    (run_dir / "summary.csv").write_text(summary_csv(reports))
+    (run_dir / "network.csv").write_text(summary_csv(reports + [summarize_network(reports)]))
 
 
 def _report_layer(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable,

@@ -3,7 +3,8 @@
 The architecture file is INI-style key=value under named sections.  The
 topology file is a CSV with one row per layer; layers run serially in file
 order.  Matrix workloads (GEMM/MV/VV) are lowered onto the same layer form
-via ``lower_gemm``.
+via ``lower_gemm``.  Either file may start with a UTF-8 byte-order mark,
+as spreadsheet exports do.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def load_config(path: str | Path) -> ArchConfig:
     """Read a config file; a relative Topology path is resolved against the
     config file's directory."""
     path = Path(path)
-    cfg = parse_config(path.read_text())
+    cfg = parse_config(path.read_text(encoding="utf-8-sig"))
     if cfg.topology_path and not Path(cfg.topology_path).is_absolute():
         cfg = cfg.with_overrides(topology_path=str(path.parent / cfg.topology_path))
     return cfg
@@ -230,4 +231,4 @@ def parse_topology(text: str) -> list[LayerSpec]:
 
 
 def load_topology(path: str | Path) -> list[LayerSpec]:
-    return parse_topology(Path(path).read_text())
+    return parse_topology(Path(path).read_text(encoding="utf-8-sig"))

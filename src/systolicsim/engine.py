@@ -95,7 +95,6 @@ class TraceSet:
     ofmap trace's last N_w*M events, and total_cycles one past its last
     cycle."""
 
-    counts: WorkloadCounts
     plan: FoldPlan
     ifmap_reads: TraceStream | Trace
     filter_reads: TraceStream | Trace
@@ -462,7 +461,7 @@ def _build(layer: LayerSpec, arch: ArchConfig, blocks) -> TraceSet:
     assert final.max_cycle + 1 == plan.total_cycles, (
         f"the folds run {final.max_cycle + 1} cycles, the fold grid's closed form "
         f"{plan.total_cycles}")
-    return TraceSet(counts, plan, stream(0), stream(1), stream(2), final)
+    return TraceSet(plan, stream(0), stream(1), stream(2), final)
 
 
 def generate_traces(layer: LayerSpec, arch: ArchConfig) -> TraceSet:

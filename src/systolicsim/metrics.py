@@ -2,11 +2,13 @@
 
 ``layer_report`` is the only function that builds a layer's report, from
 its traces alone, so ``run`` and ``report`` cannot disagree;
-``summarize_network`` adds the layer reports into the network total, whose
-ratios then follow from its summed counts as a layer's do from its own.
+``summarize_network`` adds the layer reports into the network total, itself
+a ``LayerReport``, whose ratios then follow from its summed counts as a
+layer's do from its own.
 
 The summary CSV column order is a stable external contract; network.csv
-repeats the per-layer rows and appends an aggregate "total" row.
+is the summary CSV of the layer reports followed by the total's "total"
+row.
 """
 
 from __future__ import annotations
@@ -57,9 +59,10 @@ class EnergyCostTable:
 
 
 def load_energy_table(path: str | Path) -> EnergyCostTable:
-    """key = value lines; each key, if given, sets that EnergyCostTable field."""
-    keys, values = {f.name for f in fields(EnergyCostTable)}, {}
-    for number, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    """key = value lines; each key, given at most once, sets that
+    EnergyCostTable field."""
+    keys, values, lines = {f.name for f in fields(EnergyCostTable)}, {}, {}
+    for number, raw in enumerate(Path(path).read_text(encoding="utf-8-sig").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -68,6 +71,10 @@ def load_energy_table(path: str | Path) -> EnergyCostTable:
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in keys:
             raise ConfigError(f"unknown energy table key {key!r}")
+        if key in lines:
+            raise ConfigError(f"energy table {path}: key {key} is given twice, on lines "
+                              f"{lines[key]} and {number}")
+        lines[key] = number
         try:
             values[key] = float(val)
         except ValueError:
@@ -207,16 +214,11 @@ def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | No
     )
 
 
-@dataclass
-class NetworkReport:
-    layers: list[LayerReport]
-    total: LayerReport
-
-
-def summarize_network(layers: list[LayerReport]) -> NetworkReport:
-    """Serialized execution: every count and energy add across layers, in
-    layer order; the peaks take the max; dataflow and shape are the first
-    layer's; the ratios follow from the summed counts."""
+def summarize_network(layers: list[LayerReport]) -> LayerReport:
+    """The network's total, named "total", for layers run one after another:
+    every count and energy add across layers, in layer order; the peaks
+    take the max; dataflow and shape are the first layer's; the ratios
+    follow from the summed counts."""
     if not layers:
         raise ValueError("network has no layers")
     shared, peaks = ("dataflow", "rows", "cols"), ("peak_read_bw", "peak_write_bw")
@@ -224,7 +226,7 @@ def summarize_network(layers: list[LayerReport]) -> NetworkReport:
              for f in fields(LayerReport) if f.name not in ("name", *shared, *peaks)}
     total.update({f: getattr(layers[0], f) for f in shared})
     total.update({f: max(getattr(l, f) for l in layers) for f in peaks})
-    return NetworkReport(list(layers), LayerReport(name="total", **total))
+    return LayerReport(name="total", **total)
 
 
 def _csv_cell(value) -> str:
@@ -250,7 +252,3 @@ def report_row(r: LayerReport) -> str:
 
 def summary_csv(layers: list[LayerReport]) -> str:
     return csv_line(SUMMARY_COLUMNS) + "".join(report_row(r) for r in layers)
-
-
-def network_csv(net: NetworkReport) -> str:
-    return summary_csv(net.layers + [net.total])

@@ -11,7 +11,9 @@ scan both input traces, and each DRAM file from its bursts.  The report
 comes from ``layer_report``, the only per-layer reducer, which ``report``
 also calls on trace files read back from disk.  Neither it nor the memory
 model depends on the order of a trace's events within a cycle, so the
-engine's cycle-ordered traces feed both as they are.
+engine's cycle-ordered traces feed both as they are.  A network is its
+layers run one after another: its total is ``metrics.summarize_network``
+over the layers' reports, in layer order.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ from .config import ArchConfig, LayerSpec
 from .engine import generate_traces
 from .mapping import fold_plan, footprint_words, regions, workload_counts
 from .memory import DramDemand, dram_demand
-from .metrics import (EnergyCostTable, LayerReport, NetworkReport,
-                      layer_report, summarize_network)
+from .metrics import EnergyCostTable, LayerReport, layer_report
 
 # an SRAM trace event is an int64 cycle and an int64 address
 EVENT_BYTES = 16
@@ -92,11 +93,3 @@ def layer_peak_bytes(layer: LayerSpec, arch: ArchConfig) -> int:
     return (EVENT_BYTES * (segment + ofmap // word) + ofmap + 4 * plan.total_cycles
             + 2 * 4 * max(ifmap, filt) // word + 3 * 8 * dram_reads
             + CHUNK_TEMP_BYTES * trace.CHUNK_EVENTS)
-
-
-def simulate_network(layers: list[LayerSpec], arch: ArchConfig,
-                     table: EnergyCostTable | None = None) -> NetworkReport:
-    """Layers execute serially in list order; traces are dropped after each
-    layer to keep memory bounded."""
-    reports = [simulate_layer(layer, arch, table).report for layer in layers]
-    return summarize_network(reports)

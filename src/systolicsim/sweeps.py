@@ -1,6 +1,9 @@
 """Design-space studies, each over one axis and every dataflow: dataflow vs
 array size, scratchpad sizing, aspect ratio, and scale-up vs scale-out.
 Scale-up is the one-node case of scale-out: both run through ``_sharded``.
+A cell of the other studies reads its columns from the network total,
+``summarize_network`` over its layers' ``simulate_layer`` reports; a scale
+cell keeps only each shard's cycles and filter DRAM bytes.
 
 Every study emits fully-keyed rows sharing one column schema so each cell is
 reproducible in isolation from the CLI.  Per-cell failures of the simulator's
@@ -17,8 +20,8 @@ from pathlib import Path
 
 from .config import ALL_DATAFLOWS, ArchConfig, LayerSpec, load_topology
 from .errors import ConfigError, SimulationError, TopologyError
-from .metrics import SUMMARY_FIELDS, EnergyCostTable, csv_line
-from .simulate import simulate_layer, simulate_network
+from .metrics import SUMMARY_FIELDS, EnergyCostTable, csv_line, summarize_network
+from .simulate import simulate_layer
 
 NODE_SIDE = 8  # scale-out nodes are NODE_SIDE x NODE_SIDE arrays
 
@@ -149,9 +152,10 @@ def run_sweep(spec: SweepSpec, base_arch: ArchConfig,
         for key, overrides in cells(spec, base_arch):
             row = _row(spec.study, name, **key)
             try:
-                net = simulate_network(layers, base_arch.with_overrides(**overrides),
-                                       table)
-                row.update({c: getattr(net.total, SUMMARY_FIELDS[c]) for c in columns})
+                arch = base_arch.with_overrides(**overrides)
+                total = summarize_network([simulate_layer(layer, arch, table).report
+                                           for layer in layers])
+                row.update({c: getattr(total, SUMMARY_FIELDS[c]) for c in columns})
             except CELL_ERRORS as exc:
                 row["status"] = f"error: {exc}"
             rows.append(row)
@@ -188,6 +192,7 @@ def _sharded(layer: LayerSpec, nodes: int, arch: ArchConfig,
                  else replace(layer, name=f"{layer.name}_m{m}", num_filters=m))
         res = simulate_layer(shard, arch, table)
         c, b = res.report.total_cycles, res.dram.filter.total_bytes
+        del res    # so that the next shard does not run beside its DRAM demand
         cycles = max(cycles, c)
         filter_bytes += count * b
         filter_bw += count * (b / c)
@@ -207,10 +212,9 @@ def _scale_rows(workload: str, layers: list[LayerSpec], spec: SweepSpec,
             # scale-up is the one-node case of scale-out
             modes = [(dict(dataflow=df, pe_count=pe, mode=mode, rows=side, cols=side),
                       base_arch.with_overrides(array_rows=side, array_cols=side,
-                                               dataflow=df), n)
-                     for mode, side, n in (("up", math.isqrt(pe), 1),
-                                           ("out", NODE_SIDE, nodes))]
-            (up_key, up_arch, _), (out_key, out_arch, _) = modes
+                                               dataflow=df))
+                     for mode, side in (("up", math.isqrt(pe)), ("out", NODE_SIDE))]
+            (up_key, up_arch), (out_key, out_arch) = modes
             # at the 64-PE rung both modes are one 8x8 array: simulate it once
             same = (up_arch, 1) == (out_arch, nodes)
             done = []    # per simulated layer, each mode's _sharded numbers
@@ -230,12 +234,12 @@ def _scale_rows(workload: str, layers: list[LayerSpec], spec: SweepSpec,
                 done.append(cells)
                 rows += [_row("scale", workload, layer=layer.name, total_cycles=cycles,
                               dram_filter_rd_bytes=fbytes, avg_filter_rd_bw=fbw, **key)
-                         for (key, _, _), (cycles, fbytes, fbw) in zip(modes, cells)]
+                         for (key, _), (cycles, fbytes, fbw) in zip(modes, cells)]
             if done:
                 rows += [_row("scale", workload, layer="network",
                               total_cycles=sum(c for c, _, _ in per_layer),
                               dram_filter_rd_bytes=sum(b for _, b, _ in per_layer), **key)
-                         for (key, _, _), per_layer in zip(modes, zip(*done))]
+                         for (key, _), per_layer in zip(modes, zip(*done))]
     return rows
 
 

@@ -73,7 +73,7 @@ def _trace_set(counts: WorkloadCounts, arch: ArchConfig, ifmap: Trace, filt: Tra
     """The traces as a TraceSet, whose final writes are views of the ofmap
     trace's last N_w*M events."""
     first = len(writes) - counts.n_windows * counts.n_filters
-    return TraceSet(counts, fold_plan(counts, arch), ifmap, filt, writes,
+    return TraceSet(fold_plan(counts, arch), ifmap, filt, writes,
                     Trace(writes.cycles[first:], writes.addresses[first:]))
 
 

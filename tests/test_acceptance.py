@@ -46,7 +46,7 @@ def test_criterion_1_oracle_equivalence():
             assert in_file_order(partial_reads(ts.ofmap_writes)) == \
                 pairs_to_trace(orc.ofmap_partial_reads)
             assert orc.outputs == direct_convolution(layer)
-            assert orc.mac_count == ts.counts.macs_total
+            assert orc.mac_count == workload_counts(layer).macs_total
     elapsed = time.time() - t0
     assert elapsed < 120, f"criterion 1 exceeded 2 min ({elapsed:.0f}s)"
     _passed(1, f"{cases} random layers x 3 dataflows match the grid oracle "
@@ -72,7 +72,7 @@ def test_criterion_3_conservation():
         arch = make_arch(rng.randint(1, 12), rng.randint(1, 12),
                          rng.choice(["os", "ws", "is"]))
         ts = generate_traces(layer, arch)
-        counts = ts.counts
+        counts = workload_counts(layer)
         assert sum(f.rows_used * f.cols_used * f.stream_len
                    for f in fold_list(counts, arch)) == counts.macs_total
         addrs, n_writes = np.unique(ts.ofmap_writes.collect().addresses, return_counts=True)

@@ -18,7 +18,7 @@ from systolicsim import simulate
 from systolicsim.config import LayerSpec, load_topology
 from systolicsim.engine import generate_traces
 from systolicsim.memory import dram_demand, epochize
-from systolicsim.simulate import simulate_layer, simulate_network
+from systolicsim.simulate import simulate_layer
 from systolicsim.sweeps import SweepSpec, run_sweep
 from systolicsim.trace import Trace
 
@@ -97,9 +97,9 @@ def test_traced_engine_counts_match_the_summaries(monkeypatch, tmp_path):
     layers = load_topology(tmp_path / "topo.csv")
     events = 0
     for dataflow in ("os", "ws", "is"):
-        net = simulate_network(layers, make_arch(4, 4, dataflow))
+        reports = [simulate_layer(layer, make_arch(4, 4, dataflow)).report for layer in layers]
         events += sum(l.sram_reads_ifmap + l.sram_reads_filter + l.sram_writes_ofmap
-                      for l in net.layers)
+                      for l in reports)
     assert tracer.counts["engine.sram_events"] == events
     assert tracer.counts["engine.calls"] == len(layers) * 3
     rows = run_sweep(SweepSpec("memory", [str(tmp_path / "topo.csv")],

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import hashlib
 import json
@@ -6,9 +7,10 @@ import time
 
 import pytest
 
-from helpers import (format_topology, in_file_order, time_limit, write_config,
-                     write_topology)
+from helpers import (FILTER_OFF, format_topology, in_file_order, time_limit,
+                     write_config, write_topology)
 from systolicsim import cli, engine, trace
+from systolicsim.bundled import workload_path
 from systolicsim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_SIM, EXIT_TOPOLOGY,
                              TRACE_KINDS, default_jobs, main, mem_available)
 from systolicsim.config import LayerSpec, load_config, load_topology
@@ -258,6 +260,37 @@ def test_word_larger_than_a_buffer_exits_config(workdir, capsys):
     assert not (workdir / "out").exists()    # the config is refused before any run starts
 
 
+@pytest.mark.parametrize("jobs", [(), ("--jobs", "1")], ids=["default-jobs", "jobs-1"])
+def test_run_checks_every_layer_before_it_writes(tmp_path, capsys, jobs):
+    # at FilterOffset 100 w4_ncf's filters overlap its ifmaps
+    config = write_config(tmp_path / "arch.cfg", topology=workload_path("w4_ncf"))
+    config.write_text(config.read_text().replace(f"FilterOffset = {FILTER_OFF}",
+                                                 "FilterOffset = 100"))
+    assert run_cli("run", "--config", config, "--out", tmp_path / "out", "--run-id", "r1",
+                   *jobs) == EXIT_CONFIG
+    assert "address regions overlap" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["config", "topology", "energy-table"])
+def test_an_input_file_may_start_with_a_bom(workdir, kind):
+    # as a spreadsheet writes UTF-8; the summaries are those of the plain file
+    table = workdir / "energy.txt"
+    table.write_text("e_mac = 2\n")
+    path = {"config": workdir / "arch.cfg", "topology": workdir / "topo.csv",
+            "energy-table": table}[kind]
+
+    def summaries(out):
+        assert run_cli("run", "--config", workdir / "arch.cfg", "--energy-table", table,
+                       "--out", workdir / out, "--run-id", "r1", "--no-traces") == EXIT_OK
+        return [(workdir / out / "r1" / name).read_bytes()
+                for name in ("summary.csv", "network.csv")]
+
+    plain = summaries("plain")
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert summaries("bom") == plain
+
+
 def _manifest_entry(key, value=None):
     """Damage that drops one manifest entry, or sets it to value."""
     def damage(text):
@@ -326,6 +359,8 @@ ENERGY_COMMANDS = {
     pytest.param("nan", "e_mac must be finite and non-negative, not nan", id="nan"),
     pytest.param("inf", "e_mac must be finite and non-negative, not inf", id="inf"),
     pytest.param("-1", "e_mac must be finite and non-negative, not -1.0", id="negative"),
+    pytest.param("1\ne_mac = 5", "key e_mac is given twice, on lines 2 and 3",
+                 id="given-twice"),
 ])
 def test_bad_energy_cost_is_a_config_error(workdir, capsys, command, value, message):
     table = workdir / "energy.txt"

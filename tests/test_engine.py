@@ -168,7 +168,8 @@ def test_ws_read_counts_closed_form_multi_fold():
     layer = LayerSpec("t", 6, 6, 3, 3, 2, 5, 1)  # W_sz=18, M=5, N_w=16
     arch = make_arch(4, 2, "ws")
     ts = generate_traces(layer, arch)
-    counts, folds = ts.counts, fold_list(ts.counts, arch)
+    counts = workload_counts(layer)
+    folds = fold_list(counts, arch)
     assert len(ts.filter_reads) == sum(f.rows_used * f.cols_used for f in folds)
     assert len(ts.ifmap_reads) == sum(f.rows_used * counts.n_windows for f in folds)
     assert_matches_oracle(layer, arch)
@@ -208,7 +209,8 @@ EDGE_BOUNDS = {
 
 def _check_invariants(layer, arch):
     ts = generate_traces(layer, arch)
-    counts, folds = ts.counts, fold_list(ts.counts, arch)
+    counts = workload_counts(layer)
+    folds = fold_list(counts, arch)
     # MAC conservation implied by the folds behind the traces
     assert ts.plan.num_folds == len(folds)
     assert sum(f.rows_used * f.cols_used * f.stream_len for f in folds) == counts.macs_total
@@ -262,9 +264,10 @@ def test_transpose_symmetry_constructed_layers():
     # when N_w == M, WS and IS are role swaps with equal spans
     for m, k in ((6, 5), (13, 20), (32, 9)):
         layer = lower_gemm(m, k, m)
+        counts = workload_counts(layer)
         for rows, cols in ((4, 4), (8, 2), (3, 7)):
             ws_arch, is_arch = make_arch(rows, cols, "ws"), make_arch(rows, cols, "is")
             ws, is_ = generate_traces(layer, ws_arch), generate_traces(layer, is_arch)
             assert ws.total_cycles == is_.total_cycles
-            assert [(f.rows_used, f.cols_used) for f in fold_list(ws.counts, ws_arch)] == \
-                   [(f.rows_used, f.cols_used) for f in fold_list(is_.counts, is_arch)]
+            assert [(f.rows_used, f.cols_used) for f in fold_list(counts, ws_arch)] == \
+                   [(f.rows_used, f.cols_used) for f in fold_list(counts, is_arch)]

@@ -40,7 +40,7 @@ def chunk_events(n):
 def assert_matches_reference(layer, arch):
     got = generate_traces(layer, arch)
     want = generate_traces_reference(layer, arch)
-    assert got.plan.num_folds == len(fold_list(got.counts, arch))
+    assert got.plan.num_folds == len(fold_list(workload_counts(layer), arch))
     for kind in KINDS:
         assert in_file_order(getattr(got, kind)) == getattr(want, kind), kind
     assert tuple(len(getattr(got, kind)) for kind in KINDS) == \
@@ -72,7 +72,7 @@ def test_fold_larger_than_segment(dataflow):
     arch = make_arch(5, 3, dataflow, word_bytes=2)
     with chunk_events(16):
         ts = assert_matches_reference(layer, arch)
-    assert max(f.rows_used * f.stream_len for f in fold_list(ts.counts, arch)) > 16
+    assert max(f.rows_used * f.stream_len for f in fold_list(workload_counts(layer), arch)) > 16
 
 
 @pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
@@ -112,7 +112,7 @@ def test_corner_wider_than_a_gather(dataflow):
     arch = make_arch(40, 40, dataflow)
     with chunk_events(64):
         ts = assert_matches_reference(layer, arch)
-    assert max(min(f.rows_used, f.cols_used) for f in fold_list(ts.counts, arch)) == 40
+    assert max(min(f.rows_used, f.cols_used) for f in fold_list(workload_counts(layer), arch)) == 40
 
 
 @pytest.mark.parametrize("chunk", [64, 1 << 20])
@@ -221,7 +221,7 @@ def test_fold_by_fold_batches_match(monkeypatch, dataflow):
     # the stand-in that the mutants below change writes the engine's traces
     layer, arch = LayerSpec("t", 6, 5, 2, 2, 2, 5, 1), make_arch(3, 2, dataflow)
     want = generate_traces(layer, arch)
-    monkeypatch.setattr(engine, "_batches", fold_by_fold(fold_list(want.counts, arch)))
+    monkeypatch.setattr(engine, "_batches", fold_by_fold(fold_list(workload_counts(layer), arch)))
     got = generate_traces(layer, arch)
     for kind in KINDS:
         assert in_file_order(getattr(got, kind)) == in_file_order(getattr(want, kind)), kind
@@ -254,9 +254,11 @@ def test_reduction_innermost_crashes(monkeypatch, dataflow):
 
 @pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
 def test_final_writes_are_the_ofmap_trace_tail(dataflow):
-    ts = generate_traces(LayerSpec("t", 4, 4, 2, 2, 2, 3, 1), make_arch(4, 2, dataflow))
+    layer = LayerSpec("t", 4, 4, 2, 2, 2, 3, 1)
+    ts = generate_traces(layer, make_arch(4, 2, dataflow))
     fin, writes = ts.final_writes, ts.ofmap_writes.collect()
-    first = len(writes) - ts.counts.n_windows * ts.counts.n_filters
+    counts = workload_counts(layer)
+    first = len(writes) - counts.n_windows * counts.n_filters
     assert first == (0 if dataflow == "os" else len(fin))
     assert fin == Trace(writes.cycles[first:], writes.addresses[first:])
     assert ts.total_cycles == writes.max_cycle + 1

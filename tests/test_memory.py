@@ -15,6 +15,7 @@ from systolicsim import trace as trace_module
 from systolicsim.cli import TRACE_KINDS
 from systolicsim.config import LayerSpec
 from systolicsim.engine import TraceSet, generate_traces
+from systolicsim.mapping import workload_counts
 from systolicsim.metrics import layer_report
 from systolicsim.errors import ConfigError, WorkingSetUnderflow
 from systolicsim.memory import (Bursts, bandwidth_report, dram_demand, epochize,
@@ -152,7 +153,7 @@ def test_ws_partials_do_not_drain():
     layer = LayerSpec("t", 4, 4, 2, 2, 2, 3, 1)  # W_sz=8 on 4 rows
     arch = make_arch(4, 4, "ws")
     ts = generate_traces(layer, arch)
-    counts = ts.counts
+    counts = workload_counts(layer)
     assert len(ts.ofmap_writes) == 2 * counts.n_windows * counts.n_filters
     frag = dram_demand(ts, arch).write
     assert frag.total_bytes == counts.n_windows * counts.n_filters
@@ -223,10 +224,11 @@ def test_no_useless_prefetch():
 
 def test_dram_write_bytes_equal_final_footprint_all_capacities():
     layer = LayerSpec("t", 6, 6, 3, 3, 2, 4, 1)
+    counts = workload_counts(layer)
+    footprint = counts.n_windows * counts.n_filters
     for df in ("os", "ws", "is"):
         arch = make_arch(4, 4, df)
         ts = generate_traces(layer, arch)
-        footprint = ts.counts.n_windows * ts.counts.n_filters
         for cap in (1, 7, footprint // 2, footprint, 4 * footprint):
             frag = gen_dram_write_trace(ts.final_writes, max(1, cap), ts.total_cycles)
             assert frag.total_bytes == footprint
@@ -237,7 +239,8 @@ def test_dram_demand_pipeline_word_bytes():
     arch = make_arch(4, 4, "os", word_bytes=2)
     ts = generate_traces(layer, arch)
     dem = dram_demand(ts, arch)
-    assert dem.write.total_bytes == 2 * ts.counts.n_windows * ts.counts.n_filters
+    counts = workload_counts(layer)
+    assert dem.write.total_bytes == 2 * counts.n_windows * counts.n_filters
     assert dem.ifmap.total_bytes % 2 == 0 and dem.filter.total_bytes % 2 == 0
 
 
@@ -291,7 +294,7 @@ def test_figures_ignore_order_within_a_cycle(ih, iw, fh, fw, chans, filters, str
         ts, ifmap_reads=check_only_footprint(ts.ifmap_reads),
         filter_reads=check_only_footprint(ts.filter_reads)))
     for reorder in (in_file_order, lambda t: shuffled_within_cycles(t, rng)):
-        given = TraceSet(ts.counts, ts.plan, reorder(ts.ifmap_reads.collect()),
+        given = TraceSet(ts.plan, reorder(ts.ifmap_reads.collect()),
                          reorder(ts.filter_reads.collect()), ts.ofmap_writes,
                          ts.final_writes)
         assert model_figures(layer, arch, given) == want

@@ -20,10 +20,11 @@ counts on.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
-from systolicsim import cli, engine, trace
+from systolicsim import cli, engine, sweeps, trace
 from systolicsim.bundled import default_config_path, workload_path
 from systolicsim.config import load_config, load_topology
 from systolicsim.engine import generate_traces
@@ -112,6 +113,17 @@ def test_peak_memory_bound_resnet50_conv1(dataflow):
     events = assert_streamed_peak(layer, arch, res, peak)
     assert EVENT_BYTES * events > 450e6
     assert layer_peak_bytes(layer, arch) <= EVENT_BYTES * events / 4
+
+
+def test_a_sharded_layer_holds_one_shard_at_a_time():
+    # 33 filters over 2 nodes make a 17- and a 16-filter shard, run one after
+    # the other; only the numbers the scale study reads of a shard outlive
+    # it, so the second shard never runs beside the first one's DRAM demand
+    layer, arch = deepspeech2_conv1("os", 8, 8, 4)
+    layer = replace(layer, num_filters=33)
+    _, shard_peak = traced_peak(lambda: simulate_layer(replace(layer, num_filters=17), arch))
+    _, peak = traced_peak(lambda: sweeps._sharded(layer, 2, arch, None))
+    assert peak <= shard_peak + 10**6
 
 
 @pytest.mark.parametrize("dataflow,rows,cols,input_kb", [
