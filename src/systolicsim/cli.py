@@ -29,8 +29,8 @@ from .config import (ALL_DATAFLOWS, ArchConfig, Dataflow, LayerSpec,
                      load_config, load_topology)
 from .errors import ConfigError, SimulationError, TopologyError
 from .mapping import fold_plan, regions, workload_counts
-from .metrics import (EnergyCostTable, LayerReport, layer_report,
-                      load_energy_table, summarize_network, summary_csv)
+from .metrics import (EnergyCostTable, LayerReport, layer_report, load_energy_table,
+                      ofmap_figures, summarize_network, summary_csv)
 from .simulate import EVENT_BYTES, layer_peak_bytes, simulate_layer
 from .sweeps import STUDIES, SweepSpec, run_sweep, trend_lines, write_sweep_csv
 from .trace import Trace
@@ -241,14 +241,15 @@ def _write_summaries(run_dir: Path, reports: list[LayerReport]) -> None:
 def _report_layer(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable,
                   run_dir: Path, stem: str) -> LayerReport:
     """Rebuild one layer's report purely from its trace files, read in
-    ``TRACE_KINDS`` order.  The SRAM reads enter as counts, so each of those
-    two files is dropped before the next one is read."""
+    ``TRACE_KINDS`` order.  The SRAM reads enter as counts and the ofmap
+    writes as ``ofmap_figures``, so each of those three files is dropped
+    before the next one is read."""
     ifmap, filt, writes, dram_rd, dram_wr = _trace_paths(run_dir, stem)
     ifmap_reads = len(Trace.read_csv(ifmap))
     filter_reads = len(Trace.read_csv(filt))
-    return layer_report(layer, arch, table, ifmap_reads, filter_reads,
-                        Trace.read_csv(writes), [Trace.read_csv(dram_rd).cycles],
-                        [Trace.read_csv(dram_wr).cycles])
+    ofmap = ofmap_figures(layer, arch, Trace.read_csv(writes))
+    return layer_report(layer, arch, table, ifmap_reads, filter_reads, ofmap,
+                        [Trace.read_csv(dram_rd).cycles], [Trace.read_csv(dram_wr).cycles])
 
 
 def cmd_report(args) -> int:

@@ -1,7 +1,12 @@
 """Per-layer and per-network reports reduced from traces.
 
-``layer_report`` is the only function that builds a layer's report, from
-its traces alone, so ``run`` and ``report`` cannot disagree;
+``layer_report`` is the only function that builds a layer's report, so
+``run`` and ``report`` cannot disagree.  It takes the SRAM read counts, the
+three ofmap figures (runtime, writes and partial-sum re-reads) and the DRAM
+events' cycles.  ``ofmap_figures`` reads those figures off an ofmap trace:
+``report`` off the trace file, and ``simulate_layer`` off the stream that
+writes the file, which it checks against the fold grid's closed forms;
+without trace files ``simulate_layer`` takes the closed forms alone.
 ``summarize_network`` adds the layer reports into the network total, itself
 a ``LayerReport``, whose ratios then follow from its summed counts as a
 layer's do from its own.
@@ -67,10 +72,11 @@ def load_energy_table(path: str | Path) -> EnergyCostTable:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"bad energy table line: {raw!r}")
+            raise ConfigError(f"energy table {path}, line {number}: {raw.strip()!r} "
+                              "is not a key = value line")
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in keys:
-            raise ConfigError(f"unknown energy table key {key!r}")
+            raise ConfigError(f"energy table {path}, line {number}: unknown key {key!r}")
         if key in lines:
             raise ConfigError(f"energy table {path}: key {key} is given twice, on lines "
                               f"{lines[key]} and {number}")
@@ -153,25 +159,15 @@ def _dram_bytes(cycle_arrays: Iterable[np.ndarray], total_cycles: int,
     return events * word_bytes, int(total.max()) * word_bytes if len(total) else 0
 
 
-def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | None,
-                 ifmap_reads: int, filter_reads: int, ofmap_writes: Trace | TraceStream,
-                 dram_reads: Iterable[np.ndarray],
-                 dram_writes: Iterable[np.ndarray]) -> LayerReport:
-    """Reduce one layer's traces to its report.  ``run`` and ``report`` both
-    call this, so they agree by construction.  The SRAM reads enter as
-    counts, the ofmap writes as a trace or stream read once, segment by
-    segment, and each DRAM partition as its events' cycles, in arrays read
-    once each, one at a time, in any order.  Runtime is one past the last
+def ofmap_figures(layer: LayerSpec, arch: ArchConfig,
+                  ofmap_writes: Trace | TraceStream) -> tuple[int, int, int]:
+    """(runtime, writes, partial-sum re-reads) of a layer's ofmap trace or
+    stream, read once, segment by segment.  Runtime is one past the last
     output write; every write to an address after its first is a partial
-    sum that the next reduction fold re-reads; DRAM bytes and peak
-    bandwidths come from the DRAM cycles.  Writes must fall in the output
-    region of ``mapping.regions``, which rejects offsets that overlap."""
-    table = table or EnergyCostTable()
-    word = arch.word_bytes
-    counts = workload_counts(layer)
-    active, area = fold_plan(counts, arch).pe_totals
-    # distinct write addresses, counted on a bitmap of the output region
-    low, high = regions(layer, arch, counts)[2]
+    sum that the next reduction fold re-reads, counted on a bitmap of the
+    output region.  Writes must fall in that region of ``mapping.regions``,
+    which rejects offsets that overlap."""
+    low, high = regions(layer, arch, workload_counts(layer))[2]
     written = np.zeros(high - low, dtype=bool)
     writes, last = 0, -1
     for seg in ofmap_writes.segments():
@@ -188,8 +184,24 @@ def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | No
     if last < 0:
         raise SimulationError(f"layer {layer.name!r}: ofmap write trace has no "
                               "cycle >= 0, so no runtime")
-    cycles = last + 1
-    partial_reads = writes - int(np.count_nonzero(written))
+    return last + 1, writes, writes - int(np.count_nonzero(written))
+
+
+def layer_report(layer: LayerSpec, arch: ArchConfig, table: EnergyCostTable | None,
+                 ifmap_reads: int, filter_reads: int, ofmap: tuple[int, int, int],
+                 dram_reads: Iterable[np.ndarray],
+                 dram_writes: Iterable[np.ndarray]) -> LayerReport:
+    """Reduce one layer's figures to its report.  ``run`` and ``report``
+    both call this, so they agree by construction.  The SRAM reads enter as
+    counts, the ofmap trace as the three figures of ``ofmap_figures``
+    (runtime, writes and partial-sum re-reads), and each DRAM partition as
+    its events' cycles, in arrays read once each, one at a time, in any
+    order; DRAM bytes and peak bandwidths come from those cycles."""
+    table = table or EnergyCostTable()
+    word = arch.word_bytes
+    counts = workload_counts(layer)
+    active, area = fold_plan(counts, arch).pe_totals
+    cycles, writes, partial_reads = ofmap
     dram_rd_bytes, peak_rd_bw = _dram_bytes(dram_reads, cycles, word)
     dram_wr_bytes, peak_wr_bw = _dram_bytes(dram_writes, cycles, word)
     return LayerReport(

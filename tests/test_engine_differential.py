@@ -20,10 +20,11 @@ from hypothesis import strategies as st
 from engine_reference import generate_traces_reference
 from helpers import fold_list, in_file_order, make_arch
 from systolicsim import engine, trace
-from systolicsim.bundled import default_config_path, workload_path
+from systolicsim.bundled import WORKLOAD_TAGS, default_config_path, workload_path
 from systolicsim.config import LayerSpec, load_config, load_topology
 from systolicsim.engine import generate_traces
 from systolicsim.mapping import fold_plan, workload_counts
+from systolicsim.metrics import ofmap_figures
 from systolicsim.trace import Trace
 
 KINDS = ("ifmap_reads", "filter_reads", "ofmap_writes")
@@ -64,6 +65,46 @@ def small_layers(draw):
 def test_builder_matches_reference(layer, rows, cols, dataflow, word, chunk):
     with chunk_events(chunk):
         assert_matches_reference(layer, make_arch(rows, cols, dataflow, word_bytes=word))
+
+
+def closed_forms(ts):
+    """The fold grid's (runtime, writes, partial-sum re-reads) of a
+    TraceSet, which ``simulate_layer`` reports without reading the ofmap
+    trace."""
+    writes = len(ts.ofmap_writes)
+    return ts.total_cycles, writes, writes - len(ts.final_writes)
+
+
+@st.composite
+def offsets(draw):
+    """The three operand offsets, in any order and at any byte, with gaps
+    wider than any region of ``small_layers``."""
+    at, out = draw(st.integers(0, 10**6)), {}
+    for part in draw(st.permutations(["ifmap", "filter", "ofmap"])):
+        out[f"{part}_offset"] = at
+        at += 4096 + draw(st.integers(0, 10**6))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_layers(), st.integers(1, 7), st.integers(1, 7),
+       st.sampled_from(["os", "ws", "is"]), st.integers(1, 4), offsets())
+def test_ofmap_figures_match_the_closed_forms(layer, rows, cols, dataflow, word, offs):
+    # equal partial reads mean the final writes are distinct and cover the
+    # output region
+    arch = make_arch(rows, cols, dataflow, word_bytes=word).with_overrides(**offs)
+    ts = generate_traces(layer, arch)
+    assert ofmap_figures(layer, arch, ts.ofmap_writes) == closed_forms(ts)
+
+
+def test_ofmap_figures_match_the_closed_forms_on_every_bundled_layer():
+    for tag in WORKLOAD_TAGS:
+        for layer in load_topology(workload_path(tag)):
+            for dataflow in ("os", "ws", "is"):
+                arch = make_arch(128, 128, dataflow)
+                ts = generate_traces(layer, arch)
+                assert ofmap_figures(layer, arch, ts.ofmap_writes) == closed_forms(ts), (
+                    tag, layer.name, dataflow)
 
 
 @pytest.mark.parametrize("dataflow", ["os", "ws", "is"])

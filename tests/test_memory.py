@@ -15,8 +15,8 @@ from systolicsim import trace as trace_module
 from systolicsim.cli import TRACE_KINDS
 from systolicsim.config import LayerSpec
 from systolicsim.engine import TraceSet, generate_traces
-from systolicsim.mapping import workload_counts
-from systolicsim.metrics import layer_report
+from systolicsim.mapping import fold_plan, workload_counts
+from systolicsim.metrics import layer_report, ofmap_figures
 from systolicsim.errors import ConfigError, WorkingSetUnderflow
 from systolicsim.memory import (Bursts, bandwidth_report, dram_demand, epochize,
                                 gen_dram_read_trace, gen_dram_write_trace)
@@ -267,7 +267,8 @@ def model_figures(layer, arch, ts):
     figures += [(t.cycles.tolist(), t.addresses.tolist())
                 for t in (reads.trace(), writes.trace())]
     figures.append(layer_report(layer, arch, None, len(ts.ifmap_reads),
-                                len(ts.filter_reads), ts.ofmap_writes,
+                                len(ts.filter_reads),
+                                ofmap_figures(layer, arch, ts.ofmap_writes),
                                 reads.cycle_segments(), writes.cycle_segments()))
     return figures
 
@@ -322,22 +323,51 @@ def test_a_teed_stream_is_scanned_and_written_even_when_it_fits(tmp_path, datafl
         (tmp_path / "teed.csv").unlink()
 
 
-@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
-def test_a_fitting_input_trace_is_written_only_into_files(monkeypatch, tmp_path, dataflow):
-    # 64 KB buffers hold the 128-word ifmap and 72-word filter footprints:
-    # without trace files the engine writes neither input trace, only the
-    # ofmap trace (the final writes, then the report's pass)
-    written, read = [], engine._read
+def engine_reads(monkeypatch, tmp_path, layer, arch):
+    """Each (trace index, first event) that the engine is asked to write
+    from, by ``simulate_layer`` without trace files and then with them,
+    sorted; both runs must report alike."""
+    reads, read = [], engine._read
 
     def spy(*args):
-        written.append(args[4])
+        reads.append((args[4], args[6]))
         yield from read(*args)
 
     monkeypatch.setattr(engine, "_read", spy)
-    layer, arch = LayerSpec("t", 8, 8, 3, 3, 2, 4, 1), make_arch(4, 4, dataflow)
     without = simulate_layer(layer, arch).report
-    assert written == [2, 2]
-    written.clear()
+    untraced = sorted(reads)
+    reads.clear()
     paths = [tmp_path / f"{kind}.csv" for kind in TRACE_KINDS]
     assert simulate_layer(layer, arch, trace_paths=paths).report == without
-    assert sorted(written) == [0, 1, 2, 2]
+    return untraced, sorted(reads)
+
+
+def first_final_write(layer, arch):
+    """len(ofmap) - N_w*M: where the final writes start in the ofmap trace."""
+    counts = workload_counts(layer)
+    return fold_plan(counts, arch).sram_event_counts[2] - counts.n_windows * counts.n_filters
+
+
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_a_fitting_input_trace_is_written_only_into_files(monkeypatch, tmp_path, dataflow):
+    # 64 KB buffers hold the 128-word ifmap and 72-word filter footprints:
+    # without trace files the engine writes neither input trace, and of the
+    # ofmap trace only the final writes, for the drain
+    layer, arch = LayerSpec("t", 8, 8, 3, 3, 2, 4, 1), make_arch(4, 4, dataflow)
+    final = (2, first_final_write(layer, arch))
+    assert engine_reads(monkeypatch, tmp_path, layer, arch) == (
+        [final], sorted([(0, 0), (1, 0), (2, 0), final]))
+
+
+@pytest.mark.parametrize("dataflow", ["os", "ws", "is"])
+def test_an_overflowing_layer_writes_only_the_final_ofmap_writes(monkeypatch, tmp_path,
+                                                                 dataflow):
+    # 1 KB holds 64 words of 16 bytes, neither the 128-word ifmap nor the
+    # 72-word filter footprint: both input traces are scanned on every
+    # path, yet without trace files the ofmap trace is written only from
+    # the final writes on
+    layer = LayerSpec("t", 8, 8, 3, 3, 2, 4, 1)
+    arch = make_arch(4, 4, dataflow, ifmap_kb=1, filter_kb=1, word_bytes=16)
+    final = (2, first_final_write(layer, arch))
+    assert engine_reads(monkeypatch, tmp_path, layer, arch) == (
+        sorted([(0, 0), (1, 0), final]), sorted([(0, 0), (1, 0), (2, 0), final]))

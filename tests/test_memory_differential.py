@@ -26,6 +26,7 @@ from systolicsim.config import LayerSpec, load_config, load_topology
 from systolicsim.engine import generate_traces
 from systolicsim.errors import WorkingSetUnderflow
 from systolicsim.memory import epochize, gen_dram_write_trace
+from systolicsim.metrics import ofmap_figures
 from systolicsim.simulate import simulate_layer
 from systolicsim.trace import Trace
 
@@ -164,8 +165,8 @@ def test_closed_form_epoch_is_the_scans_on_bundled_layers(dataflow):
        st.sampled_from([1, 3, 16]), st.data())
 def test_segmented_scans_match_reference(layer, rows, cols, dataflow, word, chunk,
                                          data):
-    # epochize's windows and the report's bitmap count walk the trace in
-    # chunks; tiny chunks must not matter
+    # epochize's windows, ofmap_figures' bitmap and the report's DRAM
+    # counts walk the trace in chunks; tiny chunks must not matter
     arch = make_arch(rows, cols, dataflow, word_bytes=word)
     ts = generate_traces(layer, arch)
     with mock.patch("systolicsim.trace.CHUNK_EVENTS", chunk):
@@ -174,11 +175,13 @@ def test_segmented_scans_match_reference(layer, rows, cols, dataflow, word, chun
             assert_same_epochs(reads, data.draw(st.integers(word, (footprint + 2) * word)),
                                word)
         got = ts.final_writes.cycles, ts.final_writes.addresses
+        figures = ofmap_figures(layer, arch, ts.ofmap_writes)
         report = simulate_layer(layer, arch).report
     want = final_writes_reference(ts.ofmap_writes)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert figures == ofmap_figures(layer, arch, ts.ofmap_writes)
+    assert figures[2] == len(partial_reads(ts.ofmap_writes))
     assert report == simulate_layer(layer, arch).report
-    assert report.sram_reads_ofmap_partials == len(partial_reads(ts.ofmap_writes))
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,7 +13,8 @@ from systolicsim.config import LayerSpec, load_topology, lower_gemm
 from systolicsim.engine import generate_traces
 from systolicsim.errors import ConfigError, SimulationError, WorkingSetUnderflow
 from systolicsim.metrics import (EnergyCostTable, LayerReport, energy, layer_report,
-                                 report_row, summarize_network, summary_csv)
+                                 load_energy_table, ofmap_figures, report_row,
+                                 summarize_network, summary_csv)
 from systolicsim.simulate import simulate_layer
 from systolicsim.trace import Trace
 
@@ -36,34 +37,43 @@ def test_compute_runtime_gemm4():
     ([0, 1], [OFMAP_OFF, OFMAP_OFF + 2], "outside"),
     ([0, 1], [OFMAP_OFF - 1, OFMAP_OFF], "outside"),
 ], ids=["empty", "negative", "past-region", "before-region"])
-def test_layer_report_rejects_bad_ofmap_writes(cycles, addresses, error):
+def test_ofmap_figures_rejects_bad_ofmap_writes(cycles, addresses, error):
     writes = Trace(np.array(cycles), np.array(addresses))
     with pytest.raises(SimulationError, match=error):
-        layer_report(lower_gemm(2, 1, 1), make_arch(1, 1, "os"), None, 2, 2,
-                     writes, [], [])
+        ofmap_figures(lower_gemm(2, 1, 1), make_arch(1, 1, "os"), writes)
 
 
-def test_layer_report_rejects_overlapping_regions():
+def test_ofmap_figures_rejects_overlapping_regions():
     # the engine's region check: an ofmap offset inside the ifmap region
     arch = make_arch(1, 1, "os").with_overrides(ofmap_offset=1)
     with pytest.raises(ConfigError, match="ifmap and ofmap address regions overlap"):
-        layer_report(lower_gemm(2, 1, 1), arch, None, 2, 2,
-                     Trace(np.array([0, 1]), np.array([1, 2])), [], [])
+        ofmap_figures(lower_gemm(2, 1, 1), arch, Trace(np.array([0, 1]), np.array([1, 2])))
 
 
 def test_layer_report_dram_bytes_and_bandwidths():
-    # 5 writes, runtime 10; reads: 4 in-run words (2 in cycle 3) and 2 prologue
-    # words; writes: 1 in-run word and 2 epilogue words
-    writes = Trace(np.array([0, 2, 4, 6, 9]), OFMAP_OFF + 2 * np.arange(5))
+    # runtime 10; reads: 4 in-run words (2 in cycle 3) and 2 prologue words;
+    # writes: 1 in-run word and 2 epilogue words
     dram_rd = np.array([-2, -1, 0, 3, 3, 7])
     dram_wr = np.array([5, 10, 11])
     rep = layer_report(lower_gemm(5, 1, 1), make_arch(1, 1, "os", word_bytes=2),
-                       None, 5, 5, writes, [dram_rd[:4], dram_rd[4:]], [dram_wr])
+                       None, 5, 5, (10, 5, 0), [dram_rd[:4], dram_rd[4:]], [dram_wr])
     assert rep.total_cycles == 10
     assert (rep.dram_read_bytes, rep.dram_write_bytes) == (12, 6)
     assert (rep.avg_read_bw, rep.avg_write_bw) == (1.2, 0.6)
     assert (rep.peak_read_bw, rep.peak_write_bw) == (4, 2)
     assert rep.sram_reads_ofmap_partials == 0
+
+
+@pytest.mark.parametrize("line, message", [
+    ("e_mca = 2", "line 2: unknown key 'e_mca'"),
+    ("e_mac 1", "line 2: 'e_mac 1' is not a key = value line"),
+], ids=["unknown-key", "no-equals"])
+def test_bad_energy_table_line_names_file_and_line(tmp_path, line, message):
+    table = tmp_path / "energy.txt"
+    table.write_text(f"# costs\n{line}\ne_sram_read = 2\n")
+    with pytest.raises(ConfigError) as exc:
+        load_energy_table(table)
+    assert str(exc.value) == f"energy table {table}, {message}"
 
 
 def test_energy_linear_combination():
